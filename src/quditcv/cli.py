@@ -9,10 +9,10 @@ runs with identical flags are byte-identical.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,17 +24,12 @@ __all__ = ["SweepConfig", "main"]
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One resolved CLI invocation: grids, output target, seed, tolerances.
-
-    `tolerances` maps a verification suite name to an override of its
-    pass threshold; empty means the documented defaults.
-    """
+    """One resolved CLI invocation: grids, output target, seed."""
 
     command: str
     grids: dict[str, tuple[float, ...]] = field(default_factory=dict)
     out: str | None = None
     seed: int = 0
-    tolerances: dict[str, float] = field(default_factory=dict)
 
 
 class ConfigError(Exception):
@@ -122,12 +117,10 @@ def cmd_gains(config: SweepConfig) -> int:
     budgets = {d * n for d, n in zip(d_list, n_list)}
     if len(budgets) != 1:
         raise ConfigError(f"all (d, N) pairs must share one d*N budget, got {sorted(budgets)}")
-    budget = budgets.pop()
     rows = []
     for d, n in zip(d_list, n_list):
-        params = teleport.SchemeParams(num_modes=n, photon_cutoff=d)
-        for k in range(budget + 1):
-            rows.append((d, n, k, teleport.fock_gain(k, params)))
+        gains = teleport.gain_vector(teleport.SchemeParams(num_modes=n, photon_cutoff=d))
+        rows.extend((d, n, k, gain) for k, gain in enumerate(gains.tolist()))
     rows.sort(key=lambda row: row[:3])
     _write_csv(config.out, "d,N,k,gain", rows)
     return 0
@@ -241,24 +234,6 @@ def cmd_povm(config: SweepConfig, max_resolved: int, cutoff: int) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
-@contextlib.contextmanager
-def _perturbed_gain(eps: float):
-    """Test hook: scale fock_gain by (1 + eps)^k so `verify` must notice."""
-    if not eps:
-        yield
-        return
-    original = teleport.fock_gain
-
-    def bent(k, params):
-        return original(k, params) * (1.0 + eps) ** k
-
-    teleport.fock_gain = bent
-    try:
-        yield
-    finally:
-        teleport.fock_gain = original
-
-
 def _suite_combinatorics() -> float:
     worst = 0.0
     for n in range(1, 13):
@@ -269,8 +244,6 @@ def _suite_combinatorics() -> float:
             for k in range(0, d + 1):
                 expected = n**k / math.factorial(k)
                 worst = max(worst, abs(float(restricted_weight(n, k, d)) - expected))
-    from fractions import Fraction
-
     for n in range(1, 5):
         for d in range(1, 4):
             for k in range(0, 9):
@@ -344,7 +317,7 @@ def _suite_povm_completeness() -> float:
     return worst
 
 
-def cmd_verify(config: SweepConfig, perturb_gain: float) -> int:
+def cmd_verify(config: SweepConfig) -> int:
     """Re-run the cross-validation suites and report max deviations."""
     seed = config.seed
     suites = [
@@ -355,23 +328,21 @@ def cmd_verify(config: SweepConfig, perturb_gain: float) -> int:
         ("povm-completeness", lambda: _suite_povm_completeness(), 1e-8),
     ]
     all_passed = True
-    with _perturbed_gain(perturb_gain):
-        for name, run, default_tolerance in suites:
-            tolerance = config.tolerances.get(name, default_tolerance)
-            try:
-                deviation = run()
-                passed = deviation <= tolerance
-                note = ""
-            except Exception as exc:  # deliberate: a crash is a failed suite
-                deviation = math.inf
-                passed = False
-                note = f"  ({exc})"
-            all_passed &= passed
-            verdict = "PASS" if passed else "FAIL"
-            print(
-                f"suite {name:<26} max deviation {deviation:<12.3e} "
-                f"tolerance {tolerance:<8.0e} {verdict}{note}"
-            )
+    for name, run, tolerance in suites:
+        try:
+            deviation = run()
+            passed = deviation <= tolerance
+            note = ""
+        except Exception as exc:  # deliberate: a crash is a failed suite
+            deviation = math.inf
+            passed = False
+            note = f"  ({exc})"
+        all_passed &= passed
+        verdict = "PASS" if passed else "FAIL"
+        print(
+            f"suite {name:<26} max deviation {deviation:<12.3e} "
+            f"tolerance {tolerance:<8.0e} {verdict}{note}"
+        )
     print("verification " + ("passed" if all_passed else "FAILED"))
     return 0 if all_passed else 1
 
@@ -430,7 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="re-run cross-validation suites (exit 1 on failure)")
     verify.add_argument("--seed", type=int, default=0, help="seed for the randomized suites")
-    verify.add_argument("--perturb-gain", type=float, default=0.0, help=argparse.SUPPRESS)
 
     return parser
 
@@ -462,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
             config = SweepConfig("povm", {"eta": args.eta, "nu": args.nu}, args.out)
             return cmd_povm(config, args.max_resolved, args.cutoff)
         if args.command == "verify":
-            return cmd_verify(SweepConfig("verify", seed=args.seed), args.perturb_gain)
+            return cmd_verify(SweepConfig("verify", seed=args.seed))
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,9 @@ probabilities, fidelities) reduces to evaluating W, so this module keeps it
 exact: values are `fractions.Fraction` over arbitrary-precision integers,
 and floating point enters only through the explicit log-domain view.
 
+Tables W(N, ., d) are cached per (N, d), exact and in logs, and grown over N
+from the largest cached smaller N, so a sweep over N never redoes a mode.
+
 Two exact identities pin the implementation down:
 
 * d = 1 recovers binomial coefficients, W(N, k, 1) = C(N, k).
@@ -25,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -41,9 +43,9 @@ __all__ = [
 # One way of placing the photons: an occupation number per mode.
 Composition = tuple[int, ...]
 
-# Beyond this many photon slots the factorials in the exact table get big
-# enough that a float dynamic program is the better default for logs.
-_EXACT_LOG_LIMIT = 60
+# Up to this many photon slots (N*d) gains come from exact rationals; beyond
+# it the factorials get big enough that the log-domain table is the default.
+EXACT_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -76,39 +78,54 @@ def _require_valid(n_modes: int, total_photons: int, per_mode_cutoff: int) -> No
         raise ValueError(f"photon number cannot be negative, got {total_photons}")
 
 
-@cache
+# d -> {N: table}, seeded with N = 0 and filled by _grown
+_EXACT_TABLES: dict[int, dict[int, tuple[Fraction, ...]]] = {}
+_LOG_TABLES: dict[int, dict[int, np.ndarray]] = {}
+
+
+def _grown(tables: dict, n_modes: int, per_mode_cutoff: int, empty, add_mode):
+    by_modes = tables.setdefault(per_mode_cutoff, {0: empty})
+    if n_modes not in by_modes:
+        start = max(n for n in by_modes if n < n_modes)
+        table = by_modes[start]
+        for _ in range(start, n_modes):
+            table = add_mode(table, per_mode_cutoff)
+        by_modes[n_modes] = table
+    return by_modes[n_modes]
+
+
+def _add_mode_exact(table: tuple[Fraction, ...], per_mode_cutoff: int) -> tuple[Fraction, ...]:
+    inv_factorial = [Fraction(1, math.factorial(r)) for r in range(per_mode_cutoff + 1)]
+    grown = [Fraction(0)] * (len(table) + per_mode_cutoff)
+    for k, acc in enumerate(table):
+        for r, w in enumerate(inv_factorial):
+            grown[k + r] += acc * w
+    return tuple(grown)
+
+
+def _add_mode_log(table: np.ndarray, per_mode_cutoff: int) -> np.ndarray:
+    grown = np.full(len(table) + per_mode_cutoff, -np.inf)
+    for r in range(per_mode_cutoff + 1):
+        window = slice(r, r + len(table))
+        grown[window] = np.logaddexp(grown[window], table - math.lgamma(r + 1))
+    grown.setflags(write=False)
+    return grown
+
+
 def _weight_table(n_modes: int, per_mode_cutoff: int) -> tuple[Fraction, ...]:
     """All weights W(n_modes, k, per_mode_cutoff) for k = 0 .. n_modes * d.
 
     Dynamic program over modes: adding one mode convolves the table with the
     per-mode series (1/r!)_{r=0..d}, so the direct exponential sum over
-    compositions is never formed.
+    compositions is never formed.  Tables are cached and grown over N.
     """
-    inv_factorial = [Fraction(1, math.factorial(r)) for r in range(per_mode_cutoff + 1)]
-    table = [Fraction(1)]
-    for _ in range(n_modes):
-        grown = [Fraction(0)] * (len(table) + per_mode_cutoff)
-        for k, acc in enumerate(table):
-            if not acc:
-                continue
-            for r, w in enumerate(inv_factorial):
-                grown[k + r] += acc * w
-        table = grown
-    return tuple(table)
+    return _grown(_EXACT_TABLES, n_modes, per_mode_cutoff, (Fraction(1),), _add_mode_exact)
 
 
-@cache
-def _log_weight_table(n_modes: int, per_mode_cutoff: int) -> tuple[float, ...]:
-    # Same recurrence as _weight_table, run in log space with logaddexp so
-    # entries stay finite for hundreds of photons.
-    log_inv_fact = [-math.lgamma(r + 1) for r in range(per_mode_cutoff + 1)]
-    table = np.zeros(1)
-    for _ in range(n_modes):
-        grown = np.full(len(table) + per_mode_cutoff, -np.inf)
-        for r, lw in enumerate(log_inv_fact):
-            grown[r : r + len(table)] = np.logaddexp(grown[r : r + len(table)], table + lw)
-        table = grown
-    return tuple(table.tolist())
+def _log_weight_table(n_modes: int, per_mode_cutoff: int) -> np.ndarray:
+    # Same recurrence and cache as _weight_table, in log space (logaddexp) so
+    # entries stay finite for hundreds of photons; tables are read-only.
+    return _grown(_LOG_TABLES, n_modes, per_mode_cutoff, np.zeros(1), _add_mode_log)
 
 
 def restricted_weight(n_modes: int, total_photons: int, per_mode_cutoff: int) -> RestrictedWeight:
@@ -163,9 +180,10 @@ def enumerate_compositions(
 def restricted_weight_log(n_modes: int, total_photons: int, per_mode_cutoff: int) -> float:
     """Natural log of W(N, k, d), safe for photon numbers in the hundreds.
 
-    For small tables (``n_modes * per_mode_cutoff <= 60``) the exact rational
-    is computed and logged, so the result is faithful to within one rounding
-    of the true value; beyond that a log-space dynamic program takes over.
+    For small tables (``n_modes * per_mode_cutoff <= EXACT_LIMIT``) the exact
+    rational is computed and logged, so the result is faithful to within one
+    rounding of the true value; beyond that the cached log-space table is
+    read, grown over N like the exact one.
 
     Raises:
         ValueError: With message ``"weight is zero"`` when the weight
@@ -178,7 +196,7 @@ def restricted_weight_log(n_modes: int, total_photons: int, per_mode_cutoff: int
             f"weight is zero: {total_photons} photons cannot fit in "
             f"{n_modes} modes holding at most {per_mode_cutoff} each"
         )
-    if n_modes * per_mode_cutoff <= _EXACT_LOG_LIMIT:
+    if n_modes * per_mode_cutoff <= EXACT_LIMIT:
         value = _weight_table(n_modes, per_mode_cutoff)[total_photons]
         return math.log(value.numerator) - math.log(value.denominator)
-    return _log_weight_table(n_modes, per_mode_cutoff)[total_photons]
+    return float(_log_weight_table(n_modes, per_mode_cutoff)[total_photons])

@@ -10,7 +10,8 @@ amplitude c_k is multiplied by the gain
 
 with W the restricted-composition weight from :mod:`quditcv.combinatorics`.
 g(k) = 1 exactly for k <= d, and g(k) = 0 for k > N*d, so the pipeline acts
-as a gentle photon-number filter whose distortion shrinks as N grows.
+as a gentle photon-number filter whose distortion shrinks as N grows.  The
+window g(0..N*d) is evaluated once per (N, d) by :func:`gain_vector`.
 
 Success probability is the squared norm that survives the filter; fidelity
 for the two-mode squeezed (EPR) input is reported as the plain state
@@ -20,13 +21,15 @@ overlap, with the squared variant exposed alongside.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import restricted_weight, restricted_weight_log
+from .combinatorics import EXACT_LIMIT, _log_weight_table, _weight_table
 
 __all__ = [
     "EprOutcome",
@@ -37,6 +40,7 @@ __all__ = [
     "coherent_fock",
     "conventional_cv_fidelity",
     "fock_gain",
+    "gain_vector",
     "squeezing_from_chi",
     "squeezing_from_r",
     "squeezing_from_vs",
@@ -46,7 +50,6 @@ __all__ = [
     "teleport_state",
 ]
 
-_EXACT_GAIN_LIMIT = 60  # switch fock_gain to the log path past this many slots
 _COHERENT_TAIL = 1e-12
 
 
@@ -58,10 +61,11 @@ class SchemeParams:
     photon_cutoff: int
 
     def __post_init__(self) -> None:
-        if self.num_modes < 1:
-            raise ValueError(f"num_modes must be >= 1, got {self.num_modes}")
-        if self.photon_cutoff < 1:
-            raise ValueError(f"photon_cutoff must be >= 1, got {self.photon_cutoff}")
+        for name in ("num_modes", "photon_cutoff"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     @property
     def max_photons(self) -> int:
@@ -153,26 +157,37 @@ def squeezing_from_r(r: float) -> SqueezingParams:
     return squeezing_from_chi(math.tanh(r))
 
 
+@cache
+def gain_vector(params: SchemeParams) -> np.ndarray:
+    """The gains g(k) for k = 0..N*d, cached per (N, d) as a read-only vector.
+
+    From exact rationals (correctly rounded) when N*d <= EXACT_LIMIT, else from
+    the log weight table, clamped at 1 where exp overshoots by an ulp.  Scalar
+    math.exp, not np.exp: the latter rounds differently and moves output bytes.
+    """
+    n, d = params.num_modes, params.photon_cutoff
+    if n * d <= EXACT_LIMIT:
+        gains = [float(w * math.factorial(k) / Fraction(n) ** k)
+                 for k, w in enumerate(_weight_table(n, d))]
+    else:
+        log_n = math.log(n)
+        gains = [min(1.0, math.exp(lw + math.lgamma(k + 1) - k * log_n))
+                 for k, lw in enumerate(_log_weight_table(n, d).tolist())]
+    vector = np.array(gains)
+    vector[: d + 1] = 1.0
+    vector.setflags(write=False)
+    return vector
+
+
 def fock_gain(k: int, params: SchemeParams) -> float:
     """Amplitude gain the pipeline applies to the Fock state |k>.
 
     Exactly 1 for k <= d, exactly 0 beyond N*d, and strictly between 0 and 1
-    in the window where truncation bites.  Computed through the exact
-    rational weight table when feasible, otherwise in log space.
+    in the window where truncation bites: entry k of :func:`gain_vector`.
     """
     if k < 0:
         raise ValueError(f"photon number cannot be negative, got {k}")
-    n, d = params.num_modes, params.photon_cutoff
-    if k > n * d:
-        return 0.0
-    if k <= d:
-        return 1.0
-    if n * d <= _EXACT_GAIN_LIMIT:
-        weight = restricted_weight(n, k, d).value
-        return float(weight * math.factorial(k) / Fraction(n) ** k)
-    log_gain = restricted_weight_log(n, k, d) + math.lgamma(k + 1) - k * math.log(n)
-    # exp can overshoot the exact bound g <= 1 by an ulp
-    return min(1.0, math.exp(log_gain))
+    return float(gain_vector(params)[k]) if k <= params.max_photons else 0.0
 
 
 def teleport_state(state: FockVector, params: SchemeParams) -> TeleportOutcome:
@@ -186,9 +201,7 @@ def teleport_state(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     """
     if not state.is_normalized(1e-9):
         raise ValueError("teleport_state requires a normalized input")
-    kmax = min(state.cutoff, params.max_photons)
-    gains = np.array([fock_gain(k, params) for k in range(kmax + 1)])
-    scaled = state.amplitudes[: kmax + 1] * gains
+    scaled = state.amplitudes[: params.max_photons + 1] * gain_vector(params)[: state.cutoff + 1]
     p_suc = float(np.sum(np.abs(scaled) ** 2))
     if p_suc <= 0.0:
         raise ValueError("vanishing state: no amplitude survives the photon-number filter")
@@ -272,9 +285,8 @@ def teleport_epr(squeeze: SqueezingParams, params: SchemeParams) -> EprOutcome:
     both sums running over the surviving window k = 0..N*d.
     """
     chi = squeeze.chi
-    k = np.arange(params.max_photons + 1)
-    gains = np.array([fock_gain(int(kk), params) for kk in k])
-    chi_pow = chi ** k.astype(float)
+    gains = gain_vector(params)
+    chi_pow = chi ** np.arange(len(gains), dtype=float)
     p_suc = (1.0 - chi**2) * float(np.sum(chi_pow**2 * gains**2))
     fidelity = (1.0 - chi**2) / math.sqrt(p_suc) * float(np.sum(chi_pow**2 * gains))
     schmidt = math.sqrt(1.0 - chi**2) * chi_pow * gains / math.sqrt(p_suc)

@@ -253,15 +253,36 @@ class TestVerify:
         ):
             assert any(name in line for line in lines)
 
-    def test_perturbed_gain_fails(self, capsys):
-        code, out, _ = run_cli(["verify", "--perturb-gain", "1e-6"], capsys)
-        assert code == 1
-        assert "FAIL" in out
-        assert out.strip().splitlines()[-1] == "verification FAILED"
+    @staticmethod
+    def bend_gains(patch, eps):
+        """Scale the gain core by (1 + eps)^k, as a faulty evaluation would."""
+        original = teleport.gain_vector
 
-    def test_perturbation_is_reverted_afterwards(self, capsys):
-        run_cli(["verify", "--perturb-gain", "1e-3"], capsys)
+        def bent(params):
+            gains = original(params)
+            return gains * (1.0 + eps) ** np.arange(len(gains))
+
+        patch.setattr(teleport, "gain_vector", bent)
+
+    def test_perturbed_gain_fails(self, capsys, monkeypatch):
+        self.bend_gains(monkeypatch, 1e-6)
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 1
+        lines = out.strip().splitlines()
+        # both the direct bound check and the closed form against the
+        # independent oracle must see a 1e-6 relative error
+        for name in ("gain-bounds", "oracle-equivalence"):
+            (line,) = [line for line in lines if f" {name} " in line]
+            assert "FAIL" in line
+        assert lines[-1] == "verification FAILED"
+
+    def test_perturbation_is_reverted_afterwards(self, capsys, monkeypatch):
+        with monkeypatch.context() as patch:
+            self.bend_gains(patch, 1e-3)
+            assert run_cli(["verify"], capsys)[0] == 1
         assert teleport.fock_gain(1, teleport.SchemeParams(2, 1)) == 1.0
+        assert teleport.fock_gain(2, teleport.SchemeParams(4, 1)) == 0.75
+        assert run_cli(["verify"], capsys)[0] == 0
 
     def test_seed_changes_nothing_for_pass(self, capsys):
         code, _, _ = run_cli(["verify", "--seed", "7"], capsys)

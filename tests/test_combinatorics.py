@@ -1,11 +1,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditcv import combinatorics
 from quditcv.combinatorics import (
+    _log_weight_table,
+    _weight_table,
     enumerate_compositions,
     restricted_weight,
     restricted_weight_log,
@@ -139,3 +143,60 @@ def test_log_dp_agrees_with_exact_beyond_limit(n, d):
         value = restricted_weight(n, k, d).value
         expected = math.log(value.numerator) - math.log(value.denominator)
         assert restricted_weight_log(n, k, d) == pytest.approx(expected, rel=1e-9)
+
+
+def scratch_exact_table(n_modes: int, cutoff: int) -> list[Fraction]:
+    # The dynamic program run from one mode up, with no cache.
+    inv_factorial = [Fraction(1, math.factorial(r)) for r in range(cutoff + 1)]
+    table = [Fraction(1)]
+    for _ in range(n_modes):
+        grown = [Fraction(0)] * (len(table) + cutoff)
+        for k, acc in enumerate(table):
+            for r, w in enumerate(inv_factorial):
+                grown[k + r] += acc * w
+        table = grown
+    return table
+
+
+def scratch_log_table(n_modes: int, cutoff: int) -> np.ndarray:
+    # The log-domain dynamic program run from one mode up, with no cache.
+    log_inv_fact = [-math.lgamma(r + 1) for r in range(cutoff + 1)]
+    table = np.zeros(1)
+    for _ in range(n_modes):
+        grown = np.full(len(table) + cutoff, -np.inf)
+        for r, lw in enumerate(log_inv_fact):
+            grown[r : r + len(table)] = np.logaddexp(grown[r : r + len(table)], table + lw)
+        table = grown
+    return table
+
+
+@pytest.fixture
+def empty_table_caches(monkeypatch):
+    monkeypatch.setattr(combinatorics, "_EXACT_TABLES", {})
+    monkeypatch.setattr(combinatorics, "_LOG_TABLES", {})
+
+
+@pytest.mark.parametrize("order", [(7, 3, 12), (12, 7, 3), (3, 7, 12), (5, 5, 1)])
+@pytest.mark.parametrize("d", [1, 4])
+def test_grown_tables_equal_tables_built_from_scratch(empty_table_caches, order, d):
+    for n in order:
+        assert list(_weight_table(n, d)) == scratch_exact_table(n, d)
+        grown = _log_weight_table(n, d)
+        assert grown.tobytes() == scratch_log_table(n, d).tobytes()
+    # every requested table is kept; none is rebuilt on a repeat request
+    assert set(combinatorics._LOG_TABLES[d]) == {0, *order}
+    assert _log_weight_table(order[0], d) is combinatorics._LOG_TABLES[d][order[0]]
+
+
+def test_thousand_mode_log_table_builds_by_iteration(empty_table_caches):
+    table = _log_weight_table(1000, 1)
+    assert len(table) == 1001
+    for k in (0, 1, 250, 500, 1000):
+        assert table[k] == pytest.approx(math.log(math.comb(1000, k)), rel=1e-12, abs=1e-12)
+
+
+def test_log_tables_are_read_only_arrays():
+    table = _log_weight_table(9, 7)
+    assert isinstance(table, np.ndarray) and table.dtype == np.float64
+    with pytest.raises(ValueError):
+        table[0] = 1.0

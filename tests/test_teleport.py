@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from quditcv.teleport import (
     coherent_fock,
     conventional_cv_fidelity,
     fock_gain,
+    gain_vector,
     squeezing_from_chi,
     squeezing_from_r,
     squeezing_from_vs,
@@ -33,6 +35,18 @@ EPR_REFERENCE = {
     (1, 2): (0.5889100064858055, 0.815664959505927),
 }
 COHERENT_P_SUC_A1_N2_D1 = 0.781743812489315
+
+# sha256 of the little-endian float64 bytes of teleport_epr's Schmidt vector
+# at V_s = 10, on both sides of the N*d = 60 exact/log boundary.  A change to
+# how the gains are evaluated that moves any last digit changes these.
+EPR_SCHMIDT_SHA256 = {
+    # (num_modes N, photon_cutoff d): digest
+    (11, 1): "cceea3be88c9667c0d71c9734cb34b47b9c31bf2389106a79e04110620ffc3a8",
+    (20, 3): "d170051c124e5e03b57ec881626c7dd8a3e70945f40305877811c58457b93386",
+    (21, 3): "66695a0d6125dee33760825aa6e2e76109f13aa8cc496e0278598de4e98d9bc0",
+    (50, 3): "998c1234dee1c2dd104903f50f4f2e31a5b81b73a8ecb624db92c61f74c6ff98",
+    (100, 10): "825c4abe20158f4a14af52bc4b39969f2c4cdf845779b3f26d208df2bc07e226",
+}
 
 
 def fock_basis(k: int, cutoff: int) -> FockVector:
@@ -99,6 +113,23 @@ class TestFockGain:
         with pytest.raises(ValueError):
             fock_gain(-1, SchemeParams(2, 1))
 
+    @pytest.mark.parametrize("n,d", [(1, 1), (4, 1), (20, 3), (21, 3), (61, 1), (13, 5)])
+    def test_fock_gain_reads_the_gain_vector(self, n, d):
+        params = SchemeParams(n, d)
+        gains = gain_vector(params)
+        assert len(gains) == n * d + 1
+        for k in range(n * d + 1):
+            assert fock_gain(k, params) == gains[k]
+        for k in (n * d + 1, n * d + 7):
+            assert fock_gain(k, params) == 0.0
+
+    def test_gain_vector_is_cached_and_read_only(self):
+        gains = gain_vector(SchemeParams(30, 3))
+        assert gain_vector(SchemeParams(30, 3)) is gains
+        with pytest.raises(ValueError):
+            gains[5] = 0.5
+        assert np.all(gains[:4] == 1.0)
+
 
 class TestSchemeParams:
     def test_validation(self):
@@ -106,6 +137,18 @@ class TestSchemeParams:
             SchemeParams(0, 1)
         with pytest.raises(ValueError):
             SchemeParams(1, 0)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 2.0, "2", None, Fraction(2)])
+    def test_non_integers_rejected(self, bad):
+        with pytest.raises(ValueError, match="num_modes must be an integer"):
+            SchemeParams(bad, 1)
+        with pytest.raises(ValueError, match="photon_cutoff must be an integer"):
+            SchemeParams(2, bad)
+
+    def test_numpy_integers_become_ints(self):
+        params = SchemeParams(np.int64(3), np.int32(2))
+        assert type(params.num_modes) is int and type(params.photon_cutoff) is int
+        assert params == SchemeParams(3, 2)
 
     def test_max_photons(self):
         assert SchemeParams(4, 3).max_photons == 12
@@ -266,6 +309,12 @@ class TestTeleportEpr:
         schmidt, p_suc, fidelity = teleport_epr(squeezing_from_vs(10.0), SchemeParams(2, 1))
         assert 0.0 < p_suc <= 1.0 and 0.0 < fidelity <= 1.0
         assert len(schmidt) == 3
+
+    @pytest.mark.parametrize("n,d", sorted(EPR_SCHMIDT_SHA256))
+    def test_schmidt_bytes_are_pinned(self, n, d):
+        out = teleport_epr(squeezing_from_vs(10.0), SchemeParams(n, d))
+        digest = hashlib.sha256(out.schmidt.astype("<f8").tobytes()).hexdigest()
+        assert digest == EPR_SCHMIDT_SHA256[n, d]
 
 
 class TestConventionalFidelity:
