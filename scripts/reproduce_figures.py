@@ -8,13 +8,23 @@ Each output corresponds to one figure-style sweep:
   advantage.csv        detection-scheme advantage region on a 41x41 grid
   povm_apd.csv         click/no-click POVM weights for a lossy dark detector
 
+Beside them it writes manifest.json: per job the CLI argv and the CSV's
+sha256, plus the quditcv, numpy and Python versions.  Diffing the manifests
+of two checkouts shows whether a change moved any dataset byte.
+
 Usage: python3 scripts/reproduce_figures.py [--outdir DIR]
 """
 
 import argparse
+import hashlib
+import json
 import pathlib
+import platform
 import sys
 
+import numpy as np
+
+import quditcv
 from quditcv.cli import main as cli_main
 
 JOBS = [
@@ -32,6 +42,7 @@ def main() -> int:
     args = parser.parse_args()
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    jobs = []
     for filename, argv in JOBS:
         target = outdir / filename
         code = cli_main(argv + ["--out", str(target)])
@@ -39,6 +50,15 @@ def main() -> int:
             print(f"error: {' '.join(argv)} exited with {code}", file=sys.stderr)
             return code
         print(f"wrote {target}")
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        jobs.append({"csv": filename, "argv": argv, "sha256": digest})
+    manifest = {
+        "quditcv": quditcv.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "jobs": jobs,
+    }
+    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return 0
 
 

@@ -6,124 +6,21 @@ qudit protocol, a brute-force multimode cross-check, detector POVMs, and
 scheme-comparison calculators, all surfaced through a CSV-producing CLI.
 """
 
-from .combinatorics import (
-    Composition,
-    RestrictedWeight,
-    enumerate_compositions,
-    restricted_weight,
-    restricted_weight_log,
-)
-from .detectors import (
-    DetectorModel,
-    PovmElement,
-    SchemeEfficiencies,
-    advantage_region,
-    apd_povm,
-    pnr_povm,
-    povm_completeness_defect,
-    povm_element,
-    scheme1_success,
-    scheme2_success,
-)
-from .multimode import (
-    ModeMatrix,
-    MultimodeState,
-    apply_mode_unitary,
-    embed_input,
-    n_splitter,
-    oracle_teleport,
-    truncate_mode,
-    vacuum_postselect,
-)
-from .qudit import (
-    BellOutcome,
-    DepolarizedResource,
-    JointQuditState,
-    QuditKet,
-    bell_measure,
-    depolarized_fidelity,
-    enumerate_bell_outcomes,
-    fourier_state,
-    haar_random_ket,
-    maximally_entangled,
-    singlet_fraction_fidelity,
-    teleport_qudit,
-    teleport_qudit_branches,
-    x_op,
-    xor_gate,
-    z_op,
-)
-from .teleport import (
-    EprOutcome,
-    FockVector,
-    SchemeParams,
-    SqueezingParams,
-    TeleportOutcome,
-    coherent_fock,
-    conventional_cv_fidelity,
-    fock_gain,
-    squeezing_from_chi,
-    squeezing_from_r,
-    squeezing_from_vs,
-    state_fidelity,
-    teleport_coherent,
-    teleport_epr,
-    teleport_state,
-)
+# each module's __all__ is its public API; the package re-exports all of them
+from . import combinatorics, detectors, multimode, qudit, teleport
+from .combinatorics import *  # noqa: F403
+from .detectors import *  # noqa: F403
+from .multimode import *  # noqa: F403
+from .qudit import *  # noqa: F403
+from .teleport import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BellOutcome",
-    "Composition",
-    "DepolarizedResource",
-    "DetectorModel",
-    "EprOutcome",
-    "FockVector",
-    "JointQuditState",
-    "ModeMatrix",
-    "MultimodeState",
-    "PovmElement",
-    "QuditKet",
-    "RestrictedWeight",
-    "SchemeEfficiencies",
-    "SchemeParams",
-    "SqueezingParams",
-    "TeleportOutcome",
-    "advantage_region",
-    "apd_povm",
-    "apply_mode_unitary",
-    "bell_measure",
-    "coherent_fock",
-    "conventional_cv_fidelity",
-    "depolarized_fidelity",
-    "embed_input",
-    "enumerate_bell_outcomes",
-    "enumerate_compositions",
-    "fock_gain",
-    "fourier_state",
-    "haar_random_ket",
-    "maximally_entangled",
-    "n_splitter",
-    "oracle_teleport",
-    "pnr_povm",
-    "povm_completeness_defect",
-    "povm_element",
-    "restricted_weight",
-    "restricted_weight_log",
-    "scheme1_success",
-    "scheme2_success",
-    "singlet_fraction_fidelity",
-    "state_fidelity",
-    "teleport_coherent",
-    "teleport_epr",
-    "teleport_qudit",
-    "teleport_qudit_branches",
-    "teleport_state",
-    "truncate_mode",
-    "vacuum_postselect",
-    "x_op",
-    "xor_gate",
-    "z_op",
     "__version__",
+    *combinatorics.__all__,
+    *detectors.__all__,
+    *multimode.__all__,
+    *qudit.__all__,
+    *teleport.__all__,
 ]

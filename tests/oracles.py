@@ -1,9 +1,12 @@
-"""Independent Monte-Carlo oracle for teleportation through a noisy resource.
+"""Independent references for the library's closed forms and fast paths.
 
-The sampler below never calls the closed-form fidelity laws it is used to
-test; it simulates protocol events from first principles and averages the
-branch fidelities.
+The Monte-Carlo sampler never calls the closed-form fidelity laws it is used
+to test; it simulates protocol events from first principles and averages the
+branch fidelities.  The POVM reference is the original per-term double loop,
+kept so the vectorized builders can be held to it bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -40,3 +43,21 @@ def mc_depolarized_fidelity(
     k = (a - m) % dim
     branch_fidelities = weights[(b - k) % dim]
     return (float(pure.sum()) + float(branch_fidelities.sum())) / num_samples
+
+
+def povm_weights_reference(clicks: int, eta: float, nu: float, cutoff: int) -> np.ndarray:
+    """Weights of the N_c-click element, one Python-scalar term at a time.
+
+    For each Fock level m the detected-photon count n runs upward from 0 and
+    each term is added to a running float, in exactly that order.
+    """
+    dark_norm = math.exp(-nu)
+    weights = np.zeros(cutoff + 1)
+    for m in range(cutoff + 1):
+        total = 0.0
+        for n in range(0, min(clicks, m) + 1):
+            dark = dark_norm * nu ** (clicks - n) / math.factorial(clicks - n)
+            detected = math.comb(m, n) * eta**n * (1.0 - eta) ** (m - n)
+            total += dark * detected
+        weights[m] = min(total, 1.0)
+    return weights

@@ -1,11 +1,18 @@
 """CLI behaviour: CSV shape, determinism, exit codes, verification gate."""
 
 import csv
+import hashlib
+import importlib.util
+import json
 import math
+import pathlib
+import platform
+import sys
 
 import numpy as np
 import pytest
 
+import quditcv
 from quditcv import cli, detectors, teleport
 
 
@@ -116,6 +123,11 @@ class TestCompare:
         # equal success probabilities: no strict advantage
         assert rows[0][4] == "0"
 
+    @pytest.mark.parametrize("flag", ["--eta=0.5,nan", "--eta=inf", "--xi=1.5", "--xi=0.2,-0.1"])
+    def test_rejects_every_value_outside_unit_interval(self, flag, capsys):
+        code, out, err = run_cli(["compare", flag], capsys)
+        assert code == 2 and out == "" and "must lie in [0, 1]" in err
+
     def test_unknown_model_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["compare", "--model", "nonsense"])
@@ -203,6 +215,15 @@ class TestPovmCommand:
             for m, row in enumerate(rows[chunk : chunk + 5]):
                 assert float(row[2]) == pytest.approx(element.weights[m], abs=1e-12)
 
+    def test_overflow_is_config_error(self, capsys):
+        code, out, err = run_cli(["povm", "--max-resolved", "600", "--cutoff", "1100"], capsys)
+        assert code == 2 and out == "" and "overflow" in err
+
+    @pytest.mark.parametrize("nu", ["nan", "inf"])
+    def test_non_finite_dark_rate_is_config_error(self, nu, capsys):
+        code, out, err = run_cli(["povm", "--eta", "0.5", "--nu", nu], capsys)
+        assert code == 2 and out == "" and "dark-count rate" in err
+
     def test_perfect_detector_is_projector(self, capsys):
         _, out, _ = run_cli(["povm", "--eta", "1", "--cutoff", "3"], capsys)
         _, rows = parse_csv(out)
@@ -287,3 +308,142 @@ class TestVerify:
     def test_seed_changes_nothing_for_pass(self, capsys):
         code, _, _ = run_cli(["verify", "--seed", "7"], capsys)
         assert code == 0
+
+
+# sha256 of whole CSV outputs, captured before compare and povm were
+# vectorized.  The compare grids are unsorted and repeat values, with -0 and
+# 0 on both axes, so the row order of the stable (eta, xi) sort is pinned.
+COMPARE_GRIDS = {
+    # name: (--eta, --xi)
+    "signed-zeros": ("0.5,-0,0,0.5", "0.3,0,-0"),
+    "unsorted": ("0.9,0.1,0.9,1", "-0,0.7,0,0.7"),
+    "401x401": ("0.1:0.9:401", "0.05:0.95:401"),
+}
+COMPARE_SHA256 = {
+    # (grid, model): digest
+    ("signed-zeros", "quartit-interferometer"):
+        "ecb6bb01f556e4cc68976642933ecac96cf1fd76c51efb61da230ee6bc7b2ecb",
+    ("unsorted", "quartit-interferometer"):
+        "e5a1ed1928521386c085c7ed55f823660bd2a5012aa75948bcbc7151f44dcdac",
+    ("401x401", "quartit-interferometer"):
+        "1a79573ce844895f9176cdd58453de9d48a897506d5cec91bab63a67370d2f79",
+    ("signed-zeros", "linear-optics"):
+        "d7e97c60e7f0fb6118c8db358640e8c6d329d3ea27e4bea93f99810bc32817af",
+    ("unsorted", "linear-optics"):
+        "d660614ec61ab61dfb560008c9fda72acc70d40e11348dad8609a81006c84f1e",
+    ("401x401", "linear-optics"):
+        "8a43cc7dc47f25b7f040577bf0a1b6e135b5b8a08b42682c6dcecd0234006881",
+    ("signed-zeros", "deterministic"):
+        "8d1724ee3dbf1e507cc70e9c0701a7f7186f5e4de0296dc35ed071234bb0a6a4",
+    ("unsorted", "deterministic"):
+        "20273a27cea286df23382df4ef55a3de386d1e85d6150baadc293f0960e3d141",
+    ("401x401", "deterministic"):
+        "531773d1cad8f4211cbcb148159f3107f9b3398bca033732e4016f17b135dfcc",
+}
+COMPARE_DEFAULT_SHA256 = "715ad2038a6488262715186463d9ab18a2016bd634227f745330ccde1d5bfe17"
+POVM_SHA256 = {
+    # (--eta, --nu, --max-resolved, --cutoff): digest
+    ("0", "0", 0, 0): "a51b7500d27571d263c307a93f3ff5023dee9a67d0b3daf52a45cec66fceb481",
+    ("0", "0", 3, 2): "437df6a1d1d0d201a29ec1769d3e628f6e56a52281730984614e073495775829",
+    ("0", "0", 5, 30): "1f00f116dfcaebbc6a37e50bb98c9ec12f9fb65d209875fc41b1c6bd6c0f341d",
+    ("0", "0", 50, 200): "ddc77803cabd41494b61414a0b983ba3f5b374ae9b94bb58981a39d234ac5683",
+    ("0", "0.05", 0, 0): "f40eb418dfd84341c5a773a005dce22cf76802893c540ad801d01c54f598f9cd",
+    ("0", "0.05", 3, 2): "5e48da7d48cec0b27985c4b32e25e4419d0882d0e3b177fe7d6d69a05cfbdf1a",
+    ("0", "0.05", 5, 30): "6ea44a69baf9fe6a1a6275a592fcbfb7eeb3ba4ae0d3377da179e2ca3d091ccb",
+    ("0", "0.05", 50, 200): "17da99f1ffaa4f33c899633744a78603fa8e0d3ff739ea57bcb565cea87a687f",
+    ("0.5", "0", 0, 0): "a51b7500d27571d263c307a93f3ff5023dee9a67d0b3daf52a45cec66fceb481",
+    ("0.5", "0", 3, 2): "91b80abc3882004b7c32cbd8d78f578d9cc00ae4f2d0e58e42b09c0244dffbb6",
+    ("0.5", "0", 5, 30): "d30e5e77c770010d26b080ac4772a6ff85616d4b515198b94052700fa977c443",
+    ("0.5", "0", 50, 200): "4075f32c58a32d1720e729a77b46a9fb841a146002d65018d9aded2b7b5a4d12",
+    ("0.5", "0.05", 0, 0): "f40eb418dfd84341c5a773a005dce22cf76802893c540ad801d01c54f598f9cd",
+    ("0.5", "0.05", 3, 2): "2bbbb63717aad8770ed07dfa11f563f9a15f49390f56585da8365ae165cf9899",
+    ("0.5", "0.05", 5, 30): "db5888b7fe497863e0bfa3c8167e7cd4e1ed2e84358d91a6a8d0438a82d7149a",
+    ("0.5", "0.05", 50, 200): "d220b438e2d978b6a61be805a15b7f4187068fa6e03856e4748e1029d9343b1f",
+    ("1", "0", 0, 0): "a51b7500d27571d263c307a93f3ff5023dee9a67d0b3daf52a45cec66fceb481",
+    ("1", "0", 3, 2): "d3866093437d17a56ae874558d0bf2c6b70ab4faaedc40e4bc1f2e3fd3fba56b",
+    ("1", "0", 5, 30): "e19bd37e17fe5932ea6121f3a359b1c0c83947d6282a617ca49e062af2ee434c",
+    ("1", "0", 50, 200): "a938453b87814b18e6b1574f0ac1d664b81bc5ae13cbe69e97c78cc349037efe",
+    ("1", "0.05", 0, 0): "f40eb418dfd84341c5a773a005dce22cf76802893c540ad801d01c54f598f9cd",
+    ("1", "0.05", 3, 2): "146a2d7cd4b1264719aadc100fe0eb9996609ad737d3189396a294aab6021ed6",
+    ("1", "0.05", 5, 30): "c20cb64be05d2fbc30943ba03628217d504fc162762759c4a8491ff5c31b39b3",
+    ("1", "0.05", 50, 200): "0c8e67b16f9b9cd7e0ef47e2db32c3ef8fc359554997abc68b2bd506c3cc824b",
+}
+
+
+def csv_sha256(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("grid,model", sorted(COMPARE_SHA256))
+    def test_compare(self, grid, model, capsys):
+        eta, xi = COMPARE_GRIDS[grid]
+        argv = ["compare", f"--eta={eta}", f"--xi={xi}", "--model", model]
+        assert csv_sha256(argv, capsys) == COMPARE_SHA256[grid, model]
+
+    def test_compare_default_grid(self, capsys):
+        assert csv_sha256(["compare"], capsys) == COMPARE_DEFAULT_SHA256
+
+    def test_signed_zero_rows_keep_stable_order(self, capsys):
+        _, out, _ = run_cli(["compare", "--eta=0.5,-0,0", "--xi=0.3,0"], capsys)
+        _, rows = parse_csv(out)
+        assert [row[:2] for row in rows] == [
+            ["-0", "0"], ["0", "0"], ["-0", "0.3"], ["0", "0.3"], ["0.5", "0"], ["0.5", "0.3"]
+        ]
+
+    @pytest.mark.parametrize("eta,nu,max_resolved,cutoff", sorted(POVM_SHA256))
+    def test_povm(self, eta, nu, max_resolved, cutoff, capsys):
+        argv = ["povm", "--eta", eta, "--nu", nu,
+                "--max-resolved", str(max_resolved), "--cutoff", str(cutoff)]
+        assert csv_sha256(argv, capsys) == POVM_SHA256[eta, nu, max_resolved, cutoff]
+
+
+class TestCachedParser:
+    GAINS = ["gains", "--d", "1,2,4", "--n", "4,2,1"]
+    COMPARE = ["compare", "--eta", "0:1:7", "--xi=0.9,-0,0.2", "--model", "linear-optics"]
+
+    def test_errors_leave_the_shared_parser_intact(self, capsys):
+        fresh = []
+        for argv in (self.GAINS, self.COMPARE):
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(argv, capsys))
+        cli._build_parser.cache_clear()
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["compare", "--eta", "nope"])
+        assert excinfo.value.code == 2
+        assert run_cli(["gains", "--d", "1,2", "--n", "3,2"], capsys)[0] == 2
+        assert run_cli(self.GAINS, capsys) == fresh[0]
+        assert run_cli(self.COMPARE, capsys) == fresh[1]
+        assert cli._build_parser() is cli._build_parser()
+
+
+# sha256 of the five figure datasets, as written before compare and povm were
+# vectorized
+FIGURE_SHA256 = {
+    "gains.csv": "b3c830d47aaa5ade76989ad867cd891b9d2d8162bd3ce5d962eca83f5cced8aa",
+    "epr_sweep_vs10.csv": "0a290156eed9f9d89078cc8453a82fa8750794c3f8edbfcbc63367a95426be10",
+    "epr_sweep_vs3.csv": "ec6460ad2cce1422aed7bc287fbc8ca80582acd3e8d98b52dbac04e0ed3df732",
+    "advantage.csv": "c546512e6082ca12db06b8ff882497ee36a1dd2ff1e31878c79d9a5cf62b2dfa",
+    "povm_apd.csv": "1db2d45f2d8692bccf8b09ea884960ce7107d822aba9e3f607c828fba255e8f0",
+}
+
+
+def test_reproduce_figures_manifest(tmp_path, capsys, monkeypatch):
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+    spec = importlib.util.spec_from_file_location("reproduce_figures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--outdir", str(tmp_path)])
+    assert module.main() == 0
+    out = capsys.readouterr().out
+    assert out == "".join(f"wrote {tmp_path / name}\n" for name in FIGURE_SHA256)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["quditcv"] == quditcv.__version__
+    assert manifest["numpy"] == np.__version__
+    assert manifest["python"] == platform.python_version()
+    assert [job["argv"] for job in manifest["jobs"]] == [argv for _, argv in module.JOBS]
+    for job in manifest["jobs"]:
+        data = (tmp_path / job["csv"]).read_bytes()
+        assert job["sha256"] == hashlib.sha256(data).hexdigest() == FIGURE_SHA256[job["csv"]]

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import povm_weights_reference
 
 from quditcv.detectors import (
+    COMPARE_MODELS,
     INTERFEROMETER_SUCCESS,
     DetectorModel,
     SchemeEfficiencies,
     advantage_region,
     apd_povm,
+    comparison_axes,
     pnr_povm,
     povm_completeness_defect,
     povm_element,
@@ -68,6 +71,12 @@ class TestPovmElement:
         with pytest.raises(ValueError):
             povm_element(-1, DetectorModel(0.5, 0.0), 5)
 
+    @pytest.mark.parametrize("eta,nu", [(0.5, math.nan), (0.5, math.inf), (math.nan, 0.0)])
+    def test_non_finite_parameters_rejected(self, eta, nu):
+        # a NaN or infinite rate used to yield NaN weights that passed every check
+        with pytest.raises(ValueError):
+            DetectorModel(eta, nu)
+
 
 class TestPovmFamilies:
     def test_apd_perfect(self):
@@ -114,6 +123,60 @@ class TestPovmFamilies:
     def test_click_sum_resolves_identity(self, eta, nu):
         defect = povm_completeness_defect(DetectorModel(eta, nu), cutoff=15)
         assert defect < 1e-8
+
+
+def bits(weights):
+    return np.asarray(weights, dtype="<f8").tobytes()
+
+
+class TestPovmMatchesPerTermLoop:
+    """The shared-table builders equal the per-term scalar loop bit for bit."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.123456789, 1.0])
+    @pytest.mark.parametrize("nu", [0.0, 0.05, 1.7])
+    @pytest.mark.parametrize("clicks,cutoff", [(0, 0), (1, 3), (4, 2), (12, 25), (40, 60)])
+    def test_element(self, eta, nu, clicks, cutoff):
+        weights = povm_element(clicks, DetectorModel(eta, nu), cutoff).weights
+        assert bits(weights) == bits(povm_weights_reference(clicks, eta, nu, cutoff))
+
+    @given(
+        eta=st.floats(min_value=0.0, max_value=1.0),
+        nu=st.floats(min_value=0.0, max_value=3.0),
+        resolved=st.integers(min_value=0, max_value=8),
+        cutoff=st.integers(min_value=0, max_value=30),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pnr_family(self, eta, nu, resolved, cutoff):
+        family = pnr_povm(DetectorModel(eta, nu), resolved, cutoff)
+        for clicks, element in enumerate(family[:-1]):
+            assert bits(element.weights) == bits(povm_weights_reference(clicks, eta, nu, cutoff))
+
+    def test_completeness_defect_sums_reference_elements(self):
+        eta, nu, cutoff = 0.7, 0.05, 15
+        total = np.zeros(cutoff + 1)
+        for clicks in range(cutoff + 7):  # the Poisson(0.05) tail drops below 1e-12 at depth 6
+            total += povm_weights_reference(clicks, eta, nu, cutoff)
+        defect = povm_completeness_defect(DetectorModel(eta, nu), cutoff)
+        assert defect == float(np.max(np.abs(total - 1.0)))
+
+    @pytest.mark.parametrize(
+        "clicks,det,cutoff",
+        [
+            (600, DetectorModel(0.5), 1100),  # 600! and C(1100, 550) overflow
+            (171, DetectorModel(0.5), 5),  # 171! > 1.8e308
+            (170, DetectorModel(0.5), 5000),  # C(5000, 170) > 1.8e308
+            (40, DetectorModel(0.5, 1e10), 3),  # nu^40 > 1.8e308
+        ],
+    )
+    def test_overflow_is_refused_up_front(self, clicks, det, cutoff):
+        with pytest.raises(ValueError, match="overflow"):
+            povm_element(clicks, det, cutoff)
+        with pytest.raises(ValueError, match="overflow"):
+            pnr_povm(det, clicks, cutoff)
+
+    def test_largest_finite_factorial_still_served(self):
+        weights = povm_element(170, DetectorModel(0.5, 0.0), 5).weights
+        assert bits(weights) == bits(povm_weights_reference(170, 0.5, 0.0, 5))
 
 
 class TestSchemeComparison:
@@ -178,3 +241,22 @@ class TestSchemeComparison:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             advantage_region([1.5], [0.5])
+        with pytest.raises(ValueError):
+            advantage_region([0.5], [float("nan")])
+
+    @pytest.mark.parametrize("model", COMPARE_MODELS)
+    def test_axes_match_scalar_scheme_functions(self, model):
+        eta = np.linspace(0.0, 1.0, 13)
+        xi = np.linspace(0.05, 0.95, 11)
+        p1, eta_part, xi_part = comparison_axes(eta, xi, model)
+        scheme1 = "deterministic" if model == "deterministic" else "linear-optics"
+        scheme2 = "quartit-interferometer" if model == "quartit-interferometer" else "generic"
+        for i, e in enumerate(eta.tolist()):
+            assert p1[i] == scheme1_success(e, 11, scheme1)
+            for j, x in enumerate(xi.tolist()):
+                p2 = xi_part[j] if eta_part is None else eta_part[i] * xi_part[j]
+                assert p2 == scheme2_success(x, e, 3, scheme2)
+
+    def test_unknown_comparison_model(self):
+        with pytest.raises(ValueError, match="model"):
+            comparison_axes([0.5], [0.5], "bogus")
