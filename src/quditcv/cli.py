@@ -2,8 +2,9 @@
 
 Every subcommand writes plain CSV (header row, 12-significant-digit floats,
 LF line endings, rows in sorted order) either to --out or to stdout, so two
-runs with identical flags are byte-identical.  Exit codes: 0 on success,
-1 when `verify` finds a deviation, 2 on usage or configuration errors.
+runs with identical flags are byte-identical.  `teleport` and `povm` take single
+values, not lists.  Exit codes: 0 on success, 1 when `verify` finds a deviation,
+2 on usage or configuration errors and on files that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from . import detectors, multimode, qudit, teleport
 from .combinatorics import enumerate_compositions, restricted_weight
 
 __all__ = ["main"]
-
-
-class ConfigError(Exception):
-    """Bad parameter combination; reported on stderr with exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +97,10 @@ def cmd_gains(args: argparse.Namespace) -> int:
     """Fock gains for (d, N) pairs sharing one photon budget d*N."""
     d_list, n_list = args.d, args.n
     if len(d_list) != len(n_list) or not d_list:
-        raise ConfigError("--d and --n must list the same (non-zero) number of entries")
+        raise ValueError("--d and --n must list the same (non-zero) number of entries")
     budgets = {d * n for d, n in zip(d_list, n_list)}
     if len(budgets) != 1:
-        raise ConfigError(f"all (d, N) pairs must share one d*N budget, got {sorted(budgets)}")
+        raise ValueError(f"all (d, N) pairs must share one d*N budget, got {sorted(budgets)}")
     rows = []
     for d, n in zip(d_list, n_list):
         gains = teleport.gain_vector(teleport.SchemeParams(num_modes=n, photon_cutoff=d))
@@ -116,7 +113,7 @@ def cmd_gains(args: argparse.Namespace) -> int:
 def cmd_epr_sweep(args: argparse.Namespace) -> int:
     """Fidelity and success probability of the EPR arm over (d, N) grids."""
     if args.vs < 1.0:
-        raise ConfigError(f"--vs must be >= 1, got {args.vs}")
+        raise ValueError(f"--vs must be >= 1, got {args.vs}")
     squeeze = teleport.squeezing_from_vs(args.vs)
     rows = []
     for d in args.d:
@@ -170,45 +167,42 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _read_amplitudes(path: str) -> teleport.FockVector:
-    values = []
     try:
         with open(path) as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise ConfigError(f"{path}:{lineno}: expected 're,im', got {line!r}")
-                values.append(complex(float(parts[0]), float(parts[1])))
+            lines = list(handle)
     except OSError as exc:
-        raise ConfigError(f"cannot read amplitude file: {exc}") from None
-    except ValueError:
-        raise ConfigError(f"{path}: amplitude entries must be numbers") from None
+        raise ValueError(f"cannot read amplitude file: {exc}") from None
+    values = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 're,im', got {line!r}")
+        try:
+            values.append(complex(float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise ValueError(f"{path}: amplitude entries must be numbers") from None
     if not values:
-        raise ConfigError(f"{path}: no amplitudes found")
+        raise ValueError(f"{path}: no amplitudes found")
     arr = np.array(values, dtype=complex)
     norm = np.linalg.norm(arr)
     if norm == 0.0:
-        raise ConfigError(f"{path}: amplitudes are identically zero")
+        raise ValueError(f"{path}: amplitudes are identically zero")
     return teleport.FockVector(arr / norm)
 
 
 def cmd_teleport(args: argparse.Namespace) -> int:
     """Teleport one state (from file, normalized, or a coherent amplitude)."""
-    if len(args.n) != 1 or len(args.d) != 1:
-        raise ConfigError("teleport expects single --n and --d values")
-    params = teleport.SchemeParams(num_modes=args.n[0], photon_cutoff=args.d[0])
+    params = teleport.SchemeParams(num_modes=args.n, photon_cutoff=args.d)
     infile, alpha = args.infile, args.alpha
     if (infile is None) == (alpha is None):
-        raise ConfigError("provide exactly one input: an amplitude file or --alpha")
-    try:
-        if infile is not None:
-            outcome = teleport.teleport_state(_read_amplitudes(infile), params)
-        else:
-            outcome = teleport.teleport_coherent(alpha, params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ValueError("provide exactly one input: an amplitude file or --alpha")
+    if infile is not None:
+        outcome = teleport.teleport_state(_read_amplitudes(infile), params)
+    else:
+        outcome = teleport.teleport_coherent(alpha, params)
     rows = [
         (k, amp.real, amp.imag, outcome.success_probability)
         for k, amp in enumerate(outcome.state.amplitudes)
@@ -219,9 +213,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
 
 def cmd_povm(args: argparse.Namespace) -> int:
     """Detector POVM weights per Fock level."""
-    if len(args.eta) != 1 or len(args.nu) != 1:
-        raise ConfigError("povm expects single --eta and --nu values")
-    det = detectors.DetectorModel(eta=args.eta[0], nu=args.nu[0])
+    det = detectors.DetectorModel(eta=args.eta, nu=args.nu)
     family = detectors.pnr_povm(det, max_resolved=args.max_resolved, cutoff=args.cutoff)
     # pnr_povm lists 0..K then the closure, already in (element, m) order
     chunks = (
@@ -256,7 +248,7 @@ def _suite_combinatorics() -> float:
                     ),
                     Fraction(0),
                 )
-                worst = max(worst, abs(float(streamed - restricted_weight(n, k, d).value)))
+                worst = max(worst, abs(float(streamed - restricted_weight(n, k, d))))
     return worst
 
 
@@ -394,15 +386,14 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="text file with one re,im amplitude pair per line (normalized on load)")
     tele.add_argument("--alpha", type=_parse_alpha, default=None,
                       help="coherent amplitude re[,im] as an alternative input")
-    tele.add_argument("--n", type=_parse_int_list, required=True, help="number of modes N")
-    tele.add_argument("--d", type=_parse_int_list, required=True, help="per-mode cutoff d")
+    tele.add_argument("--n", type=int, required=True, help="number of modes N")
+    tele.add_argument("--d", type=int, required=True, help="per-mode cutoff d")
     tele.add_argument("--out", help="CSV output path (default stdout)")
     tele.set_defaults(run=cmd_teleport)
 
     povm = sub.add_parser("povm", help="detector POVM weights per Fock level")
-    povm.add_argument("--eta", type=_parse_float_grid, default=(1.0,), help="efficiency (default 1)")
-    povm.add_argument("--nu", type=_parse_float_grid, default=(0.0,),
-                      help="dark-count rate (default 0)")
+    povm.add_argument("--eta", type=float, default=1.0, help="efficiency (default 1)")
+    povm.add_argument("--nu", type=float, default=0.0, help="dark-count rate (default 0)")
     povm.add_argument("--max-resolved", type=int, default=1,
                       help="largest resolved click count K (default 1)")
     povm.add_argument("--cutoff", type=int, default=15, help="Fock cutoff (default 15)")
@@ -420,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,6 @@ Two exact identities pin the implementation down:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -34,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "Composition",
-    "RestrictedWeight",
     "enumerate_compositions",
     "restricted_weight",
     "restricted_weight_log",
@@ -46,27 +44,6 @@ Composition = tuple[int, ...]
 # Up to this many photon slots (N*d) gains come from exact rationals; beyond
 # it the factorials get big enough that the log-domain table is the default.
 EXACT_LIMIT = 60
-
-
-@dataclass(frozen=True)
-class RestrictedWeight:
-    """Exact value of W(N, k, d) plus the parameters that produced it.
-
-    Attributes:
-        value: The weight as an exact rational; zero iff more photons were
-            requested than the modes can hold.
-        n_modes: Number of modes N.
-        total_photons: Total photon number k.
-        per_mode_cutoff: Largest occupation d allowed in a single mode.
-    """
-
-    value: Fraction
-    n_modes: int
-    total_photons: int
-    per_mode_cutoff: int
-
-    def __float__(self) -> float:
-        return float(self.value)
 
 
 def _require_valid(n_modes: int, total_photons: int, per_mode_cutoff: int) -> None:
@@ -128,7 +105,7 @@ def _log_weight_table(n_modes: int, per_mode_cutoff: int) -> np.ndarray:
     return _grown(_LOG_TABLES, n_modes, per_mode_cutoff, np.zeros(1), _add_mode_log)
 
 
-def restricted_weight(n_modes: int, total_photons: int, per_mode_cutoff: int) -> RestrictedWeight:
+def restricted_weight(n_modes: int, total_photons: int, per_mode_cutoff: int) -> Fraction:
     """Exact W(N, k, d).
 
     Args:
@@ -137,18 +114,16 @@ def restricted_weight(n_modes: int, total_photons: int, per_mode_cutoff: int) ->
         per_mode_cutoff: Per-mode occupation bound d >= 1.
 
     Returns:
-        The weight as a :class:`RestrictedWeight`; its value is 0 exactly
-        when ``total_photons > n_modes * per_mode_cutoff``.
+        The weight as an exact rational; it is 0 exactly when
+        ``total_photons > n_modes * per_mode_cutoff``.
 
     Raises:
         ValueError: If any argument is outside its domain.
     """
     _require_valid(n_modes, total_photons, per_mode_cutoff)
     if total_photons > n_modes * per_mode_cutoff:
-        value = Fraction(0)
-    else:
-        value = _weight_table(n_modes, per_mode_cutoff)[total_photons]
-    return RestrictedWeight(value, n_modes, total_photons, per_mode_cutoff)
+        return Fraction(0)
+    return _weight_table(n_modes, per_mode_cutoff)[total_photons]
 
 
 def enumerate_compositions(

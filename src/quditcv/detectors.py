@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import freeze_field
+
 __all__ = [
     "COMPARE_MODELS",
     "DetectorModel",
@@ -85,13 +87,11 @@ class PovmElement:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.weights, dtype=float)
+        arr = freeze_field(self, "weights", float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("weights must form a non-empty 1-d vector")
         if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
             raise ValueError("weights must lie in [0, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "weights", arr)
 
 
 @dataclass(frozen=True)

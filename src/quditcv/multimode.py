@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._frozen import freeze_field
 from .teleport import FockVector, SchemeParams, TeleportOutcome
 
 __all__ = [
@@ -45,14 +46,12 @@ class ModeMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=complex)
+        arr = freeze_field(self, "entries", complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("entries must form a square matrix")
         identity = np.eye(arr.shape[0])
         if np.max(np.abs(arr @ arr.conj().T - identity)) > 1e-12:
             raise ValueError("matrix is not unitary to 1e-12")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
 
     @property
     def size(self) -> int:
@@ -73,13 +72,11 @@ class MultimodeState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.amplitudes, dtype=complex)
+        arr = freeze_field(self, "amplitudes", complex)
         if arr.ndim < 1:
             raise ValueError("amplitudes must carry at least one mode axis")
         if len(set(arr.shape)) != 1:
             raise ValueError("every mode must share one common photon cap")
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
 
     @property
     def num_modes(self) -> int:

@@ -21,9 +21,10 @@ from typing import Iterator
 
 import numpy as np
 
+from ._frozen import freeze_field
+
 __all__ = [
     "BellOutcome",
-    "DepolarizedResource",
     "JointQuditState",
     "QuditKet",
     "bell_measure",
@@ -50,13 +51,11 @@ class QuditKet:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.amplitudes, dtype=complex)
+        arr = freeze_field(self, "amplitudes", complex)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a qudit needs a 1-d amplitude vector of dimension >= 2")
         if abs(np.linalg.norm(arr) ** 2 - 1.0) > _NORM_TOL:
             raise ValueError("qudit amplitudes must be normalized")
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
 
     @property
     def dim(self) -> int:
@@ -70,13 +69,11 @@ class JointQuditState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.amplitudes, dtype=complex)
+        arr = freeze_field(self, "amplitudes", complex)
         if arr.ndim < 1 or any(s < 2 for s in arr.shape):
             raise ValueError("each subsystem needs dimension >= 2")
         if abs(np.linalg.norm(arr) ** 2 - 1.0) > _NORM_TOL:
             raise ValueError("joint amplitudes must be normalized")
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
 
     @property
     def systems(self) -> tuple[int, ...]:
@@ -94,20 +91,6 @@ class BellOutcome:
     ell: int
     kk: int
     probability: float
-
-
-@dataclass(frozen=True)
-class DepolarizedResource:
-    """Resource p |phi><phi| + (1 - p) I / D^2 shared before teleporting."""
-
-    p: float
-    dim: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"mixing weight must lie in [0, 1], got {self.p}")
-        if self.dim < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dim}")
 
 
 def maximally_entangled(dim: int) -> JointQuditState:
@@ -280,8 +263,11 @@ def teleport_qudit_branches(
 
 
 def depolarized_fidelity(p: float, dim: int) -> float:
-    """Channel fidelity p + (1 - p)/D of teleporting over DepolarizedResource."""
-    DepolarizedResource(p, dim)  # range validation
+    """Channel fidelity p + (1 - p)/D over the resource p |phi><phi| + (1 - p) I / D^2."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
+    if dim < 2:
+        raise ValueError(f"dimension must be >= 2, got {dim}")
     return p + (1.0 - p) / dim
 
 

@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._frozen import freeze_field
 from .combinatorics import EXACT_LIMIT, _log_weight_table, _weight_table
 
 __all__ = [
@@ -80,11 +81,9 @@ class FockVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.amplitudes, dtype=complex)
+        arr = freeze_field(self, "amplitudes", complex)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("amplitudes must form a non-empty 1-d sequence")
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
 
     @property
     def cutoff(self) -> int:
@@ -95,12 +94,6 @@ class FockVector:
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(self.norm() ** 2 - 1.0) <= tol
-
-    def normalized(self) -> "FockVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.amplitudes / n)
 
 
 @dataclass(frozen=True)
@@ -146,14 +139,14 @@ def squeezing_from_chi(chi: float) -> SqueezingParams:
 
 
 def squeezing_from_vs(v_s: float) -> SqueezingParams:
-    if v_s < 1.0:
-        raise ValueError(f"v_s must be >= 1, got {v_s}")
+    if not 1.0 <= v_s < math.inf:
+        raise ValueError(f"v_s must be finite and >= 1, got {v_s}")
     return squeezing_from_chi((v_s - 1.0) / (v_s + 1.0))
 
 
 def squeezing_from_r(r: float) -> SqueezingParams:
-    if r < 0.0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"r must be finite and >= 0, got {r}")
     return squeezing_from_chi(math.tanh(r))
 
 
@@ -218,16 +211,22 @@ def _poisson_tail_bound(mean: float, cutoff: int) -> float:
     return math.exp(log_term) / (1.0 - mean / (cutoff + 2))
 
 
+def _mean_photons(alpha: complex) -> float:
+    if not math.isfinite(abs(alpha)):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    return abs(alpha) ** 2
+
+
 def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     """Coherent-state amplitudes c_k = e^{-|a|^2/2} a^k / sqrt(k!) up to cutoff.
 
     Raises:
         ValueError: "cutoff too small" when the discarded photon-number tail
-            is not provably below 1e-12.
+            is not provably below 1e-12, and when alpha is not finite.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    mean = abs(alpha) ** 2
+    mean = _mean_photons(alpha)
     if _poisson_tail_bound(mean, cutoff) >= _COHERENT_TAIL:
         raise ValueError(
             f"cutoff too small: the photon-number tail beyond {cutoff} is not "
@@ -253,7 +252,7 @@ def _coherent_cutoff(mean: float, floor: int) -> int:
 
 def teleport_coherent(alpha: complex, params: SchemeParams) -> TeleportOutcome:
     """Teleport a coherent state, choosing a cutoff that is safely past N*d."""
-    cutoff = _coherent_cutoff(abs(alpha) ** 2, params.max_photons)
+    cutoff = _coherent_cutoff(_mean_photons(alpha), params.max_photons)
     return teleport_state(coherent_fock(alpha, cutoff), params)
 
 

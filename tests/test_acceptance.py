@@ -89,11 +89,11 @@ def test_criterion_03_combinatorics_identities():
     exact = True
     for n in range(1, 21):
         for k in range(0, n + 1):
-            exact &= restricted_weight(n, k, 1).value == Fraction(math.comb(n, k))
+            exact &= restricted_weight(n, k, 1) == Fraction(math.comb(n, k))
     for n in range(1, 11):
         for d in range(1, 7):
             for k in range(0, d + 1):
-                exact &= restricted_weight(n, k, d).value == Fraction(
+                exact &= restricted_weight(n, k, d) == Fraction(
                     n**k, math.factorial(k)
                 )
     for n in range(1, 6):
@@ -106,7 +106,7 @@ def test_criterion_03_combinatorics_identities():
                     ),
                     Fraction(0),
                 )
-                exact &= streamed == restricted_weight(n, k, d).value
+                exact &= streamed == restricted_weight(n, k, d)
     _record(
         "combinatorics-identities",
         exact,
@@ -117,7 +117,7 @@ def test_criterion_03_combinatorics_identities():
 
 def test_criterion_04_fock_gain_laws():
     def gain_fraction(k: int, n: int, d: int) -> Fraction:
-        return restricted_weight(n, k, d).value * math.factorial(k) / Fraction(n**k)
+        return restricted_weight(n, k, d) * math.factorial(k) / Fraction(n**k)
 
     identity_ok = True
     for n in range(1, 9):

@@ -190,6 +190,13 @@ class TestTeleportCommand:
         assert code == 2
         assert "re,im" in err
 
+    def test_non_numeric_entry_is_config_error(self, tmp_path, capsys):
+        infile = tmp_path / "bad.txt"
+        infile.write_text("1,0\n1,x\n")
+        code, out, err = run_cli(["teleport", str(infile), "--n", "1", "--d", "1"], capsys)
+        assert code == 2 and out == ""
+        assert "amplitude entries must be numbers" in err
+
     def test_zero_state_is_config_error(self, tmp_path, capsys):
         infile = tmp_path / "zero.txt"
         infile.write_text("0,0\n0,0\n")
@@ -398,6 +405,41 @@ class TestGoldenBytes:
         argv = ["povm", "--eta", eta, "--nu", nu,
                 "--max-resolved", str(max_resolved), "--cutoff", str(cutoff)]
         assert csv_sha256(argv, capsys) == POVM_SHA256[eta, nu, max_resolved, cutoff]
+
+
+class TestErrorPath:
+    """Every bad input ends in one `error:` line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_config_error(self, where, tmp_path, capsys):
+        out_path = tmp_path / "no" / "such" / "x.csv" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(["gains", "--out", str(out_path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, name", [
+        (["teleport", "--alpha", "inf", "--n", "2", "--d", "1"], "alpha"),
+        (["teleport", "--alpha", "nan", "--n", "2", "--d", "1"], "alpha"),
+        (["teleport", "--alpha", "1,-inf", "--n", "2", "--d", "1"], "alpha"),
+        (["epr-sweep", "--vs", "inf"], "v_s"),
+        (["epr-sweep", "--vs", "nan"], "v_s"),
+    ])
+    def test_non_finite_input_is_config_error(self, argv, name, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {name} must be finite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["teleport", "--alpha", "1", "--n", "1,2", "--d", "1"],
+        ["teleport", "--alpha", "1", "--n", "2", "--d", "1:2"],
+        ["povm", "--eta", "0.5,0.6"],
+        ["povm", "--nu", "0:0.1:3"],
+    ])
+    def test_single_value_options_reject_lists(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestCachedParser:

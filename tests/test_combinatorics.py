@@ -24,19 +24,26 @@ def stream_weight(n_modes: int, total: int, cutoff: int) -> Fraction:
     return acc
 
 
+@pytest.mark.parametrize("n, k, d", [(1, 0, 1), (4, 3, 2), (7, 10, 3), (3, 7, 2)])
+def test_weight_is_the_table_fraction(n, k, d):
+    value = restricted_weight(n, k, d)
+    assert type(value) is Fraction
+    assert value == (_weight_table(n, d)[k] if k <= n * d else 0)
+
+
 def test_no_photons_has_unit_weight():
-    assert restricted_weight(5, 0, 3).value == 1
+    assert restricted_weight(5, 0, 3) == 1
 
 
 def test_unit_cutoff_recovers_binomials():
     for n in range(1, 21):
         for k in range(0, n + 1):
-            assert restricted_weight(n, k, 1).value == math.comb(n, k)
+            assert restricted_weight(n, k, 1) == math.comb(n, k)
 
 
 def test_two_photons_two_modes():
     # (2,0) and (0,2) contribute 1/2 each, (1,1) contributes 1.
-    assert restricted_weight(2, 2, 2).value == 2
+    assert restricted_weight(2, 2, 2) == 2
 
 
 def test_below_cutoff_matches_multinomial():
@@ -44,7 +51,7 @@ def test_below_cutoff_matches_multinomial():
         for d in range(1, 7):
             for k in range(0, d + 1):
                 expected = Fraction(n**k, math.factorial(k))
-                assert restricted_weight(n, k, d).value == expected
+                assert restricted_weight(n, k, d) == expected
 
 
 def test_float_view():
@@ -57,7 +64,7 @@ def test_float_view():
     d=st.integers(min_value=1, max_value=5),
 )
 def test_zero_exactly_above_capacity(n, k, d):
-    value = restricted_weight(n, k, d).value
+    value = restricted_weight(n, k, d)
     assert (value == 0) == (k > n * d)
     assert value >= 0
 
@@ -68,7 +75,7 @@ def test_zero_exactly_above_capacity(n, k, d):
     d=st.integers(min_value=1, max_value=6),
 )
 def test_monotone_in_cutoff(n, k, d):
-    assert restricted_weight(n, k, d + 1).value >= restricted_weight(n, k, d).value
+    assert restricted_weight(n, k, d + 1) >= restricted_weight(n, k, d)
 
 
 @given(
@@ -77,7 +84,7 @@ def test_monotone_in_cutoff(n, k, d):
     d=st.integers(min_value=1, max_value=5),
 )
 def test_denominator_divides_factorial_power(n, k, d):
-    den = restricted_weight(n, k, d).value.denominator
+    den = restricted_weight(n, k, d).denominator
     assert math.factorial(d) ** n % den == 0
 
 
@@ -88,7 +95,7 @@ def test_denominator_divides_factorial_power(n, k, d):
     d=st.integers(min_value=1, max_value=4),
 )
 def test_enumeration_stream_matches_dp(n, k, d):
-    assert stream_weight(n, k, d) == restricted_weight(n, k, d).value
+    assert stream_weight(n, k, d) == restricted_weight(n, k, d)
 
 
 def test_enumeration_order_and_content():
@@ -140,7 +147,7 @@ def test_log_dp_agrees_with_exact_beyond_limit(n, d):
     # and cross-checked against the (slower) exact rational table.
     assert n * d > 60
     for k in range(0, n * d + 1, 7):
-        value = restricted_weight(n, k, d).value
+        value = restricted_weight(n, k, d)
         expected = math.log(value.numerator) - math.log(value.denominator)
         assert restricted_weight_log(n, k, d) == pytest.approx(expected, rel=1e-9)
 

@@ -105,7 +105,7 @@ class TestFockGain:
         # d*N = 75 forces the log-domain path; compare against the exact value
         params = SchemeParams(25, 3)
         for k in (5, 12, 30, 60):
-            weight = restricted_weight(25, k, 3).value
+            weight = restricted_weight(25, k, 3)
             exact = float(weight * math.factorial(k) / Fraction(25) ** k)
             assert fock_gain(k, params) == pytest.approx(exact, rel=1e-10)
 
@@ -233,6 +233,13 @@ class TestCoherent:
         ]
         assert all(b >= a for a, b in zip(probs, probs[1:]))
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            coherent_fock(alpha, 5)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            teleport_coherent(alpha, SchemeParams(2, 1))
+
 
 class TestSqueezing:
     def test_vs_ten_gives_chi_nine_elevenths(self):
@@ -260,6 +267,17 @@ class TestSqueezing:
     def test_domain_errors(self, bad_call):
         with pytest.raises(ValueError):
             bad_call()
+
+    @pytest.mark.parametrize("make, arg, value", [
+        (squeezing_from_vs, "v_s", math.inf),
+        (squeezing_from_vs, "v_s", math.nan),
+        (squeezing_from_r, "r", math.inf),
+        (squeezing_from_r, "r", math.nan),
+        (squeezing_from_chi, "chi", math.nan),
+    ])
+    def test_non_finite_input_names_its_argument(self, make, arg, value):
+        with pytest.raises(ValueError, match=f"^{arg} must"):
+            make(value)
 
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(ValueError):
