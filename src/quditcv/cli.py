@@ -268,7 +268,7 @@ def _suite_gain_bounds() -> float:
 def _suite_oracle_equivalence(seed: int) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n in (1, 2, 3):
+    for n in range(1, 6):
         for d in (1, 2):
             params = teleport.SchemeParams(n, d)
             for _ in range(8):

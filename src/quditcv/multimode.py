@@ -7,7 +7,10 @@ operators photon by photon, and nothing here knows about the combinatorial
 weights.  The pipeline is
 
     embed |psi> in mode 0 -> balanced split -> per-mode photon cutoff
-    -> inverse split -> post-select vacuum on every auxiliary mode.
+    -> read amplitude k off the split column s_k = U|k,0,...,0>,
+
+since the inverse split followed by vacuum post-selection on every auxiliary
+mode keeps <k,0,...,0| U^dagger |psi> = <s_k | psi>.
 
 The splitter is realized as the discrete-Fourier-transform unitary; its
 first column is uniform, which is the only property the pipeline relies on,
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -111,52 +113,35 @@ def embed_input(state: FockVector, num_modes: int, cap: int | None = None) -> Mu
     return MultimodeState(amps)
 
 
-def _shifted_create(tensor: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    """a_axis^dagger on a dense tensor; raises if a photon would pass the cap."""
-    cap = tensor.shape[axis] - 1
-    top = [slice(None)] * tensor.ndim
-    top[axis] = cap
-    if np.any(tensor[tuple(top)] != 0):
-        raise ValueError(
-            "cap exceeded: a creation operator pushed an occupation past the "
-            f"per-mode cap {cap}"
-        )
+def _create(tensor: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """sum_j coefficients[j] a_j^dagger on a dense tensor; raises if a photon passes the cap."""
+    cap = tensor.shape[0] - 1
+    weights = np.sqrt(np.arange(1.0, cap + 1)).reshape((cap,) + (1,) * (tensor.ndim - 1))
     out = np.zeros_like(tensor)
-    dst = [slice(None)] * tensor.ndim
-    dst[axis] = slice(1, cap + 1)
-    src = [slice(None)] * tensor.ndim
-    src[axis] = slice(0, cap)
-    shape = [1] * tensor.ndim
-    shape[axis] = cap
-    out[tuple(dst)] = weights.reshape(shape) * tensor[tuple(src)]
+    for axis, coeff in enumerate(coefficients):
+        if coeff == 0:
+            continue
+        moved = np.moveaxis(tensor, axis, 0)
+        if np.any(moved[cap] != 0):
+            raise ValueError(
+                "cap exceeded: a creation operator pushed an occupation past the "
+                f"per-mode cap {cap}"
+            )
+        np.moveaxis(out, axis, 0)[1:] += coeff * (weights * moved[:cap])
     return out
 
 
-@lru_cache(maxsize=8192)
-def _lift_column(
-    matrix_bytes: bytes, size: int, occupation: tuple[int, ...], cap: int
-) -> np.ndarray:
+def _lift_column(matrix: np.ndarray, occupation: tuple[int, ...], cap: int) -> np.ndarray:
     """Image of the basis state |occupation| under the lifted mode unitary.
 
     Built as prod_i (sum_j U[j, i] a_j^dagger)^{n_i} / sqrt(n_i!) acting on
     vacuum, one photon at a time.
     """
-    matrix = np.frombuffer(matrix_bytes, dtype=complex).reshape(size, size)
-    column = np.zeros((cap + 1,) * size, dtype=complex)
-    column[(0,) * size] = 1.0
-    sqrt_counts = np.sqrt(np.arange(1, cap + 1, dtype=float))
+    column = np.zeros((cap + 1,) * len(occupation), dtype=complex)
+    column[(0,) * len(occupation)] = 1.0
     for mode, count in enumerate(occupation):
-        for _ in range(count):
-            lifted = np.zeros_like(column)
-            for j in range(size):
-                coeff = matrix[j, mode]
-                if coeff == 0:
-                    continue
-                lifted += coeff * _shifted_create(column, sqrt_counts, j)
-            column = lifted
-        if count > 1:
-            column /= math.sqrt(math.factorial(count))
-    column.setflags(write=False)
+        for photons in range(1, count + 1):
+            column = _create(column, matrix[:, mode]) / math.sqrt(photons)
     return column
 
 
@@ -176,10 +161,9 @@ def apply_mode_unitary(state: MultimodeState, matrix: ModeMatrix) -> MultimodeSt
         )
     amps = state.amplitudes
     out = np.zeros_like(amps)
-    key = matrix.entries.tobytes()
     for raw in np.argwhere(amps != 0):
         occupation = tuple(int(x) for x in raw)
-        out += amps[occupation] * _lift_column(key, matrix.size, occupation, state.per_mode_cap)
+        out += amps[occupation] * _lift_column(matrix.entries, occupation, state.per_mode_cap)
     return MultimodeState(out)
 
 
@@ -231,37 +215,41 @@ def vacuum_postselect(state: MultimodeState, kept_mode: int) -> tuple[FockVector
 def oracle_teleport(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     """Run the whole pipeline by brute force on the dense occupation grid.
 
+    With b^dagger = sum_j U[j, 0] a_j^dagger the splitter's image of the
+    input mode, the split columns are s_0 = |0...0> and
+    s_k = b^dagger s_{k-1} / sqrt(k), built one photon at a time.  The input
+    splits to sum_k c_k s_k, and each mode is cut at d photons.  Recombining
+    and post-selecting vacuum on modes 1..N-1 keeps the amplitude
+    <k,0,...,0| U^dagger |psi> = <U(k,0,...,0) | psi> = <s_k | psi>, so the
+    output is read off the split columns and P_suc = sum_k |<s_k|psi>|^2.
+
     Must agree with :func:`quditcv.teleport.teleport_state` in output state
     and success probability; the test suite holds the two to 1e-10.
 
     Raises:
-        ValueError: "budget exceeded" when the dense grid would need more
-            than 10^7 amplitudes, and "vanishing state" when nothing survives
-            the per-mode cutoffs.
+        ValueError: "budget exceeded" when the cap+1 split columns would
+            hold more than 10^7 amplitudes, (cap+1)^(N+1) in all, and
+            "vanishing state" when nothing survives the per-mode cutoffs.
     """
     n = params.num_modes
     cap = state.cutoff
-    if (cap + 1) ** n > _AMPLITUDE_BUDGET:
+    if (cap + 1) ** (n + 1) > _AMPLITUDE_BUDGET:
         raise ValueError(
-            f"budget exceeded: {(cap + 1)}^{n} amplitudes pass the "
-            f"{_AMPLITUDE_BUDGET:.0e} dense-grid budget"
+            f"budget exceeded: {cap + 1} split columns of {cap + 1}^{n} amplitudes pass "
+            f"the {_AMPLITUDE_BUDGET:.0e} dense-grid budget"
         )
     if not state.is_normalized(1e-9):
         raise ValueError("oracle_teleport requires a normalized input")
-    splitter = n_splitter(n)
-    psi = embed_input(state, n)
-    psi = apply_mode_unitary(psi, splitter)
+    spread = n_splitter(n).entries[:, 0]
+    columns = np.zeros((cap + 1,) * (n + 1), dtype=complex)
+    columns[(0,) * (n + 1)] = 1.0
+    for k in range(1, cap + 1):
+        columns[k] = _create(columns[k - 1], spread) / math.sqrt(k)
+    psi = MultimodeState(np.tensordot(state.amplitudes, columns, axes=1))
     for mode in range(n):
         psi, _ = truncate_mode(psi, mode, params.photon_cutoff)
-    survived = psi.norm() ** 2
-    if survived == 0.0:
+    kept = np.array([np.vdot(column, psi.amplitudes) for column in columns])
+    p_suc = float(np.sum(np.abs(kept) ** 2))
+    if p_suc == 0.0:
         raise ValueError("vanishing state: nothing survives the per-mode photon cutoffs")
-    psi = apply_mode_unitary(psi, splitter.inverse())
-    if n == 1:
-        kept = psi.amplitudes
-        p_suc = survived
-        output = FockVector(kept / math.sqrt(float(np.sum(np.abs(kept) ** 2))))
-    else:
-        output, p_vacuum = vacuum_postselect(psi, 0)
-        p_suc = survived * p_vacuum
-    return TeleportOutcome(output, min(p_suc, 1.0))
+    return TeleportOutcome(FockVector(kept / math.sqrt(p_suc)), min(p_suc, 1.0))

@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 _COHERENT_TAIL = 1e-12
+# coherent_fock's vector keeps its norm within 1e-9 up to about |alpha| = 120
+_ALPHA_LIMIT = 100.0
 
 
 @dataclass(frozen=True)
@@ -212,9 +214,13 @@ def _poisson_tail_bound(mean: float, cutoff: int) -> float:
 
 
 def _mean_photons(alpha: complex) -> float:
-    if not math.isfinite(abs(alpha)):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    return abs(alpha) ** 2
+    try:
+        magnitude = abs(alpha)
+    except OverflowError:  # a complex whose modulus passes the float range
+        magnitude = math.inf
+    if not magnitude <= _ALPHA_LIMIT:
+        raise ValueError(f"alpha must be finite with |alpha| <= {_ALPHA_LIMIT:g}, got {alpha}")
+    return magnitude**2
 
 
 def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
@@ -222,7 +228,8 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
 
     Raises:
         ValueError: "cutoff too small" when the discarded photon-number tail
-            is not provably below 1e-12, and when alpha is not finite.
+            is not provably below 1e-12, and when alpha is not finite or
+            |alpha| > 100.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")

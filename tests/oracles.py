@@ -3,12 +3,24 @@
 The Monte-Carlo sampler never calls the closed-form fidelity laws it is used
 to test; it simulates protocol events from first principles and averages the
 branch fidelities.  The POVM reference is the original per-term double loop,
-kept so the vectorized builders can be held to it bit for bit.
+kept so the vectorized builders can be held to it bit for bit.  The dense
+pipeline reference runs every step of the split/truncate/recombine scheme on
+the occupation grid, inverse split and vacuum post-selection included, so the
+oracle's read-off from the split columns can be held to it.
 """
 
 import math
 
 import numpy as np
+
+from quditcv.multimode import (
+    apply_mode_unitary,
+    embed_input,
+    n_splitter,
+    truncate_mode,
+    vacuum_postselect,
+)
+from quditcv.teleport import FockVector, SchemeParams, TeleportOutcome
 
 
 def haar_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -61,3 +73,20 @@ def povm_weights_reference(clicks: int, eta: float, nu: float, cutoff: int) -> n
             total += dark * detected
         weights[m] = min(total, 1.0)
     return weights
+
+
+def dense_pipeline_reference(state: FockVector, params: SchemeParams) -> TeleportOutcome:
+    """Embed, split, cut every mode at d, unsplit and post-select vacuum on modes 1..N-1."""
+    n = params.num_modes
+    splitter = n_splitter(n)
+    psi = apply_mode_unitary(embed_input(state, n), splitter)
+    for mode in range(n):
+        psi, _ = truncate_mode(psi, mode, params.photon_cutoff)
+    survived = psi.norm() ** 2
+    if survived == 0.0:
+        raise ValueError("vanishing state: nothing survives the per-mode photon cutoffs")
+    psi = apply_mode_unitary(psi, splitter.inverse())
+    if n == 1:
+        return TeleportOutcome(FockVector(psi.amplitudes / psi.norm()), survived)
+    output, p_vacuum = vacuum_postselect(psi, 0)
+    return TeleportOutcome(output, survived * p_vacuum)

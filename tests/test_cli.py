@@ -423,6 +423,12 @@ class TestErrorPath:
         (["teleport", "--alpha", "1,-inf", "--n", "2", "--d", "1"], "alpha"),
         (["epr-sweep", "--vs", "inf"], "v_s"),
         (["epr-sweep", "--vs", "nan"], "v_s"),
+        # |alpha| past the limit shares the message
+        (["teleport", "--alpha", "200", "--n", "2", "--d", "1"], "alpha"),
+        (["teleport", "--alpha", "1e8", "--n", "2", "--d", "1"], "alpha"),
+        (["teleport", "--alpha", "1e20", "--n", "2", "--d", "1"], "alpha"),
+        (["teleport", "--alpha", "1e200", "--n", "2", "--d", "1"], "alpha"),
+        (["teleport", "--alpha", "1.7e308,1.7e308", "--n", "2", "--d", "1"], "alpha"),
     ])
     def test_non_finite_input_is_config_error(self, argv, name, capsys):
         code, out, err = run_cli(argv, capsys)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dense_pipeline_reference
 
 from quditcv.multimode import (
     ModeMatrix,
@@ -203,8 +204,34 @@ class TestOracleTeleport:
     def test_budget_guard(self):
         with pytest.raises(ValueError, match="budget exceeded"):
             oracle_teleport(fock_basis(0, 9), SchemeParams(8, 1))
+        # a 10^7 grid fits, but its ten split columns hold 10^8 amplitudes
+        with pytest.raises(ValueError, match="budget exceeded"):
+            oracle_teleport(fock_basis(0, 9), SchemeParams(7, 1))
 
-    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("n,cap,d", [(1, 4, 2), (2, 6, 1), (3, 5, 2), (4, 4, 2)])
+    def test_matches_dense_pipeline(self, n, cap, d):
+        # reading <s_k|psi> off the split columns is the inverse split plus
+        # vacuum post-selection, step for step
+        rng = np.random.default_rng(1000 * n + 10 * cap + d)
+        params = SchemeParams(n, d)
+        for _ in range(3):
+            z = rng.standard_normal(cap + 1) + 1j * rng.standard_normal(cap + 1)
+            state = FockVector(z / np.linalg.norm(z))
+            read_off = oracle_teleport(state, params)
+            stepwise = dense_pipeline_reference(state, params)
+            assert read_off.success_probability == pytest.approx(
+                stepwise.success_probability, abs=1e-12
+            )
+            assert np.max(np.abs(read_off.state.amplitudes - stepwise.state.amplitudes)) <= 1e-12
+
+    def test_dense_pipeline_vanishing_input(self):
+        for run in (oracle_teleport, dense_pipeline_reference):
+            with pytest.raises(ValueError, match="vanishing state"):
+                run(fock_basis(3, 3), SchemeParams(2, 1))
+
+    @pytest.mark.parametrize(
+        "n,d", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (5, 2), (6, 1)]
+    )
     def test_matches_closed_form(self, n, d):
         rng = np.random.default_rng(100 * n + d)
         params = SchemeParams(n, d)

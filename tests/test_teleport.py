@@ -240,6 +240,22 @@ class TestCoherent:
         with pytest.raises(ValueError, match="alpha must be finite"):
             teleport_coherent(alpha, SchemeParams(2, 1))
 
+    @pytest.mark.parametrize(
+        "alpha", [100.5, -200.0, 1e8, 1e20j, 1e200, complex(80.0, 80.0), complex(1.7e308, 1.7e308)]
+    )
+    def test_alpha_past_limit_rejected(self, alpha):
+        # refused at the boundary, before |alpha|^2, exp() or a vector can
+        # overflow or run out of memory
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            coherent_fock(alpha, 5)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            teleport_coherent(alpha, SchemeParams(2, 1))
+
+    @pytest.mark.parametrize("alpha", [100.0, -100.0, 100j, complex(60.0, -80.0)])
+    def test_alpha_at_limit_is_normalized(self, alpha):
+        # 11,000 is ten standard deviations above the mean photon number 10^4
+        assert coherent_fock(alpha, 11_000).is_normalized(1e-9)
+
 
 class TestSqueezing:
     def test_vs_ten_gives_chi_nine_elevenths(self):
