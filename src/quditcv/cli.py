@@ -27,34 +27,39 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 # parsing and formatting helpers
 
+_GRID_LIMIT = 10**6  # most entries a range or grid may expand to, checked before building
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Comma list ("1,2,3") or inclusive range ("1:25")."""
+    """Comma list ("1,2,3") or inclusive range ("1:25") of at most _GRID_LIMIT entries."""
     try:
         if ":" in text:
             lo, hi = (int(part) for part in text.split(":"))
-            if hi < lo:
+            if not 0 <= hi - lo < _GRID_LIMIT:
                 raise ValueError
             return tuple(range(lo, hi + 1))
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a comma list like 1,2,3 or a range like 1:25, got {text!r}"
+            f"expected a comma list like 1,2,3 or a range like 1:25 "
+            f"of at most {_GRID_LIMIT} entries, got {text!r}"
         ) from None
 
 
 def _parse_float_grid(text: str) -> tuple[float, ...]:
-    """Comma list ("0.1,0.5") or linspace ("lo:hi:count")."""
+    """Comma list ("0.1,0.5") or linspace ("lo:hi:count", count <= _GRID_LIMIT)."""
     try:
         if ":" in text:
             lo_text, hi_text, count_text = text.split(":")
             lo, hi, count = float(lo_text), float(hi_text), int(count_text)
-            if count < 1:
+            if not 1 <= count <= _GRID_LIMIT:
                 raise ValueError
             return tuple(float(x) for x in np.linspace(lo, hi, count))
         return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a comma list like 0.1,0.2 or a grid like 0:1:21, got {text!r}"
+            f"expected a comma list like 0.1,0.2 or a grid like 0:1:21 "
+            f"of at most {_GRID_LIMIT} points, got {text!r}"
         ) from None
 
 
@@ -241,13 +246,8 @@ def _suite_combinatorics() -> float:
     for n in range(1, 5):
         for d in range(1, 4):
             for k in range(0, 9):
-                streamed = sum(
-                    (
-                        Fraction(1, math.prod(math.factorial(r) for r in parts))
-                        for parts in enumerate_compositions(n, k, d)
-                    ),
-                    Fraction(0),
-                )
+                streamed = sum(Fraction(1, math.prod(map(math.factorial, parts)))
+                               for parts in enumerate_compositions(n, k, d))
                 worst = max(worst, abs(float(streamed - restricted_weight(n, k, d))))
     return worst
 
@@ -276,11 +276,8 @@ def _suite_oracle_equivalence(seed: int) -> float:
                 state = teleport.FockVector(z / np.linalg.norm(z))
                 closed = teleport.teleport_state(state, params)
                 brute = multimode.oracle_teleport(state, params)
-                worst = max(
-                    worst,
-                    abs(closed.success_probability - brute.success_probability),
-                    1.0 - teleport.state_fidelity(closed.state, brute.state),
-                )
+                worst = max(worst, abs(closed.success_probability - brute.success_probability),
+                            1.0 - teleport.state_fidelity(closed.state, brute.state))
     return worst
 
 
@@ -292,51 +289,35 @@ def _suite_protocol_identity(seed: int) -> float:
         for _ in range(12):
             phi = qudit.haar_random_ket(dim, rng)
             for outcome, ket in qudit.teleport_qudit_branches(phi, resource):
-                worst = max(
-                    worst,
-                    abs(outcome.probability - 1.0 / dim**2),
-                    1.0 - abs(np.vdot(ket.amplitudes, phi.amplitudes)),
-                )
+                worst = max(worst, abs(outcome.probability - 1.0 / dim**2),
+                            1.0 - abs(np.vdot(ket.amplitudes, phi.amplitudes)))
     return worst
 
 
 def _suite_povm_completeness() -> float:
-    worst = 0.0
-    for eta in (0.3, 0.7, 1.0):
-        for nu in (0.0, 0.05):
-            defect = detectors.povm_completeness_defect(
-                detectors.DetectorModel(eta, nu), cutoff=15
-            )
-            worst = max(worst, defect)
-    return worst
+    return max(detectors.povm_completeness_defect(detectors.DetectorModel(eta, nu), cutoff=15)
+               for eta in (0.3, 0.7, 1.0) for nu in (0.0, 0.05))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Re-run the cross-validation suites and report max deviations."""
-    seed = args.seed
     suites = [
-        ("combinatorics-identities", lambda: _suite_combinatorics(), 0.0),
-        ("gain-bounds", lambda: _suite_gain_bounds(), 0.0),
-        ("oracle-equivalence", lambda: _suite_oracle_equivalence(seed), 1e-10),
-        ("protocol-identity", lambda: _suite_protocol_identity(seed), 1e-12),
-        ("povm-completeness", lambda: _suite_povm_completeness(), 1e-8),
+        ("combinatorics-identities", _suite_combinatorics, 0.0),
+        ("gain-bounds", _suite_gain_bounds, 0.0),
+        ("oracle-equivalence", lambda: _suite_oracle_equivalence(args.seed), 1e-10),
+        ("protocol-identity", lambda: _suite_protocol_identity(args.seed), 1e-12),
+        ("povm-completeness", _suite_povm_completeness, 1e-8),
     ]
     all_passed = True
     for name, run, tolerance in suites:
         try:
-            deviation = run()
-            passed = deviation <= tolerance
-            note = ""
+            deviation, note = run(), ""
         except Exception as exc:  # deliberate: a crash is a failed suite
-            deviation = math.inf
-            passed = False
-            note = f"  ({exc})"
+            deviation, note = math.inf, f"  ({exc})"
+        passed = deviation <= tolerance
         all_passed &= passed
-        verdict = "PASS" if passed else "FAIL"
-        print(
-            f"suite {name:<26} max deviation {deviation:<12.3e} "
-            f"tolerance {tolerance:<8.0e} {verdict}{note}"
-        )
+        print(f"suite {name:<26} max deviation {deviation:<12.3e} "
+              f"tolerance {tolerance:<8.0e} {'PASS' if passed else 'FAIL'}{note}")
     print("verification " + ("passed" if all_passed else "FAILED"))
     return 0 if all_passed else 1
 

@@ -10,11 +10,13 @@ W is the combinatorial factor picked up by the Fock state |k> when a
 single-mode state is fanned out over N modes, truncated mode-wise at d
 photons, and recombined.  Everything downstream (gains, success
 probabilities, fidelities) reduces to evaluating W, so this module keeps it
-exact: values are `fractions.Fraction` over arbitrary-precision integers,
-and floating point enters only through the explicit log-domain view.
+exact: its tables hold the Python ints C_N(k) = k! W(N, k, d), the words of
+length k over N letters that use each letter at most d times.
+`fractions.Fraction` appears only where :func:`restricted_weight` returns
+C_N(k) / k!, and floating point only in the explicit log-domain view.
 
-Tables W(N, ., d) are cached per (N, d), exact and in logs, and grown over N
-from the largest cached smaller N, so a sweep over N never redoes a mode.
+Tables are cached per (N, d), as counts and as log weights, and grown over
+N from the largest cached smaller N, so a sweep over N never redoes a mode.
 
 Two exact identities pin the implementation down:
 
@@ -41,8 +43,8 @@ __all__ = [
 # One way of placing the photons: an occupation number per mode.
 Composition = tuple[int, ...]
 
-# Up to this many photon slots (N*d) gains come from exact rationals; beyond
-# it the factorials get big enough that the log-domain table is the default.
+# Up to this many photon slots (N*d) gains come from exact integer counts;
+# beyond it the log-domain table is the default.
 EXACT_LIMIT = 60
 
 
@@ -56,7 +58,7 @@ def _require_valid(n_modes: int, total_photons: int, per_mode_cutoff: int) -> No
 
 
 # d -> {N: table}, seeded with N = 0 and filled by _grown
-_EXACT_TABLES: dict[int, dict[int, tuple[Fraction, ...]]] = {}
+_EXACT_TABLES: dict[int, dict[int, tuple[int, ...]]] = {}
 _LOG_TABLES: dict[int, dict[int, np.ndarray]] = {}
 
 
@@ -71,13 +73,13 @@ def _grown(tables: dict, n_modes: int, per_mode_cutoff: int, empty, add_mode):
     return by_modes[n_modes]
 
 
-def _add_mode_exact(table: tuple[Fraction, ...], per_mode_cutoff: int) -> tuple[Fraction, ...]:
-    inv_factorial = [Fraction(1, math.factorial(r)) for r in range(per_mode_cutoff + 1)]
-    grown = [Fraction(0)] * (len(table) + per_mode_cutoff)
-    for k, acc in enumerate(table):
-        for r, w in enumerate(inv_factorial):
-            grown[k + r] += acc * w
-    return tuple(grown)
+def _add_mode_count(table: tuple[int, ...], per_mode_cutoff: int) -> tuple[int, ...]:
+    # the new letter takes r of the k positions: C_{n+1}(k) = sum_r comb(k, r) C_n(k - r)
+    return tuple(
+        sum(math.comb(k, r) * table[k - r]
+            for r in range(max(0, k - len(table) + 1), min(per_mode_cutoff, k) + 1))
+        for k in range(len(table) + per_mode_cutoff)
+    )
 
 
 def _add_mode_log(table: np.ndarray, per_mode_cutoff: int) -> np.ndarray:
@@ -89,19 +91,14 @@ def _add_mode_log(table: np.ndarray, per_mode_cutoff: int) -> np.ndarray:
     return grown
 
 
-def _weight_table(n_modes: int, per_mode_cutoff: int) -> tuple[Fraction, ...]:
-    """All weights W(n_modes, k, per_mode_cutoff) for k = 0 .. n_modes * d.
-
-    Dynamic program over modes: adding one mode convolves the table with the
-    per-mode series (1/r!)_{r=0..d}, so the direct exponential sum over
-    compositions is never formed.  Tables are cached and grown over N.
-    """
-    return _grown(_EXACT_TABLES, n_modes, per_mode_cutoff, (Fraction(1),), _add_mode_exact)
+def _count_table(n_modes: int, per_mode_cutoff: int) -> tuple[int, ...]:
+    """Word counts C_N(k) = k! W(N, k, d), k = 0..N*d, as Python ints; cached, grown over N."""
+    return _grown(_EXACT_TABLES, n_modes, per_mode_cutoff, (1,), _add_mode_count)
 
 
 def _log_weight_table(n_modes: int, per_mode_cutoff: int) -> np.ndarray:
-    # Same recurrence and cache as _weight_table, in log space (logaddexp) so
-    # entries stay finite for hundreds of photons; tables are read-only.
+    # W itself, grown by convolving with (1/r!)_{r<=d} in log space (logaddexp)
+    # so entries stay finite for hundreds of photons; tables are read-only.
     return _grown(_LOG_TABLES, n_modes, per_mode_cutoff, np.zeros(1), _add_mode_log)
 
 
@@ -123,7 +120,8 @@ def restricted_weight(n_modes: int, total_photons: int, per_mode_cutoff: int) ->
     _require_valid(n_modes, total_photons, per_mode_cutoff)
     if total_photons > n_modes * per_mode_cutoff:
         return Fraction(0)
-    return _weight_table(n_modes, per_mode_cutoff)[total_photons]
+    return Fraction(_count_table(n_modes, per_mode_cutoff)[total_photons],
+                    math.factorial(total_photons))
 
 
 def enumerate_compositions(
@@ -155,10 +153,10 @@ def enumerate_compositions(
 def restricted_weight_log(n_modes: int, total_photons: int, per_mode_cutoff: int) -> float:
     """Natural log of W(N, k, d), safe for photon numbers in the hundreds.
 
-    For small tables (``n_modes * per_mode_cutoff <= EXACT_LIMIT``) the exact
-    rational is computed and logged, so the result is faithful to within one
-    rounding of the true value; beyond that the cached log-space table is
-    read, grown over N like the exact one.
+    For small tables (``n_modes * per_mode_cutoff <= EXACT_LIMIT``) the
+    reduced numerator and denominator of the exact rational are logged, so
+    the result is faithful to within one rounding of the true value; beyond
+    that the cached log-space table is read, grown over N like the counts.
 
     Raises:
         ValueError: With message ``"weight is zero"`` when the weight
@@ -172,6 +170,6 @@ def restricted_weight_log(n_modes: int, total_photons: int, per_mode_cutoff: int
             f"{n_modes} modes holding at most {per_mode_cutoff} each"
         )
     if n_modes * per_mode_cutoff <= EXACT_LIMIT:
-        value = _weight_table(n_modes, per_mode_cutoff)[total_photons]
+        value = restricted_weight(n_modes, total_photons, per_mode_cutoff)
         return math.log(value.numerator) - math.log(value.denominator)
     return float(_log_weight_table(n_modes, per_mode_cutoff)[total_photons])

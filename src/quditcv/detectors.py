@@ -190,9 +190,7 @@ def povm_completeness_defect(det: DetectorModel, cutoff: int) -> float:
     while _poisson_survival(det.nu, depth) > 1e-12:
         depth += 1
     dark, detected = _povm_tables(det, cutoff + depth, cutoff)
-    total = np.zeros(cutoff + 1)
-    for clicks in range(cutoff + depth + 1):
-        total += _element(clicks, dark, detected).weights
+    total = sum(_element(clicks, dark, detected).weights for clicks in range(cutoff + depth + 1))
     return float(np.max(np.abs(total - 1.0)))
 
 

@@ -123,10 +123,8 @@ def _create(tensor: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
             continue
         moved = np.moveaxis(tensor, axis, 0)
         if np.any(moved[cap] != 0):
-            raise ValueError(
-                "cap exceeded: a creation operator pushed an occupation past the "
-                f"per-mode cap {cap}"
-            )
+            raise ValueError("cap exceeded: a creation operator pushed an occupation "
+                             f"past the per-mode cap {cap}")
         np.moveaxis(out, axis, 0)[1:] += coeff * (weights * moved[:cap])
     return out
 

@@ -258,8 +258,7 @@ def teleport_qudit_branches(
     """Enumerate every outcome branch with its corrected output state."""
     entangled = _entangled_with_resource(phi, resource)
     for result, remainder in enumerate_bell_outcomes(entangled, 0, 1):
-        corrected = _correct(remainder, result) if remainder is not None else None
-        yield result, corrected
+        yield result, None if remainder is None else _correct(remainder, result)
 
 
 def depolarized_fidelity(p: float, dim: int) -> float:

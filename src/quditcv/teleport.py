@@ -23,14 +23,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from ._frozen import freeze_field
-from .combinatorics import EXACT_LIMIT, _log_weight_table, _weight_table
+from .combinatorics import EXACT_LIMIT, _count_table, _log_weight_table, restricted_weight_log
 
 __all__ = [
     "EprOutcome",
@@ -152,23 +151,33 @@ def squeezing_from_r(r: float) -> SqueezingParams:
     return squeezing_from_chi(math.tanh(r))
 
 
+_LOG_FACTORIALS = np.zeros(0)  # lgamma(k + 1) for k < len, read-only, regrown by doubling
+
+
+def _log_factorials(count: int) -> np.ndarray:
+    global _LOG_FACTORIALS
+    if len(_LOG_FACTORIALS) < count:
+        _LOG_FACTORIALS = np.array([math.lgamma(k + 1) for k in range(2 * count)])
+        _LOG_FACTORIALS.setflags(write=False)
+    return _LOG_FACTORIALS[:count]
+
+
 @cache
 def gain_vector(params: SchemeParams) -> np.ndarray:
     """The gains g(k) for k = 0..N*d, cached per (N, d) as a read-only vector.
 
-    From exact rationals (correctly rounded) when N*d <= EXACT_LIMIT, else from
-    the log weight table, clamped at 1 where exp overshoots by an ulp.  Scalar
-    math.exp, not np.exp: the latter rounds differently and moves output bytes.
+    For N*d <= EXACT_LIMIT, one correctly rounded int division C_N(k) / N^k of
+    the word count C_N(k) = k! W(N, k, d); beyond, scalar math.exp of the log
+    gains log W + lgamma(k+1) - k log N, one numpy expression, clamped at 1 where exp overshoots by an ulp.  Not
+    np.exp: it rounds differently and moves output bytes.
     """
     n, d = params.num_modes, params.photon_cutoff
     if n * d <= EXACT_LIMIT:
-        gains = [float(w * math.factorial(k) / Fraction(n) ** k)
-                 for k, w in enumerate(_weight_table(n, d))]
+        vector = np.array([count / n**k for k, count in enumerate(_count_table(n, d))])
     else:
-        log_n = math.log(n)
-        gains = [min(1.0, math.exp(lw + math.lgamma(k + 1) - k * log_n))
-                 for k, lw in enumerate(_log_weight_table(n, d).tolist())]
-    vector = np.array(gains)
+        log_w = _log_weight_table(n, d)
+        exponents = log_w + _log_factorials(len(log_w)) - np.arange(len(log_w)) * math.log(n)
+        vector = np.minimum(1.0, list(map(math.exp, exponents.tolist())))
     vector[: d + 1] = 1.0
     vector.setflags(write=False)
     return vector
@@ -258,9 +267,24 @@ def _coherent_cutoff(mean: float, floor: int) -> int:
 
 
 def teleport_coherent(alpha: complex, params: SchemeParams) -> TeleportOutcome:
-    """Teleport a coherent state, choosing a cutoff that is safely past N*d."""
-    cutoff = _coherent_cutoff(_mean_photons(alpha), params.max_photons)
-    return teleport_state(coherent_fock(alpha, cutoff), params)
+    """Teleport a coherent state, choosing a cutoff that is safely past N*d.
+
+    Raises:
+        ValueError: "vanishing state", giving log P_suc, when P_suc underflows.
+    """
+    mean = _mean_photons(alpha)
+    state = coherent_fock(alpha, _coherent_cutoff(mean, params.max_photons))
+    try:
+        return teleport_state(state, params)
+    except ValueError as exc:
+        if not str(exc).startswith("vanishing state"):
+            raise
+    # log of sum_k e^-mean mean^k / k! g(k)^2 over k <= N*d, g(k) = W k! / N^k
+    n, d = params.num_modes, params.photon_cutoff
+    terms = [-mean + k * (math.log(mean) - 2 * math.log(n)) + math.lgamma(k + 1)
+             + 2 * restricted_weight_log(n, k, d) for k in range(n * d + 1)]
+    raise ValueError(f"vanishing state: P_suc underflows double precision, "
+                     f"log P_suc = {float(np.logaddexp.reduce(terms)):.6g}")
 
 
 class EprOutcome(NamedTuple):

@@ -6,13 +6,18 @@ branch fidelities.  The POVM reference is the original per-term double loop,
 kept so the vectorized builders can be held to it bit for bit.  The dense
 pipeline reference runs every step of the split/truncate/recombine scheme on
 the occupation grid, inverse split and vacuum post-selection included, so the
-oracle's read-off from the split columns can be held to it.
+oracle's read-off from the split columns can be held to it.  The gain
+reference is the original `Fraction` weight table and per-entry scalar log
+loop, kept so the integer-count and vectorized gain core can be held to it
+bit for bit.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from quditcv.combinatorics import _log_weight_table
 from quditcv.multimode import (
     apply_mode_unitary,
     embed_input,
@@ -90,3 +95,30 @@ def dense_pipeline_reference(state: FockVector, params: SchemeParams) -> Telepor
         return TeleportOutcome(FockVector(psi.amplitudes / psi.norm()), survived)
     output, p_vacuum = vacuum_postselect(psi, 0)
     return TeleportOutcome(output, survived * p_vacuum)
+
+
+def weight_table_reference(n_modes: int, cutoff: int) -> list[Fraction]:
+    """W(n_modes, k, cutoff) for k = 0..n_modes*cutoff: convolve (1/r!)_{r<=d} once per mode."""
+    inv_factorial = [Fraction(1, math.factorial(r)) for r in range(cutoff + 1)]
+    table = [Fraction(1)]
+    for _ in range(n_modes):
+        grown = [Fraction(0)] * (len(table) + cutoff)
+        for k, acc in enumerate(table):
+            for r, w in enumerate(inv_factorial):
+                grown[k + r] += acc * w
+        table = grown
+    return table
+
+
+def gain_vector_reference(n: int, d: int) -> np.ndarray:
+    """g(k) for k = 0..n*d: float(W k! / n^k) up to n*d = 60, else one scalar exp per entry."""
+    if n * d <= 60:
+        gains = [float(w * math.factorial(k) / Fraction(n) ** k)
+                 for k, w in enumerate(weight_table_reference(n, d))]
+    else:
+        log_n = math.log(n)
+        gains = [min(1.0, math.exp(lw + math.lgamma(k + 1) - k * log_n))
+                 for k, lw in enumerate(_log_weight_table(n, d).tolist())]
+    vector = np.array(gains)
+    vector[: d + 1] = 1.0
+    return vector

@@ -447,6 +447,29 @@ class TestErrorPath:
         assert excinfo.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["epr-sweep", "--vs", "10", "--d", "1", "--n", "1:100000000000"],
+        ["compare", "--eta", "0:1:100000000000", "--xi", "0:1:3"],
+    ])
+    def test_oversized_grid_is_usage_error(self, argv, capsys):
+        # refused before the range or linspace is built, not a MemoryError
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"at most {cli._GRID_LIMIT}" in captured.err
+
+    @pytest.mark.parametrize("argv, log_p", [
+        (["teleport", "--alpha", "30", "--n", "3", "--d", "2"], "-869.889"),
+        (["teleport", "--alpha", "100", "--n", "2", "--d", "1"], "-9983.66"),
+    ])
+    def test_underflowing_success_is_reported_in_logs(self, argv, log_p, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: vanishing state: P_suc underflows double precision, log P_suc = {log_p}\n"
+        )
+
 
 class TestCachedParser:
     GAINS = ["gains", "--d", "1,2,4", "--n", "4,2,1"]

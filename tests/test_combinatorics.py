@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import weight_table_reference
 
 from quditcv import combinatorics
 from quditcv.combinatorics import (
+    _count_table,
     _log_weight_table,
-    _weight_table,
     enumerate_compositions,
     restricted_weight,
     restricted_weight_log,
@@ -24,11 +25,32 @@ def stream_weight(n_modes: int, total: int, cutoff: int) -> Fraction:
     return acc
 
 
+def count_fractions(n_modes: int, cutoff: int) -> list[Fraction]:
+    # W(N, k, d) = C_N(k) / k! from the integer word counts
+    return [Fraction(c, math.factorial(k)) for k, c in enumerate(_count_table(n_modes, cutoff))]
+
+
 @pytest.mark.parametrize("n, k, d", [(1, 0, 1), (4, 3, 2), (7, 10, 3), (3, 7, 2)])
 def test_weight_is_the_table_fraction(n, k, d):
     value = restricted_weight(n, k, d)
     assert type(value) is Fraction
-    assert value == (_weight_table(n, d)[k] if k <= n * d else 0)
+    assert value == (count_fractions(n, d)[k] if k <= n * d else 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_counts_are_ints_and_unit_cutoff_counts_are_permutations(n):
+    for d in (1, 3):
+        assert all(type(c) is int for c in _count_table(n, d))
+    assert list(_count_table(n, 1)) == [math.perm(n, k) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n, d", [(7, 3), (12, 5), (20, 3), (60, 1), (6, 10)])
+def test_weights_equal_the_fraction_dp(n, d):
+    # the Fraction dynamic program the counts replaced: same values, same log bits
+    for k, expected in enumerate(weight_table_reference(n, d)):
+        assert restricted_weight(n, k, d) == expected
+        log_expected = math.log(expected.numerator) - math.log(expected.denominator)
+        assert restricted_weight_log(n, k, d).hex() == log_expected.hex()
 
 
 def test_no_photons_has_unit_weight():
@@ -187,7 +209,7 @@ def empty_table_caches(monkeypatch):
 @pytest.mark.parametrize("d", [1, 4])
 def test_grown_tables_equal_tables_built_from_scratch(empty_table_caches, order, d):
     for n in order:
-        assert list(_weight_table(n, d)) == scratch_exact_table(n, d)
+        assert count_fractions(n, d) == scratch_exact_table(n, d)
         grown = _log_weight_table(n, d)
         assert grown.tobytes() == scratch_log_table(n, d).tobytes()
     # every requested table is kept; none is rebuilt on a repeat request

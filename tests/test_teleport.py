@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gain_vector_reference
 
 from quditcv.combinatorics import restricted_weight
 from quditcv.teleport import (
@@ -122,6 +123,16 @@ class TestFockGain:
             assert fock_gain(k, params) == gains[k]
         for k in (n * d + 1, n * d + 7):
             assert fock_gain(k, params) == 0.0
+
+    @pytest.mark.parametrize(
+        "n,d",
+        [(n, d) for d in range(1, 11) for n in (*range(1, 8), 12, 30, 59, 60, 61, 100)]
+        + [(300, 5), (1000, 1)],
+    )
+    def test_gain_vector_bytes_equal_the_fraction_reference(self, n, d):
+        # both sides of N*d = 60: the Fraction DP, and one scalar exp per entry
+        gains = gain_vector(SchemeParams(n, d))
+        assert gains.tobytes() == gain_vector_reference(n, d).tobytes()
 
     def test_gain_vector_is_cached_and_read_only(self):
         gains = gain_vector(SchemeParams(30, 3))
@@ -250,6 +261,23 @@ class TestCoherent:
             coherent_fock(alpha, 5)
         with pytest.raises(ValueError, match="alpha must be finite"):
             teleport_coherent(alpha, SchemeParams(2, 1))
+
+    @pytest.mark.parametrize("alpha, n, d", [(30.0, 3, 2), (100.0, 2, 1), (-100j, 61, 1)])
+    def test_underflowing_success_reports_its_log(self, alpha, n, d):
+        # P_suc = sum_k e^-m m^k / k! g(k)^2 is far below the smallest double
+        mean = abs(alpha) ** 2
+        terms = []
+        for k in range(n * d + 1):
+            gain = restricted_weight(n, k, d) * math.factorial(k) / Fraction(n) ** k
+            log_gain = math.log(gain.numerator) - math.log(gain.denominator)
+            terms.append(-mean + k * math.log(mean) - math.lgamma(k + 1) + 2 * log_gain)
+        top = max(terms)
+        expected = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        assert expected < -800
+        with pytest.raises(ValueError, match="vanishing state: P_suc underflows") as excinfo:
+            teleport_coherent(alpha, SchemeParams(n, d))
+        reported = float(str(excinfo.value).rsplit("=", 1)[1])
+        assert reported == pytest.approx(expected, rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [100.0, -100.0, 100j, complex(60.0, -80.0)])
     def test_alpha_at_limit_is_normalized(self, alpha):
