@@ -106,9 +106,10 @@ def cmd_gains(args: argparse.Namespace) -> int:
     budgets = {d * n for d, n in zip(d_list, n_list)}
     if len(budgets) != 1:
         raise ValueError(f"all (d, N) pairs must share one d*N budget, got {sorted(budgets)}")
+    grid = [(d, n, teleport.SchemeParams(n, d)) for d, n in zip(d_list, n_list)]
     rows = []
-    for d, n in zip(d_list, n_list):
-        gains = teleport.gain_vector(teleport.SchemeParams(num_modes=n, photon_cutoff=d))
+    for d, n, params in grid:
+        gains = teleport.gain_vector(params)
         rows.extend((d, n, k, gain) for k, gain in enumerate(gains.tolist()))
     rows.sort(key=lambda row: row[:3])
     _write_csv(args.out, "d,N,k,gain", [_rows_text(rows)])
@@ -120,11 +121,12 @@ def cmd_epr_sweep(args: argparse.Namespace) -> int:
     if args.vs < 1.0:
         raise ValueError(f"--vs must be >= 1, got {args.vs}")
     squeeze = teleport.squeezing_from_vs(args.vs)
+    # every (d, N) passes the budget check before any is evaluated
+    grid = [(d, n, teleport.SchemeParams(n, d)) for d in args.d for n in args.n]
     rows = []
-    for d in args.d:
-        for n in args.n:
-            outcome = teleport.teleport_epr(squeeze, teleport.SchemeParams(n, d))
-            rows.append((d, n, squeeze.chi, outcome.fidelity, outcome.success_probability))
+    for d, n, params in grid:
+        outcome = teleport.teleport_epr(squeeze, params)
+        rows.append((d, n, squeeze.chi, outcome.fidelity, outcome.success_probability))
     rows.sort(key=lambda row: row[:2])
     _write_csv(args.out, "d,N,chi,f,P_suc", [_rows_text(rows)])
     return 0

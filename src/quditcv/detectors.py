@@ -165,8 +165,7 @@ def _closure(elements: list[PovmElement]) -> PovmElement:
 
 def apd_povm(det: DetectorModel, cutoff: int) -> tuple[PovmElement, PovmElement]:
     """Click/no-click pair {Pi_0, I - Pi_0} of an avalanche photodiode."""
-    dark = povm_element(0, det, cutoff)
-    return dark, _closure([dark])
+    return tuple(pnr_povm(det, 0, cutoff))
 
 
 def pnr_povm(det: DetectorModel, max_resolved: int, cutoff: int) -> list[PovmElement]:

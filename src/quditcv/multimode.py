@@ -6,11 +6,12 @@ mode mixing is lifted to Fock space by applying the transformed creation
 operators photon by photon, and nothing here knows about the combinatorial
 weights.  The pipeline is
 
-    embed |psi> in mode 0 -> balanced split -> per-mode photon cutoff
-    -> read amplitude k off the split column s_k = U|k,0,...,0>,
+    embed |psi> in mode 0 -> balanced split -> per-mode photon cutoff P
+    -> read amplitude k off the split column s_k = U|k,0,...,0>.
 
-since the inverse split followed by vacuum post-selection on every auxiliary
-mode keeps <k,0,...,0| U^dagger |psi> = <s_k | psi>.
+The inverse split and vacuum post-selection keep <k,0,...,0|U^dagger P|psi>
+= <s_k|P|psi> = c_k ||P s_k||^2: P is diagonal in occupation and s_k lies in
+the k-photon sector, so no other column overlaps it.
 
 The splitter is realized as the discrete-Fourier-transform unitary; its
 first column is uniform, which is the only property the pipeline relies on,
@@ -118,6 +119,7 @@ def _create(tensor: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     cap = tensor.shape[0] - 1
     weights = np.sqrt(np.arange(1.0, cap + 1)).reshape((cap,) + (1,) * (tensor.ndim - 1))
     out = np.zeros_like(tensor)
+    raised = np.empty_like(tensor[:cap])  # reused per axis: fresh temporaries page-fault
     for axis, coeff in enumerate(coefficients):
         if coeff == 0:
             continue
@@ -125,7 +127,7 @@ def _create(tensor: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
         if np.any(moved[cap] != 0):
             raise ValueError("cap exceeded: a creation operator pushed an occupation "
                              f"past the per-mode cap {cap}")
-        np.moveaxis(out, axis, 0)[1:] += coeff * (weights * moved[:cap])
+        np.moveaxis(out, axis, 0)[1:] += np.multiply(coeff * weights, moved[:cap], out=raised)
     return out
 
 
@@ -213,20 +215,20 @@ def vacuum_postselect(state: MultimodeState, kept_mode: int) -> tuple[FockVector
 def oracle_teleport(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     """Run the whole pipeline by brute force on the dense occupation grid.
 
-    With b^dagger = sum_j U[j, 0] a_j^dagger the splitter's image of the
-    input mode, the split columns are s_0 = |0...0> and
-    s_k = b^dagger s_{k-1} / sqrt(k), built one photon at a time.  The input
-    splits to sum_k c_k s_k, and each mode is cut at d photons.  Recombining
-    and post-selecting vacuum on modes 1..N-1 keeps the amplitude
-    <k,0,...,0| U^dagger |psi> = <U(k,0,...,0) | psi> = <s_k | psi>, so the
-    output is read off the split columns and P_suc = sum_k |<s_k|psi>|^2.
+    With b^dagger = sum_j U[j, 0] a_j^dagger the splitter's image of the input
+    mode, the split columns s_0 = |0...0>, s_k = b^dagger s_{k-1} / sqrt(k) are
+    built one photon at a time and held one at a time.  The input splits to
+    psi = sum_j c_j s_j, and P cuts every mode at d photons.  Recombining and
+    post-selecting vacuum keeps <k,0,...,0|U^dagger P psi> = <s_k|P psi>, and
+    <s_k|P|s_j> = 0 for j != k (P is diagonal in occupation, s_j lies in the
+    j-photon sector), so output amplitude k is c_k ||P s_k||^2.
 
     Must agree with :func:`quditcv.teleport.teleport_state` in output state
     and success probability; the test suite holds the two to 1e-10.
 
     Raises:
         ValueError: "budget exceeded" when the cap+1 split columns would
-            hold more than 10^7 amplitudes, (cap+1)^(N+1) in all, and
+            build more than 10^7 amplitudes, (cap+1)^(N+1) in all, and
             "vanishing state" when nothing survives the per-mode cutoffs.
     """
     n = params.num_modes
@@ -239,14 +241,13 @@ def oracle_teleport(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     if not state.is_normalized(1e-9):
         raise ValueError("oracle_teleport requires a normalized input")
     spread = n_splitter(n).entries[:, 0]
-    columns = np.zeros((cap + 1,) * (n + 1), dtype=complex)
-    columns[(0,) * (n + 1)] = 1.0
+    kept_box = (slice(params.photon_cutoff + 1),) * n
+    column = np.zeros((cap + 1,) * n, dtype=complex)
+    column[(0,) * n] = 1.0
+    kept = state.amplitudes.copy()  # ||P s_0||^2 = 1: the vacuum passes every cutoff
     for k in range(1, cap + 1):
-        columns[k] = _create(columns[k - 1], spread) / math.sqrt(k)
-    psi = MultimodeState(np.tensordot(state.amplitudes, columns, axes=1))
-    for mode in range(n):
-        psi, _ = truncate_mode(psi, mode, params.photon_cutoff)
-    kept = np.array([np.vdot(column, psi.amplitudes) for column in columns])
+        column = _create(column, spread / math.sqrt(k))
+        kept[k] *= np.sum(np.abs(column[kept_box]) ** 2)
     p_suc = float(np.sum(np.abs(kept) ** 2))
     if p_suc == 0.0:
         raise ValueError("vanishing state: nothing survives the per-mode photon cutoffs")

@@ -53,11 +53,13 @@ __all__ = [
 _COHERENT_TAIL = 1e-12
 # coherent_fock's vector keeps its norm within 1e-9 up to about |alpha| = 120
 _ALPHA_LIMIT = 100.0
+# most photons N*d a closed form keeps: a cold log weight table costs O((N*d)^2)
+_PHOTON_BUDGET = 10**4
 
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Scheme geometry: N modes, at most d photons kept per mode."""
+    """Scheme geometry: N modes, at most d photons kept per mode, N*d <= 10^4."""
 
     num_modes: int
     photon_cutoff: int
@@ -68,6 +70,9 @@ class SchemeParams:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if self.max_photons > _PHOTON_BUDGET:
+            raise ValueError(f"budget exceeded: N*d = {self.max_photons} passes the "
+                             f"{_PHOTON_BUDGET} photon-number budget of the closed forms")
 
     @property
     def max_photons(self) -> int:
@@ -194,6 +199,23 @@ def fock_gain(k: int, params: SchemeParams) -> float:
     return float(gain_vector(params)[k]) if k <= params.max_photons else 0.0
 
 
+def _filtered(amplitudes: np.ndarray, params: SchemeParams, log_p_suc=None) -> TeleportOutcome:
+    """Scale c_0..c_m (m <= N*d) by the gains and renormalize; name log P_suc if it underflows."""
+    scaled = amplitudes * gain_vector(params)[: len(amplitudes)]
+    p_suc = float(np.sum(np.abs(scaled) ** 2))
+    if p_suc > 0.0:
+        return TeleportOutcome(FockVector(scaled / math.sqrt(p_suc)), min(p_suc, 1.0))
+    magnitudes = np.abs(scaled)  # log P_suc = 2 log max|s| + log sum |s/max|^2, else log_p_suc()
+    top = float(np.max(magnitudes))
+    if top > 0.0:
+        log_p = 2 * math.log(top) + math.log(float(np.sum((magnitudes / top) ** 2)))
+    elif log_p_suc is not None:
+        log_p = log_p_suc()
+    else:
+        raise ValueError("vanishing state: no amplitude survives the photon-number filter")
+    raise ValueError(f"vanishing state: P_suc underflows double precision, log P_suc = {log_p:.6g}")
+
+
 def teleport_state(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     """Send an arbitrary (pre-truncated, normalized) Fock vector through.
 
@@ -201,15 +223,12 @@ def teleport_state(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     and renormalized; the success probability is sum_k |c_k|^2 g(k)^2.
 
     Raises:
-        ValueError: "vanishing state" when no amplitude survives the filter.
+        ValueError: "vanishing state" when no amplitude survives the filter,
+            giving log P_suc when P_suc underflows though amplitudes survive.
     """
     if not state.is_normalized(1e-9):
         raise ValueError("teleport_state requires a normalized input")
-    scaled = state.amplitudes[: params.max_photons + 1] * gain_vector(params)[: state.cutoff + 1]
-    p_suc = float(np.sum(np.abs(scaled) ** 2))
-    if p_suc <= 0.0:
-        raise ValueError("vanishing state: no amplitude survives the photon-number filter")
-    return TeleportOutcome(FockVector(scaled / math.sqrt(p_suc)), min(p_suc, 1.0))
+    return _filtered(state.amplitudes[: params.max_photons + 1], params)
 
 
 def _poisson_tail_bound(mean: float, cutoff: int) -> float:
@@ -232,6 +251,16 @@ def _mean_photons(alpha: complex) -> float:
     return magnitude**2
 
 
+def _coherent_amplitudes(alpha: complex, mean: float, size: int) -> np.ndarray:
+    if mean == 0.0:
+        return np.eye(1, size, dtype=complex)[0]  # vacuum
+    k = np.arange(size)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
+    magnitude = np.exp(-0.5 * mean + 0.5 * (k * math.log(mean) - log_factorial))
+    # complex even for real alpha: numpy divides complex by real through the reciprocal
+    return np.asarray(magnitude * (alpha / abs(alpha)) ** k, dtype=complex)
+
+
 def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     """Coherent-state amplitudes c_k = e^{-|a|^2/2} a^k / sqrt(k!) up to cutoff.
 
@@ -248,43 +277,25 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
             f"cutoff too small: the photon-number tail beyond {cutoff} is not "
             f"below {_COHERENT_TAIL:g} for |alpha|^2 = {mean:.6g}"
         )
-    if mean == 0.0:
-        amps = np.zeros(cutoff + 1, dtype=complex)
-        amps[0] = 1.0
-        return FockVector(amps)
-    k = np.arange(cutoff + 1)
-    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, cutoff + 1)))))
-    magnitude = np.exp(-0.5 * mean + 0.5 * (k * math.log(mean) - log_factorial))
-    phase = alpha / abs(alpha)
-    return FockVector(magnitude * phase**k)
-
-
-def _coherent_cutoff(mean: float, floor: int) -> int:
-    cutoff = max(floor, math.ceil(mean))
-    while _poisson_tail_bound(mean, cutoff) >= _COHERENT_TAIL:
-        cutoff += 1
-    return cutoff
+    return FockVector(_coherent_amplitudes(alpha, mean, cutoff + 1))
 
 
 def teleport_coherent(alpha: complex, params: SchemeParams) -> TeleportOutcome:
-    """Teleport a coherent state, choosing a cutoff that is safely past N*d.
+    """Teleport a coherent state; only its amplitudes c_0..c_{N*d} are built.
 
     Raises:
         ValueError: "vanishing state", giving log P_suc, when P_suc underflows.
     """
     mean = _mean_photons(alpha)
-    state = coherent_fock(alpha, _coherent_cutoff(mean, params.max_photons))
-    try:
-        return teleport_state(state, params)
-    except ValueError as exc:
-        if not str(exc).startswith("vanishing state"):
-            raise
-    # log of sum_k e^-mean mean^k / k! g(k)^2 over k <= N*d, g(k) = W k! / N^k
     n, d = params.num_modes, params.photon_cutoff
-    terms = [-mean + k * (math.log(mean) - 2 * math.log(n)) + math.lgamma(k + 1)
-             + 2 * restricted_weight_log(n, k, d) for k in range(n * d + 1)]
-    raise ValueError(f"vanishing state: P_suc underflows double precision, "
-                     f"log P_suc = {float(np.logaddexp.reduce(terms)):.6g}")
+
+    def log_p_suc() -> float:
+        # log of sum_k e^-mean mean^k / k! g(k)^2 over k <= N*d, g(k) = W k! / N^k
+        terms = [-mean + k * (math.log(mean) - 2 * math.log(n)) + math.lgamma(k + 1)
+                 + 2 * restricted_weight_log(n, k, d) for k in range(n * d + 1)]
+        return float(np.logaddexp.reduce(terms))
+
+    return _filtered(_coherent_amplitudes(alpha, mean, n * d + 1), params, log_p_suc)
 
 
 class EprOutcome(NamedTuple):

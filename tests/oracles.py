@@ -9,7 +9,9 @@ the occupation grid, inverse split and vacuum post-selection included, so the
 oracle's read-off from the split columns can be held to it.  The gain
 reference is the original `Fraction` weight table and per-entry scalar log
 loop, kept so the integer-count and vectorized gain core can be held to it
-bit for bit.
+bit for bit.  The coherent reference builds the whole coherent vector out to
+a tail-bound cutoff past N*d and sends it through `teleport_state`, so the
+shortcut that builds only c_0..c_{N*d} can be held to it bit for bit.
 """
 
 import math
@@ -25,7 +27,14 @@ from quditcv.multimode import (
     truncate_mode,
     vacuum_postselect,
 )
-from quditcv.teleport import FockVector, SchemeParams, TeleportOutcome
+from quditcv.teleport import (
+    FockVector,
+    SchemeParams,
+    TeleportOutcome,
+    _poisson_tail_bound,
+    coherent_fock,
+    teleport_state,
+)
 
 
 def haar_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -122,3 +131,13 @@ def gain_vector_reference(n: int, d: int) -> np.ndarray:
     vector = np.array(gains)
     vector[: d + 1] = 1.0
     return vector
+
+
+def coherent_teleport_reference(alpha: complex, params: SchemeParams) -> TeleportOutcome:
+    """teleport_state of coherent_fock(alpha, cutoff), the cutoff searched up from
+    max(N*d, ceil |alpha|^2) until the Poisson tail bound is below 1e-12."""
+    mean = abs(alpha) ** 2
+    cutoff = max(params.max_photons, math.ceil(mean))
+    while _poisson_tail_bound(mean, cutoff) >= 1e-12:
+        cutoff += 1
+    return teleport_state(coherent_fock(alpha, cutoff), params)

@@ -470,6 +470,27 @@ class TestErrorPath:
             f"error: vanishing state: P_suc underflows double precision, log P_suc = {log_p}\n"
         )
 
+    def test_underflowing_file_input_is_reported_in_logs(self, tmp_path, capsys):
+        path = tmp_path / "f.txt"
+        path.write_text("1e-200,0\n0,0\n1,0\n")
+        code, out, err = run_cli(["teleport", str(path), "--n", "1", "--d", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: vanishing state: P_suc underflows double precision, log P_suc = -921.034\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["epr-sweep", "--vs", "10", "--d", "1", "--n", "1:999999"],
+        ["epr-sweep", "--vs", "10", "--d", "100,101", "--n", "100"],
+        ["gains", "--d", "1", "--n", "10001"],
+        ["teleport", "--alpha", "1", "--n", "10001", "--d", "1"],
+    ])
+    def test_closed_form_past_photon_budget_is_config_error(self, argv, capsys):
+        # every (N, d) is checked before any is evaluated
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: budget exceeded: N*d = ") and err.count("\n") == 1
+
 
 class TestCachedParser:
     GAINS = ["gains", "--d", "1,2,4", "--n", "4,2,1"]

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 from fractions import Fraction
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gain_vector_reference
+from oracles import coherent_teleport_reference, gain_vector_reference
 
 from quditcv.combinatorics import restricted_weight
 from quditcv.teleport import (
@@ -164,6 +165,13 @@ class TestSchemeParams:
     def test_max_photons(self):
         assert SchemeParams(4, 3).max_photons == 12
 
+    def test_photon_budget_boundary(self):
+        for n, d in [(10**4, 1), (1000, 10), (100, 100), (1, 10**4)]:
+            assert SchemeParams(n, d).max_photons == 10**4
+        for n, d in [(10**4 + 1, 1), (101, 100), (1, 10**4 + 1), (10**9, 10**9)]:
+            with pytest.raises(ValueError, match="budget exceeded: N\\*d = "):
+                SchemeParams(n, d)
+
 
 class TestTeleportState:
     def test_single_photon_is_fixed_point(self):
@@ -197,12 +205,26 @@ class TestTeleportState:
         assert out.state.is_normalized(1e-12)
 
     def test_vanishing_state(self):
-        with pytest.raises(ValueError, match="vanishing state"):
+        with pytest.raises(ValueError, match="vanishing state: no amplitude survives"):
             teleport_state(fock_basis(3, 3), SchemeParams(2, 1))
 
     def test_requires_normalized_input(self):
         with pytest.raises(ValueError, match="normalized"):
             teleport_state(FockVector([0.5, 0.5]), SchemeParams(2, 1))
+
+    @pytest.mark.parametrize("amps, n, d, kept", [
+        ([1e-200, 0.0, 1.0], 1, 1, [Fraction(1e-200)]),
+        ([0.0, 0.0, 1e-200, 1.0], 2, 1, [Fraction(1e-200) / 2]),
+        ([1e-200, 3e-200j, 0.0, 1.0], 2, 1, [Fraction(1e-200), Fraction(3e-200)]),
+    ])
+    def test_underflowing_success_reports_its_log(self, amps, n, d, kept):
+        # amplitudes survive the filter, but sum |c_k g(k)|^2 is below the smallest double
+        p_suc = sum(x * x for x in kept)
+        expected = math.log(p_suc.numerator) - math.log(p_suc.denominator)
+        with pytest.raises(ValueError, match="vanishing state: P_suc underflows") as excinfo:
+            teleport_state(FockVector(amps), SchemeParams(n, d))
+        reported = float(str(excinfo.value).rsplit("=", 1)[1])
+        assert reported == pytest.approx(expected, rel=1e-6)
 
 
 class TestCoherent:
@@ -283,6 +305,32 @@ class TestCoherent:
     def test_alpha_at_limit_is_normalized(self, alpha):
         # 11,000 is ten standard deviations above the mean photon number 10^4
         assert coherent_fock(alpha, 11_000).is_normalized(1e-9)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (11, 1), (3, 3), (20, 4), (50, 3),
+                                      (61, 1), (30, 3)])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3, 1.0, -1.0, complex(0.8, 0.3),
+                                       2 * cmath.exp(0.7j), 10j])
+    def test_bytes_equal_the_full_vector_reference(self, alpha, n, d):
+        # c_0..c_{N*d} alone, against the whole coherent vector through teleport_state,
+        # on both sides of the N*d = 60 exact/log gain boundary
+        out = teleport_coherent(alpha, SchemeParams(n, d))
+        ref = coherent_teleport_reference(alpha, SchemeParams(n, d))
+        assert out.state.amplitudes.tobytes() == ref.state.amplitudes.tobytes()
+        assert np.float64(out.success_probability).tobytes() == \
+            np.float64(ref.success_probability).tobytes()
+
+    @given(
+        re=st.floats(min_value=-6.0, max_value=6.0),
+        im=st.floats(min_value=-6.0, max_value=6.0),
+        n=st.integers(min_value=1, max_value=40),
+        d=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=60)
+    def test_bytes_equal_the_full_vector_reference_anywhere(self, re, im, n, d):
+        out = teleport_coherent(complex(re, im), SchemeParams(n, d))
+        ref = coherent_teleport_reference(complex(re, im), SchemeParams(n, d))
+        assert out.state.amplitudes.tobytes() == ref.state.amplitudes.tobytes()
+        assert out.success_probability == ref.success_probability
 
 
 class TestSqueezing:
