@@ -38,7 +38,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
             if not 0 <= hi - lo < _GRID_LIMIT:
                 raise ValueError
             return tuple(range(lo, hi + 1))
-        return tuple(int(part) for part in text.split(","))
+        # a last part that still holds a comma fails to parse: at most _GRID_LIMIT entries
+        return tuple(int(part) for part in text.split(",", _GRID_LIMIT - 1))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a comma list like 1,2,3 or a range like 1:25 "
@@ -47,18 +48,18 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_float_grid(text: str) -> tuple[float, ...]:
-    """Comma list ("0.1,0.5") or linspace ("lo:hi:count", count <= _GRID_LIMIT)."""
+    """Comma list ("0.1,0.5") or linspace ("lo:hi:count", count <= _GRID_LIMIT, hi - lo finite)."""
     try:
         if ":" in text:
             lo_text, hi_text, count_text = text.split(":")
             lo, hi, count = float(lo_text), float(hi_text), int(count_text)
-            if not 1 <= count <= _GRID_LIMIT:
-                raise ValueError
+            if not (1 <= count <= _GRID_LIMIT and math.isfinite(hi - lo)):
+                raise ValueError  # an infinite span would make linspace warn and emit nan
             return tuple(float(x) for x in np.linspace(lo, hi, count))
-        return tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(",", _GRID_LIMIT - 1))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a comma list like 0.1,0.2 or a grid like 0:1:21 "
+            f"expected a comma list like 0.1,0.2 or a finite grid like 0:1:21 "
             f"of at most {_GRID_LIMIT} points, got {text!r}"
         ) from None
 
@@ -220,6 +221,10 @@ def cmd_teleport(args: argparse.Namespace) -> int:
 
 def cmd_povm(args: argparse.Namespace) -> int:
     """Detector POVM weights per Fock level."""
+    rows = (args.max_resolved + 2) * (args.cutoff + 1)  # elements 0..K and the closure
+    if rows > _GRID_LIMIT:
+        raise ValueError(f"budget exceeded: --max-resolved {args.max_resolved} and --cutoff "
+                         f"{args.cutoff} give {rows} rows, past the {_GRID_LIMIT} row limit")
     det = detectors.DetectorModel(eta=args.eta, nu=args.nu)
     family = detectors.pnr_povm(det, max_resolved=args.max_resolved, cutoff=args.cutoff)
     # pnr_povm lists 0..K then the closure, already in (element, m) order
@@ -270,7 +275,7 @@ def _suite_gain_bounds() -> float:
 def _suite_oracle_equivalence(seed: int) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n in range(1, 6):
+    for n in range(1, 9):
         for d in (1, 2):
             params = teleport.SchemeParams(n, d)
             for _ in range(8):

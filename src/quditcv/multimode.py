@@ -1,10 +1,9 @@
-"""Dense truncated-Fock simulation of the split/truncate/recombine pipeline.
+"""Truncated-Fock simulation of the split/truncate/recombine pipeline.
 
 This is the slow, obviously-correct cross-check for the closed forms in
-:mod:`quditcv.teleport`: states live on the full (cap+1)^N occupation grid,
-mode mixing is lifted to Fock space by applying the transformed creation
-operators photon by photon, and nothing here knows about the combinatorial
-weights.  The pipeline is
+:mod:`quditcv.teleport`: mode mixing is lifted to Fock space by applying the
+transformed creation operators photon by photon, and nothing here knows
+about the combinatorial weights.  The pipeline is
 
     embed |psi> in mode 0 -> balanced split -> per-mode photon cutoff P
     -> read amplitude k off the split column s_k = U|k,0,...,0>.
@@ -12,6 +11,13 @@ weights.  The pipeline is
 The inverse split and vacuum post-selection keep <k,0,...,0|U^dagger P|psi>
 = <s_k|P|psi> = c_k ||P s_k||^2: P is diagonal in occupation and s_k lies in
 the k-photon sector, so no other column overlaps it.
+
+:func:`oracle_teleport` holds each s_k on the C(k+N-1, k) occupations of its
+sector, which the creation operators themselves build from vacuum (cached
+per N).  The dense (cap+1)^N grid API, :class:`MultimodeState` with
+:func:`apply_mode_unitary`, :func:`truncate_mode` and
+:func:`vacuum_postselect`, runs every step of the pipeline literally; the
+tests hold the oracle's read-off against it.
 
 The splitter is realized as the discrete-Fourier-transform unitary; its
 first column is uniform, which is the only property the pipeline relies on,
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +46,9 @@ __all__ = [
     "vacuum_postselect",
 ]
 
-_AMPLITUDE_BUDGET = 10**7
+# index-map entries one oracle call may build; cold calls near the edge took 0.45 s at
+# (N, cap, d) = (10, 9, 1) and 0.64 s at (2, 998, 499) on a 2-core Xeon host
+_INDEX_BUDGET = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +221,46 @@ def vacuum_postselect(state: MultimodeState, kept_mode: int) -> tuple[FockVector
     return FockVector(kept / math.sqrt(kept_mass)), kept_mass / total
 
 
+class _Sector(NamedTuple):
+    """One photon-number sector, its occupations ranked in order of first creation.
+
+    ``raised[j, r]`` is the rank here of occupation r of the sector below with
+    one more photon in mode j, and ``weights[j, r]`` is sqrt(n_j + 1) for it, so
+    a_j^dagger maps amplitude r below to ``weights[j, r]`` times it at ``raised[j, r]``.
+    """
+
+    raised: np.ndarray
+    weights: np.ndarray
+    peaks: np.ndarray  # largest single-mode occupation of each entry
+
+
+# N -> (sectors 1, 2, ... built so far, occupations of the last): sector k depends on (N, k) only
+_SECTORS: dict[int, tuple[list[_Sector], list[tuple[int, ...]]]] = {}
+
+
+def _next_sector(below: list[tuple[int, ...]]) -> tuple[_Sector, list[tuple[int, ...]]]:
+    """The sector one photon above ``below``, and its occupations in rank order."""
+    rank: dict[tuple[int, ...], int] = {}
+    raised = [[rank.setdefault(occ[:j] + (occ[j] + 1,) + occ[j + 1:], len(rank)) for occ in below]
+              for j in range(len(below[0]))]
+    occupations = list(rank)
+    sector = _Sector(np.array(raised), np.sqrt(np.array(below, dtype=float).T + 1.0),
+                     np.array(occupations).max(axis=1))
+    return sector, occupations
+
+
+def _sectors(num_modes: int, top: int) -> list[_Sector]:
+    """Sectors 1..top (or more) of num_modes modes, built by the creation operators from vacuum."""
+    sectors, frontier = _SECTORS.get(num_modes, ([], [(0,) * num_modes]))
+    while len(sectors) < top:
+        sector, frontier = _next_sector(frontier)
+        sectors.append(sector)
+    _SECTORS[num_modes] = sectors, frontier
+    return sectors
+
+
 def oracle_teleport(state: FockVector, params: SchemeParams) -> TeleportOutcome:
-    """Run the whole pipeline by brute force on the dense occupation grid.
+    """Run the whole pipeline by brute force, one photon-number sector at a time.
 
     With b^dagger = sum_j U[j, 0] a_j^dagger the splitter's image of the input
     mode, the split columns s_0 = |0...0>, s_k = b^dagger s_{k-1} / sqrt(k) are
@@ -223,31 +270,42 @@ def oracle_teleport(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     <s_k|P|s_j> = 0 for j != k (P is diagonal in occupation, s_j lies in the
     j-photon sector), so output amplitude k is c_k ||P s_k||^2.
 
+    Since s_k lies in the k-photon sector, it is held on that sector's
+    C(k+N-1, k) occupations, not on the (cap+1)^N grid, and each a_j^dagger
+    is one indexed add.  Past N*d photons every occupation has some mode above
+    d, so P s_k = 0 there and no sector above min(cap, N*d) is built.  The
+    dense grid API above is what the tests hold this read-off against.
+
     Must agree with :func:`quditcv.teleport.teleport_state` in output state
     and success probability; the test suite holds the two to 1e-10.
 
     Raises:
-        ValueError: "budget exceeded" when the cap+1 split columns would
-            build more than 10^7 amplitudes, (cap+1)^(N+1) in all, and
+        ValueError: "budget exceeded" when the sectors up to top = min(cap, N*d)
+            would need more than 10^6 index-map entries, counted as
+            N * C(top+N, N): N per occupation of at most top photons.
             "vanishing state" when nothing survives the per-mode cutoffs.
     """
-    n = params.num_modes
-    cap = state.cutoff
-    if (cap + 1) ** (n + 1) > _AMPLITUDE_BUDGET:
+    n, d = params.num_modes, params.photon_cutoff
+    top = min(state.cutoff, params.max_photons)
+    entries = n * math.comb(top + n, n)
+    if entries > _INDEX_BUDGET:
         raise ValueError(
-            f"budget exceeded: {cap + 1} split columns of {cap + 1}^{n} amplitudes pass "
-            f"the {_AMPLITUDE_BUDGET:.0e} dense-grid budget"
+            f"budget exceeded: {n} modes up to {top} photons need {entries} index-map "
+            f"entries, past the {_INDEX_BUDGET:.0e} sector budget"
         )
     if not state.is_normalized(1e-9):
         raise ValueError("oracle_teleport requires a normalized input")
     spread = n_splitter(n).entries[:, 0]
-    kept_box = (slice(params.photon_cutoff + 1),) * n
-    column = np.zeros((cap + 1,) * n, dtype=complex)
-    column[(0,) * n] = 1.0
+    column = np.ones(1, dtype=complex)
     kept = state.amplitudes.copy()  # ||P s_0||^2 = 1: the vacuum passes every cutoff
-    for k in range(1, cap + 1):
-        column = _create(column, spread / math.sqrt(k))
-        kept[k] *= np.sum(np.abs(column[kept_box]) ** 2)
+    for k, sector in enumerate(_sectors(n, top)[:top], start=1):
+        scaled = (spread / math.sqrt(k))[:, None] * sector.weights
+        lifted = np.zeros(len(sector.peaks), dtype=complex)
+        for j in range(n):
+            lifted[sector.raised[j]] += scaled[j] * column
+        column = lifted
+        kept[k] *= np.sum(np.abs(column[sector.peaks <= d]) ** 2)
+    kept[top + 1:] *= 0.0  # nothing past N*d photons survives P: an empty sum, signs kept
     p_suc = float(np.sum(np.abs(kept) ** 2))
     if p_suc == 0.0:
         raise ValueError("vanishing state: nothing survives the per-mode photon cutoffs")

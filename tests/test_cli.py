@@ -1,5 +1,6 @@
 """CLI behaviour: CSV shape, determinism, exit codes, verification gate."""
 
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -8,9 +9,12 @@ import math
 import pathlib
 import platform
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quditcv
 from quditcv import cli, detectors, teleport
@@ -450,6 +454,7 @@ class TestErrorPath:
     @pytest.mark.parametrize("argv", [
         ["epr-sweep", "--vs", "10", "--d", "1", "--n", "1:100000000000"],
         ["compare", "--eta", "0:1:100000000000", "--xi", "0:1:3"],
+        ["compare", "--eta", ",".join(["0"] * (10**6 + 1))],
     ])
     def test_oversized_grid_is_usage_error(self, argv, capsys):
         # refused before the range or linspace is built, not a MemoryError
@@ -458,6 +463,27 @@ class TestErrorPath:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"at most {cli._GRID_LIMIT}" in captured.err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:0:3", "nan:1:2", "-1e308:1e308:3"])
+    def test_non_finite_grid_span_is_usage_error(self, grid, capsys):
+        # refused in the parser, before linspace can warn and emit nan
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["compare", f"--eta={grid}"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite grid" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["povm", "--cutoff", "1000000"],
+        ["povm", "--cutoff", "999999999"],
+        ["povm", "--max-resolved", "1000", "--cutoff", "998"],
+    ])
+    def test_povm_past_row_limit_is_config_error(self, argv, capsys):
+        # (max_resolved + 2) * (cutoff + 1) rows, refused before any table is built
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: budget exceeded: --max-resolved") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, log_p", [
         (["teleport", "--alpha", "30", "--n", "3", "--d", "2"], "-869.889"),
@@ -490,6 +516,35 @@ class TestErrorPath:
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: budget exceeded: N*d = ") and err.count("\n") == 1
+
+
+_NUMBERS = st.one_of(
+    st.integers(-3 * 10**6, 3 * 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "inf", "-inf", "nan", "1e308", "-1e308", "1_0", "0x1", "1e999"]),
+)
+_GRID_TEXTS = st.one_of(
+    st.text(alphabet="0123456789:,.-+e inf", max_size=16),
+    st.lists(_NUMBERS, min_size=1, max_size=4).map(",".join),
+    st.lists(_NUMBERS, min_size=1, max_size=4).map(":".join),
+    st.tuples(_NUMBERS, _NUMBERS, st.integers(-2, 10**6 + 2).map(str)).map(":".join),
+)
+
+
+class TestGridGrammar:
+    """Every text either parses to at most _GRID_LIMIT entries or is a usage error."""
+
+    @pytest.mark.parametrize("parse", [cli._parse_int_list, cli._parse_float_grid])
+    @given(text=_GRID_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_parsers_return_a_bounded_tuple_or_refuse(self, parse, text):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = parse(text)
+        except argparse.ArgumentTypeError:
+            return
+        assert isinstance(values, tuple) and 1 <= len(values) <= cli._GRID_LIMIT
 
 
 class TestCachedParser:

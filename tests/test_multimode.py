@@ -202,13 +202,24 @@ class TestOracleTeleport:
             oracle_teleport(fock_basis(3, 3), SchemeParams(2, 1))
 
     def test_budget_guard(self):
-        with pytest.raises(ValueError, match="budget exceeded"):
-            oracle_teleport(fock_basis(0, 9), SchemeParams(8, 1))
-        # a 10^7 grid fits, but its ten split columns hold 10^8 amplitudes
-        with pytest.raises(ValueError, match="budget exceeded"):
-            oracle_teleport(fock_basis(0, 9), SchemeParams(7, 1))
+        # N * C(top+N, N) index-map entries, top = min(cap, N*d): 1.8e6 and 2.0e8
+        for n in (11, 20):
+            with pytest.raises(ValueError, match="budget exceeded"):
+                oracle_teleport(fock_basis(0, 9), SchemeParams(n, 1))
+        # the sizes the dense grid refused are well inside the sector budget
+        rng = np.random.default_rng(79)
+        for n in (7, 8):
+            z = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+            state, params = FockVector(z / np.linalg.norm(z)), SchemeParams(n, 1)
+            brute, closed = oracle_teleport(state, params), teleport_state(state, params)
+            assert brute.success_probability == pytest.approx(
+                closed.success_probability, abs=1e-10
+            )
+            assert state_fidelity(brute.state, closed.state) >= 1.0 - 1e-10
 
-    @pytest.mark.parametrize("n,cap,d", [(1, 4, 2), (2, 6, 1), (3, 5, 2), (4, 4, 2)])
+    @pytest.mark.parametrize(
+        "n,cap,d", [(1, 4, 2), (2, 6, 1), (3, 5, 2), (4, 4, 2), (4, 8, 3), (5, 6, 2)]
+    )
     def test_matches_dense_pipeline(self, n, cap, d):
         # reading <s_k|psi> off the split columns is the inverse split plus
         # vacuum post-selection, step for step
@@ -230,7 +241,7 @@ class TestOracleTeleport:
                 run(fock_basis(3, 3), SchemeParams(2, 1))
 
     @pytest.mark.parametrize(
-        "n,d", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (5, 2), (6, 1)]
+        "n,d", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (5, 2), (6, 1), (7, 1), (8, 2)]
     )
     def test_matches_closed_form(self, n, d):
         rng = np.random.default_rng(100 * n + d)
