@@ -55,6 +55,8 @@ _COHERENT_TAIL = 1e-12
 _ALPHA_LIMIT = 100.0
 # most photons N*d a closed form keeps: a cold log weight table costs O((N*d)^2)
 _PHOTON_BUDGET = 10**4
+# P_suc may pass 1 by the 1e-9 teleport_state's norm check admits plus 64 ulps of rounding
+_P_SUC_SLACK = 1e-9 + 64 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,9 @@ class SchemeParams:
     def __post_init__(self) -> None:
         for name in ("num_modes", "photon_cutoff"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            if (type(value) is not int  # ints skip the ABC checks, which cost microseconds
+                    and (isinstance(value, bool) or not isinstance(value, numbers.Integral))
+                    or value < 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.max_photons > _PHOTON_BUDGET:
@@ -96,7 +100,8 @@ class FockVector:
         return len(self.amplitudes) - 1
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        x = self.amplitudes  # np.linalg.norm's own sum for a complex vector, without its wrapper
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(self.norm() ** 2 - 1.0) <= tol
@@ -156,15 +161,19 @@ def squeezing_from_r(r: float) -> SqueezingParams:
     return squeezing_from_chi(math.tanh(r))
 
 
-_LOG_FACTORIALS = np.zeros(0)  # lgamma(k + 1) for k < len, read-only, regrown by doubling
+# rows k, lgamma(k + 1) and log k! summed in order, for k < len; read-only and regrown
+# by doubling: np.cumsum adds in order, so a prefix holds the bytes of a fresh short row
+_GRID = np.zeros((3, 0))
 
 
-def _log_factorials(count: int) -> np.ndarray:
-    global _LOG_FACTORIALS
-    if len(_LOG_FACTORIALS) < count:
-        _LOG_FACTORIALS = np.array([math.lgamma(k + 1) for k in range(2 * count)])
-        _LOG_FACTORIALS.setflags(write=False)
-    return _LOG_FACTORIALS[:count]
+def _grid(count: int) -> np.ndarray:
+    global _GRID
+    if _GRID.shape[1] < count:
+        k = np.arange(2 * count)
+        _GRID = np.array([k, [math.lgamma(j + 1) for j in range(2 * count)],
+                          np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))])
+        _GRID.setflags(write=False)
+    return _GRID[:, :count]
 
 
 @cache
@@ -181,7 +190,7 @@ def gain_vector(params: SchemeParams) -> np.ndarray:
         vector = np.array([count / n**k for k, count in enumerate(_count_table(n, d))])
     else:
         log_w = _log_weight_table(n, d)
-        exponents = log_w + _log_factorials(len(log_w)) - np.arange(len(log_w)) * math.log(n)
+        exponents = log_w + _grid(len(log_w))[1] - np.arange(len(log_w)) * math.log(n)
         vector = np.minimum(1.0, list(map(math.exp, exponents.tolist())))
     vector[: d + 1] = 1.0
     vector.setflags(write=False)
@@ -202,7 +211,9 @@ def fock_gain(k: int, params: SchemeParams) -> float:
 def _filtered(amplitudes: np.ndarray, params: SchemeParams, log_p_suc=None) -> TeleportOutcome:
     """Scale c_0..c_m (m <= N*d) by the gains and renormalize; name log P_suc if it underflows."""
     scaled = amplitudes * gain_vector(params)[: len(amplitudes)]
-    p_suc = float(np.sum(np.abs(scaled) ** 2))
+    p_suc = float((np.abs(scaled) ** 2).sum())
+    if p_suc > 1.0 + _P_SUC_SLACK:
+        raise ValueError(f"P_suc = {p_suc!r} passes 1 by more than rounding: input not normalized")
     if p_suc > 0.0:
         return TeleportOutcome(FockVector(scaled / math.sqrt(p_suc)), min(p_suc, 1.0))
     magnitudes = np.abs(scaled)  # log P_suc = 2 log max|s| + log sum |s/max|^2, else log_p_suc()
@@ -254,8 +265,7 @@ def _mean_photons(alpha: complex) -> float:
 def _coherent_amplitudes(alpha: complex, mean: float, size: int) -> np.ndarray:
     if mean == 0.0:
         return np.eye(1, size, dtype=complex)[0]  # vacuum
-    k = np.arange(size)
-    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
+    k, _, log_factorial = _grid(size)
     magnitude = np.exp(-0.5 * mean + 0.5 * (k * math.log(mean) - log_factorial))
     # complex even for real alpha: numpy divides complex by real through the reciprocal
     return np.asarray(magnitude * (alpha / abs(alpha)) ** k, dtype=complex)

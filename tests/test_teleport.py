@@ -1,6 +1,8 @@
 import cmath
+import enum
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import coherent_teleport_reference, gain_vector_reference
 
+from quditcv import teleport
 from quditcv.combinatorics import restricted_weight
 from quditcv.teleport import (
     FockVector,
@@ -50,6 +53,25 @@ EPR_SCHMIDT_SHA256 = {
     (100, 10): "825c4abe20158f4a14af52bc4b39969f2c4cdf845779b3f26d208df2bc07e226",
 }
 
+# request_digest of teleport_state and teleport_coherent at the six state_stream
+# configurations, on both sides of N*d = 60.  A change to the request path that
+# moves any last digit of an amplitude or of P_suc changes these.
+REQUEST_SHA256 = {
+    # (num_modes N, photon_cutoff d): (teleport_state digest, teleport_coherent digest)
+    (2, 1): ("a9828203635f738d8f21608cdb09f2f9a08d520790fa4254d72e583fb27441af",
+             "85f1b5c85e87f02de338ef4e0233e5e614ecb5e066bdc9133bba8c01f4130095"),
+    (3, 2): ("b8335f37ddb07353a29914842a8d71791b5e4d891fe5a0bbcebb78039a76a4a8",
+             "1afd04bd794b111307f0c6a3050a27cb6bffc107bc8058d9d287a0df44bc6bc7"),
+    (11, 1): ("d63a9b5284091141758d77ce8fcf6a195927576271c8e1eda5eac6222364ef10",
+              "706d19d0a81be2da412800df3379f8d3281c192b7ed18adba6e698b2b8c405aa"),
+    (3, 3): ("8c27edb1db8c4954fb2d0bf433cc07586d190bf6f104b53931b710f896c3e45c",
+             "0ea15688e770f2b4f6c60bcf6005752a0e3542657bd98d5392060310274e6e1e"),
+    (20, 4): ("2cabcf218aa13facbc4121c87e0311d906137bf32ba5f26b44f26d4f03f694ac",
+              "d27b95c84addab93c6bdb0e5a992551e9a3915de91a8cfc9bd3ef0930eb2c3ec"),
+    (50, 3): ("54ee13be83b13e4cadafd058120c986e8a20ef316a7cd53f4ecbdfcffb471d7d",
+              "0cbd0ebf761d44ecbab8e82be820ea44e874724f624798b139b3eb3450b91c63"),
+}
+
 
 def fock_basis(k: int, cutoff: int) -> FockVector:
     amps = np.zeros(cutoff + 1, dtype=complex)
@@ -60,6 +82,22 @@ def fock_basis(k: int, cutoff: int) -> FockVector:
 def random_state(rng, cutoff: int) -> FockVector:
     z = rng.standard_normal(cutoff + 1) + 1j * rng.standard_normal(cutoff + 1)
     return FockVector(z / np.linalg.norm(z))
+
+
+def request_digest(kind: str, n: int, d: int) -> str:
+    """sha256 of the little-endian amplitudes and P_suc of twenty seeded requests."""
+    rng = np.random.default_rng([n, d])
+    params = SchemeParams(n, d)
+    digest = hashlib.sha256()
+    for _ in range(20):
+        if kind == "state":
+            out = teleport_state(random_state(rng, 40), params)
+        else:
+            out = teleport_coherent(rng.uniform(0.0, 4.0) * cmath.exp(2j * math.pi * rng.random()),
+                                    params)
+        digest.update(out.state.amplitudes.astype("<c16").tobytes())
+        digest.update(np.float64(out.success_probability).astype("<f8").tobytes())
+    return digest.hexdigest()
 
 
 class TestFockGain:
@@ -150,7 +188,9 @@ class TestSchemeParams:
         with pytest.raises(ValueError):
             SchemeParams(1, 0)
 
-    @pytest.mark.parametrize("bad", [True, False, 2.5, 2.0, "2", None, Fraction(2)])
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 2.0, "2", None, Fraction(2),
+                                     pytest.param(np.True_, id="np.True_"),
+                                     pytest.param(np.float64(2.0), id="np.float64")])
     def test_non_integers_rejected(self, bad):
         with pytest.raises(ValueError, match="num_modes must be an integer"):
             SchemeParams(bad, 1)
@@ -164,6 +204,22 @@ class TestSchemeParams:
 
     def test_max_photons(self):
         assert SchemeParams(4, 3).max_photons == 12
+
+    def test_int_subclasses_become_ints(self):
+        class Modes(enum.IntEnum):
+            THREE = 3
+
+        params = SchemeParams(Modes.THREE, Modes.THREE)
+        assert type(params.num_modes) is int and type(params.photon_cutoff) is int
+        assert params == SchemeParams(3, 3)
+
+    def test_numpy_integers_share_the_gain_cache(self):
+        assert gain_vector(SchemeParams(np.int64(3), 2)) is gain_vector(SchemeParams(3, 2))
+
+    @pytest.mark.parametrize("bad", [0, -1, np.int64(0)])
+    def test_small_integers_rejected_with_their_repr(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"num_modes must be an integer >= 1, got {bad!r}")):
+            SchemeParams(bad, 1)
 
     def test_photon_budget_boundary(self):
         for n, d in [(10**4, 1), (1000, 10), (100, 100), (1, 10**4)]:
@@ -207,6 +263,15 @@ class TestTeleportState:
     def test_vanishing_state(self):
         with pytest.raises(ValueError, match="vanishing state: no amplitude survives"):
             teleport_state(fock_basis(3, 3), SchemeParams(2, 1))
+
+    def test_success_just_past_one_is_clamped(self):
+        # |c_0|^2 = 1 + 9e-10: the norm check admits it, and P_suc is clamped to 1
+        out = teleport_state(FockVector([math.sqrt(1.0 + 9e-10)]), SchemeParams(2, 1))
+        assert out.success_probability == 1.0
+
+    def test_success_past_the_rounding_slack_is_refused(self):
+        with pytest.raises(ValueError, match="passes 1 by more than rounding: input not normalized"):
+            teleport._filtered(np.array([1.0, 1e-4j]), SchemeParams(2, 1))
 
     def test_requires_normalized_input(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -331,6 +396,34 @@ class TestCoherent:
         ref = coherent_teleport_reference(complex(re, im), SchemeParams(n, d))
         assert out.state.amplitudes.tobytes() == ref.state.amplitudes.tobytes()
         assert out.success_probability == ref.success_probability
+
+
+class TestRequestBytes:
+    @pytest.mark.parametrize("n,d", sorted(REQUEST_SHA256))
+    @pytest.mark.parametrize("kind", ["state", "coherent"])
+    def test_request_bytes_are_pinned(self, kind, n, d):
+        expected = REQUEST_SHA256[n, d][kind == "coherent"]
+        assert request_digest(kind, n, d) == expected
+
+    def test_coherent_bytes_do_not_depend_on_the_grid_cache(self, monkeypatch):
+        monkeypatch.setattr(teleport, "_GRID", np.zeros((3, 0)))
+        requests = [(complex(0.8, 0.3), SchemeParams(20, 4)), (-1.5, SchemeParams(50, 3)),
+                    (2j, SchemeParams(61, 1)), (1.0, SchemeParams(2, 1))]
+
+        def outputs():
+            return [teleport_coherent(alpha, params) for alpha, params in requests]
+
+        cold = outputs()
+        big = coherent_fock(100.0, 11_000)  # grows the cached grid far past every window
+        grown, warm = outputs(), outputs()
+        for a, b, c in zip(cold, grown, warm):
+            assert a.state.amplitudes.tobytes() == b.state.amplitudes.tobytes() \
+                == c.state.amplitudes.tobytes()
+            assert a.success_probability == b.success_probability == c.success_probability
+        grid = teleport._GRID
+        assert grid.shape[1] >= 11_001 and not grid.flags.writeable
+        for out in [big, *(o.state for o in cold + grown + warm)]:
+            assert not np.shares_memory(out.amplitudes, grid)
 
 
 class TestSqueezing:
