@@ -65,17 +65,11 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
 
 
 def _parse_alpha(text: str) -> complex:
-    try:
-        parts = text.split(",")
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-        raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected re or re,im for a coherent amplitude, got {text!r}"
-        ) from None
+    with contextlib.suppress(ValueError):
+        parts = [float(part) for part in text.split(",")]
+        if len(parts) <= 2:
+            return complex(*parts)
+    raise argparse.ArgumentTypeError(f"expected re or re,im for a coherent amplitude, got {text!r}")
 
 
 def _fmt(value) -> str:
@@ -122,13 +116,13 @@ def cmd_epr_sweep(args: argparse.Namespace) -> int:
     if args.vs < 1.0:
         raise ValueError(f"--vs must be >= 1, got {args.vs}")
     squeeze = teleport.squeezing_from_vs(args.vs)
-    # every (d, N) passes the budget check before any is evaluated
-    grid = [(d, n, teleport.SchemeParams(n, d)) for d in args.d for n in args.n]
+    # all pass the budget check before any runs; in (d, N) order each d's table grows with N
+    cells = sorted((d, n) for d in args.d for n in args.n)
+    grid = [(d, n, teleport.SchemeParams(n, d)) for d, n in cells]
     rows = []
     for d, n, params in grid:
         outcome = teleport.teleport_epr(squeeze, params)
         rows.append((d, n, squeeze.chi, outcome.fidelity, outcome.success_probability))
-    rows.sort(key=lambda row: row[:2])
     _write_csv(args.out, "d,N,chi,f,P_suc", [_rows_text(rows)])
     return 0
 
@@ -204,13 +198,10 @@ def _read_amplitudes(path: str) -> teleport.FockVector:
 def cmd_teleport(args: argparse.Namespace) -> int:
     """Teleport one state (from file, normalized, or a coherent amplitude)."""
     params = teleport.SchemeParams(num_modes=args.n, photon_cutoff=args.d)
-    infile, alpha = args.infile, args.alpha
-    if (infile is None) == (alpha is None):
+    if (args.infile is None) == (args.alpha is None):
         raise ValueError("provide exactly one input: an amplitude file or --alpha")
-    if infile is not None:
-        outcome = teleport.teleport_state(_read_amplitudes(infile), params)
-    else:
-        outcome = teleport.teleport_coherent(alpha, params)
+    outcome = (teleport.teleport_coherent(args.alpha, params) if args.infile is None
+               else teleport.teleport_state(_read_amplitudes(args.infile), params))
     rows = [
         (k, amp.real, amp.imag, outcome.success_probability)
         for k, amp in enumerate(outcome.state.amplitudes)

@@ -15,8 +15,8 @@ length k over N letters that use each letter at most d times.
 `fractions.Fraction` appears only where :func:`restricted_weight` returns
 C_N(k) / k!, and floating point only in the explicit log-domain view.
 
-Tables are cached per (N, d), as counts and as log weights, and grown over
-N from the largest cached smaller N, so a sweep over N never redoes a mode.
+Each d keeps only its last table of counts and of log weights: a larger N grows it
+mode by mode, a smaller N starts from N = 0, so an ascending sweep never redoes a mode.
 
 Two exact identities pin the implementation down:
 
@@ -57,20 +57,20 @@ def _require_valid(n_modes: int, total_photons: int, per_mode_cutoff: int) -> No
         raise ValueError(f"photon number cannot be negative, got {total_photons}")
 
 
-# d -> {N: table}, seeded with N = 0 and filled by _grown
-_EXACT_TABLES: dict[int, dict[int, tuple[int, ...]]] = {}
-_LOG_TABLES: dict[int, dict[int, np.ndarray]] = {}
+# d -> (N, table) for the table _grown built last
+_EXACT_TABLES: dict[int, tuple[int, tuple[int, ...]]] = {}
+_LOG_TABLES: dict[int, tuple[int, np.ndarray]] = {}
 
 
 def _grown(tables: dict, n_modes: int, per_mode_cutoff: int, empty, add_mode):
-    by_modes = tables.setdefault(per_mode_cutoff, {0: empty})
-    if n_modes not in by_modes:
-        start = max(n for n in by_modes if n < n_modes)
-        table = by_modes[start]
-        for _ in range(start, n_modes):
-            table = add_mode(table, per_mode_cutoff)
-        by_modes[n_modes] = table
-    return by_modes[n_modes]
+    # grow from the last table when the request is at or above its N, else from N = 0
+    start, table = tables.get(per_mode_cutoff, (0, empty))
+    if start > n_modes:
+        start, table = 0, empty
+    for _ in range(start, n_modes):
+        table = add_mode(table, per_mode_cutoff)
+    tables[per_mode_cutoff] = (n_modes, table)
+    return table
 
 
 def _add_mode_count(table: tuple[int, ...], per_mode_cutoff: int) -> tuple[int, ...]:
@@ -92,13 +92,13 @@ def _add_mode_log(table: np.ndarray, per_mode_cutoff: int) -> np.ndarray:
 
 
 def _count_table(n_modes: int, per_mode_cutoff: int) -> tuple[int, ...]:
-    """Word counts C_N(k) = k! W(N, k, d), k = 0..N*d, as Python ints; cached, grown over N."""
+    """Word counts C_N(k) = k! W(N, k, d), k = 0..N*d, as Python ints; the last per d is kept."""
     return _grown(_EXACT_TABLES, n_modes, per_mode_cutoff, (1,), _add_mode_count)
 
 
 def _log_weight_table(n_modes: int, per_mode_cutoff: int) -> np.ndarray:
     # W itself, grown by convolving with (1/r!)_{r<=d} in log space (logaddexp)
-    # so entries stay finite for hundreds of photons; tables are read-only.
+    # so entries stay finite for hundreds of photons; read-only, the last per d is kept.
     return _grown(_LOG_TABLES, n_modes, per_mode_cutoff, np.zeros(1), _add_mode_log)
 
 
@@ -156,7 +156,7 @@ def restricted_weight_log(n_modes: int, total_photons: int, per_mode_cutoff: int
     For small tables (``n_modes * per_mode_cutoff <= EXACT_LIMIT``) the
     reduced numerator and denominator of the exact rational are logged, so
     the result is faithful to within one rounding of the true value; beyond
-    that the cached log-space table is read, grown over N like the counts.
+    that the log-space table is read, kept and grown over N like the counts.
 
     Raises:
         ValueError: With message ``"weight is zero"`` when the weight

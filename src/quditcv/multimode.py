@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._frozen import freeze_field
-from .teleport import FockVector, SchemeParams, TeleportOutcome
+from .teleport import FockVector, SchemeParams, TeleportOutcome, _clamped
 
 __all__ = [
     "ModeMatrix",
@@ -309,4 +309,4 @@ def oracle_teleport(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     p_suc = float(np.sum(np.abs(kept) ** 2))
     if p_suc == 0.0:
         raise ValueError("vanishing state: nothing survives the per-mode photon cutoffs")
-    return TeleportOutcome(FockVector(kept / math.sqrt(p_suc)), min(p_suc, 1.0))
+    return TeleportOutcome(FockVector(kept / math.sqrt(p_suc)), _clamped(p_suc))

@@ -208,14 +208,19 @@ def fock_gain(k: int, params: SchemeParams) -> float:
     return float(gain_vector(params)[k]) if k <= params.max_photons else 0.0
 
 
+def _clamped(value: float, slack=_P_SUC_SLACK, name="P_suc", cause="input not normalized"):
+    """min(value, 1.0), refusing a value that passes 1 by more than its rounding slack."""
+    if value > 1.0 + slack:
+        raise ValueError(f"{name} = {value!r} passes 1 by more than rounding: {cause}")
+    return min(value, 1.0)
+
+
 def _filtered(amplitudes: np.ndarray, params: SchemeParams, log_p_suc=None) -> TeleportOutcome:
     """Scale c_0..c_m (m <= N*d) by the gains and renormalize; name log P_suc if it underflows."""
     scaled = amplitudes * gain_vector(params)[: len(amplitudes)]
     p_suc = float((np.abs(scaled) ** 2).sum())
-    if p_suc > 1.0 + _P_SUC_SLACK:
-        raise ValueError(f"P_suc = {p_suc!r} passes 1 by more than rounding: input not normalized")
     if p_suc > 0.0:
-        return TeleportOutcome(FockVector(scaled / math.sqrt(p_suc)), min(p_suc, 1.0))
+        return TeleportOutcome(FockVector(scaled / math.sqrt(p_suc)), _clamped(p_suc))
     magnitudes = np.abs(scaled)  # log P_suc = 2 log max|s| + log sum |s/max|^2, else log_p_suc()
     top = float(np.max(magnitudes))
     if top > 0.0:
@@ -333,7 +338,9 @@ def teleport_epr(squeeze: SqueezingParams, params: SchemeParams) -> EprOutcome:
 
         f = (1 - chi^2) / sqrt(P) * sum_k chi^{2k} g(k),
 
-    both sums running over the surviving window k = 0..N*d.
+    both sums running over the surviving window k = 0..N*d.  Exactly, P <= 1
+    while the gains are, and f <= 1; each is clamped to 1 within chi^2/(1-chi^2)
+    + 32 ulps (rounding chi^2 moves 1 - chi^2 by up to half the first term).
     """
     chi = squeeze.chi
     gains = gain_vector(params)
@@ -341,7 +348,9 @@ def teleport_epr(squeeze: SqueezingParams, params: SchemeParams) -> EprOutcome:
     p_suc = (1.0 - chi**2) * float(np.sum(chi_pow**2 * gains**2))
     fidelity = (1.0 - chi**2) / math.sqrt(p_suc) * float(np.sum(chi_pow**2 * gains))
     schmidt = math.sqrt(1.0 - chi**2) * chi_pow * gains / math.sqrt(p_suc)
-    return EprOutcome(schmidt, min(p_suc, 1.0), min(fidelity, 1.0))
+    slack = (chi**2 / (1.0 - chi**2) + 32) * 2.0**-52
+    return EprOutcome(schmidt, _clamped(p_suc, slack, cause="a gain above 1"),
+                      _clamped(fidelity, slack, "fidelity", "not an overlap of unit vectors"))
 
 
 def conventional_cv_fidelity(r: float) -> float:

@@ -8,10 +8,14 @@ pipeline reference runs every step of the split/truncate/recombine scheme on
 the occupation grid, inverse split and vacuum post-selection included, so the
 oracle's read-off from the split columns can be held to it.  The gain
 reference is the original `Fraction` weight table and per-entry scalar log
-loop, kept so the integer-count and vectorized gain core can be held to it
-bit for bit.  The coherent reference builds the whole coherent vector out to
-a tail-bound cutoff past N*d and sends it through `teleport_state`, so the
-shortcut that builds only c_0..c_{N*d} can be held to it bit for bit.
+loop over a log weight table run from one mode up with no cache, kept so the
+integer-count and vectorized gain core, and the table store behind it, can
+be held to it bit for bit.  The coherent reference builds the whole coherent
+vector out to a tail-bound cutoff past N*d and sends it through
+`teleport_state`, so the shortcut that builds only c_0..c_{N*d} can be held
+to it bit for bit.  The independent coherent reference builds each amplitude
+from exact `math.factorial` ints and scalar `math` calls, sharing neither the
+`log k!` row nor the filter with the library.
 """
 
 import math
@@ -19,7 +23,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from quditcv.combinatorics import _log_weight_table
 from quditcv.multimode import (
     apply_mode_unitary,
     embed_input,
@@ -119,6 +122,18 @@ def weight_table_reference(n_modes: int, cutoff: int) -> list[Fraction]:
     return table
 
 
+def scratch_log_table(n_modes: int, cutoff: int) -> np.ndarray:
+    """log W(n_modes, k, cutoff), k = 0..n_modes*cutoff: the log-domain DP from one mode up."""
+    log_inv_fact = [-math.lgamma(r + 1) for r in range(cutoff + 1)]
+    table = np.zeros(1)
+    for _ in range(n_modes):
+        grown = np.full(len(table) + cutoff, -np.inf)
+        for r, lw in enumerate(log_inv_fact):
+            grown[r : r + len(table)] = np.logaddexp(grown[r : r + len(table)], table + lw)
+        table = grown
+    return table
+
+
 def gain_vector_reference(n: int, d: int) -> np.ndarray:
     """g(k) for k = 0..n*d: float(W k! / n^k) up to n*d = 60, else one scalar exp per entry."""
     if n * d <= 60:
@@ -127,10 +142,28 @@ def gain_vector_reference(n: int, d: int) -> np.ndarray:
     else:
         log_n = math.log(n)
         gains = [min(1.0, math.exp(lw + math.lgamma(k + 1) - k * log_n))
-                 for k, lw in enumerate(_log_weight_table(n, d).tolist())]
+                 for k, lw in enumerate(scratch_log_table(n, d).tolist())]
     vector = np.array(gains)
     vector[: d + 1] = 1.0
     return vector
+
+
+def coherent_factorial_reference(alpha: complex, params: SchemeParams) -> tuple[np.ndarray, float]:
+    """Output amplitudes and P_suc of a coherent input, each c_k built on its own.
+
+    |c_k| = exp(-|a|^2/2 + (k log |a|^2 - log k!)/2) with log k! the `math.log` of the exact
+    int `math.factorial(k)` and one scalar `math.exp` per entry, the phase (a/|a|)^k a
+    Python power, the gains from `gain_vector_reference`, and P_suc a `math.fsum`.
+    """
+    mean = abs(alpha) ** 2
+    gains = gain_vector_reference(params.num_modes, params.photon_cutoff).tolist()
+    if mean == 0.0:
+        return np.eye(1, len(gains), dtype=complex)[0], 1.0
+    phase = alpha / abs(alpha)
+    scaled = [math.exp(-mean / 2 + (k * math.log(mean) - math.log(math.factorial(k))) / 2)
+              * phase**k * gain for k, gain in enumerate(gains)]
+    p_suc = math.fsum(abs(s) ** 2 for s in scaled)
+    return np.array(scaled, dtype=complex) / math.sqrt(p_suc), p_suc
 
 
 def coherent_teleport_reference(alpha: complex, params: SchemeParams) -> TeleportOutcome:

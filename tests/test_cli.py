@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import hashlib
 import importlib.util
 import json
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quditcv
-from quditcv import cli, detectors, teleport
+from quditcv import cli, combinatorics, detectors, teleport
 
 
 def run_cli(argv, capsys):
@@ -84,6 +85,32 @@ class TestEprSweep:
         _, rows = parse_csv(out)
         assert len(rows) == 5 * 25
         assert {row[0] for row in rows} == {"1", "2", "3", "4", "5"}
+
+    @pytest.mark.parametrize("d, n, sorted_d, sorted_n", [
+        ("2,1", ",".join(map(str, range(40, 0, -1))), "1,2", "1:40"),
+        ("3,1,3", "35,2,35,1,2", "1,3,3", "1,2,2,35,35"),
+    ])
+    def test_unsorted_and_repeated_lists_print_the_sorted_bytes(self, d, n, sorted_d,
+                                                                 sorted_n, capsys):
+        # cells run in (d, N) order, and rows with equal (d, N) are identical
+        _, out, _ = run_cli(["epr-sweep", "--d", d, "--n", n], capsys)
+        _, expected, _ = run_cli(["epr-sweep", "--d", sorted_d, "--n", sorted_n], capsys)
+        assert out == expected
+
+    def test_a_sweep_keeps_one_table_per_d(self, monkeypatch, capsys):
+        monkeypatch.setattr(combinatorics, "_EXACT_TABLES", {})
+        monkeypatch.setattr(combinatorics, "_LOG_TABLES", {})
+        fresh_gains = functools.cache(teleport.gain_vector.__wrapped__)
+        monkeypatch.setattr(teleport, "gain_vector", fresh_gains)
+        code, _, _ = run_cli(["epr-sweep", "--d", "1:3", "--n", "1:200"], capsys)
+        assert code == 0
+        # counts serve N*d <= 60 and log weights the rest; each store holds the last N per d
+        assert set(combinatorics._EXACT_TABLES) == set(combinatorics._LOG_TABLES) == {1, 2, 3}
+        for d in (1, 2, 3):
+            n_exact, counts = combinatorics._EXACT_TABLES[d]
+            n_log, log_weights = combinatorics._LOG_TABLES[d]
+            assert (n_exact, len(counts)) == (60 // d, 60 + 1)
+            assert (n_log, len(log_weights)) == (200, 200 * d + 1)
 
     def test_vs_below_one_rejected(self, capsys):
         code, _, err = run_cli(["epr-sweep", "--vs", "0.5"], capsys)

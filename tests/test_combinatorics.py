@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import weight_table_reference
+from oracles import scratch_log_table, weight_table_reference
 
 from quditcv import combinatorics
 from quditcv.combinatorics import (
@@ -187,18 +187,6 @@ def scratch_exact_table(n_modes: int, cutoff: int) -> list[Fraction]:
     return table
 
 
-def scratch_log_table(n_modes: int, cutoff: int) -> np.ndarray:
-    # The log-domain dynamic program run from one mode up, with no cache.
-    log_inv_fact = [-math.lgamma(r + 1) for r in range(cutoff + 1)]
-    table = np.zeros(1)
-    for _ in range(n_modes):
-        grown = np.full(len(table) + cutoff, -np.inf)
-        for r, lw in enumerate(log_inv_fact):
-            grown[r : r + len(table)] = np.logaddexp(grown[r : r + len(table)], table + lw)
-        table = grown
-    return table
-
-
 @pytest.fixture
 def empty_table_caches(monkeypatch):
     monkeypatch.setattr(combinatorics, "_EXACT_TABLES", {})
@@ -212,9 +200,12 @@ def test_grown_tables_equal_tables_built_from_scratch(empty_table_caches, order,
         assert count_fractions(n, d) == scratch_exact_table(n, d)
         grown = _log_weight_table(n, d)
         assert grown.tobytes() == scratch_log_table(n, d).tobytes()
-    # every requested table is kept; none is rebuilt on a repeat request
-    assert set(combinatorics._LOG_TABLES[d]) == {0, *order}
-    assert _log_weight_table(order[0], d) is combinatorics._LOG_TABLES[d][order[0]]
+    # each store keeps one table per d, the last one requested, and a repeat returns it
+    last = order[-1]
+    for store, build in ((combinatorics._EXACT_TABLES, _count_table),
+                         (combinatorics._LOG_TABLES, _log_weight_table)):
+        assert set(store) == {d} and store[d][0] == last
+        assert build(last, d) is store[d][1]
 
 
 def test_thousand_mode_log_table_builds_by_iteration(empty_table_caches):

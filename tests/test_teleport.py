@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import coherent_teleport_reference, gain_vector_reference
+from oracles import (
+    coherent_factorial_reference,
+    coherent_teleport_reference,
+    gain_vector_reference,
+)
 
 from quditcv import teleport
 from quditcv.combinatorics import restricted_weight
@@ -384,6 +388,22 @@ class TestCoherent:
         assert np.float64(out.success_probability).tobytes() == \
             np.float64(ref.success_probability).tobytes()
 
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (11, 1), (3, 3), (20, 4), (50, 3),
+                                      (61, 1), (30, 3)])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3, 1.0, -1.0, complex(0.8, 0.3),
+                                       2 * cmath.exp(0.7j), 10j])
+    def test_amplitudes_match_the_exact_factorial_reference(self, alpha, n, d):
+        # |c_k| = exp(x_k), so an absolute error e in x_k is a relative error e in c_k;
+        # x_k sums terms up to mean + k |log mean| + log k! in size, each a few ulps off
+        out = teleport_coherent(alpha, SchemeParams(n, d))
+        ref, p_suc = coherent_factorial_reference(alpha, SchemeParams(n, d))
+        mean, k = abs(alpha) ** 2, np.arange(len(ref))
+        size = 1 + mean + k * abs(math.log(mean or 1.0)) + [math.lgamma(j + 1) for j in k]
+        rel = 8 * 2.0**-52 * size  # measured: at most 1 * 2^-52 * size here
+        error = np.abs(out.state.amplitudes - ref)
+        assert np.all(error <= (rel + rel.max()) * np.abs(ref) + 1e-300)  # ref renormalized
+        assert out.success_probability == pytest.approx(p_suc, rel=2 * rel.max(), abs=0)
+
     @given(
         re=st.floats(min_value=-6.0, max_value=6.0),
         im=st.floats(min_value=-6.0, max_value=6.0),
@@ -512,6 +532,26 @@ class TestTeleportEpr:
         schmidt, p_suc, fidelity = teleport_epr(squeezing_from_vs(10.0), SchemeParams(2, 1))
         assert 0.0 < p_suc <= 1.0 and 0.0 < fidelity <= 1.0
         assert len(schmidt) == 3
+
+    @pytest.mark.parametrize("v_s", [3.0, 30.0, 100.0, 1000.0])
+    def test_overshoots_stay_well_inside_the_clamp_bound(self, v_s, monkeypatch):
+        # at v_s = 1000 and (1, 10^4), P_suc passed 1 by 48 ulps against a bound of 281
+        seen = []
+
+        def spy(value, slack, name="P_suc", cause=""):
+            seen.append((value - 1.0) / slack)
+            return min(value, 1.0)
+
+        monkeypatch.setattr(teleport, "_clamped", spy)
+        squeeze = squeezing_from_vs(v_s)
+        for n, d in [(1, 1), (2, 16), (7, 9), (30, 100), (1, 10**4)]:
+            teleport_epr(squeeze, SchemeParams(n, d))
+        assert len(seen) == 10 and max(seen) < 0.2
+
+    def test_a_gain_above_one_is_refused(self, monkeypatch):
+        monkeypatch.setattr(teleport, "gain_vector", lambda params: np.full(501, 1.0 + 1e-9))
+        with pytest.raises(ValueError, match="P_suc = .* passes 1 by more than rounding: a gain"):
+            teleport_epr(squeezing_from_vs(10.0), SchemeParams(50, 10))
 
     @pytest.mark.parametrize("n,d", sorted(EPR_SCHMIDT_SHA256))
     def test_schmidt_bytes_are_pinned(self, n, d):
