@@ -10,6 +10,7 @@ values, not lists.  Exit codes: 0 on success, 1 when `verify` finds a deviation,
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import math
@@ -72,14 +73,12 @@ def _parse_alpha(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected re or re,im for a coherent amplitude, got {text!r}")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
-
-
-def _rows_text(rows) -> str:
-    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+def _spliced(*columns: list[str]) -> str:
+    """Rows from equal-length columns of preformatted cells, each ending in a comma or newline."""
+    pieces = [""] * (len(columns) * len(columns[0]))
+    for c, column in enumerate(columns):
+        pieces[c::len(columns)] = column
+    return "".join(pieces)
 
 
 def _write_csv(out: str | None, header: str, chunks) -> None:
@@ -101,13 +100,16 @@ def cmd_gains(args: argparse.Namespace) -> int:
     budgets = {d * n for d, n in zip(d_list, n_list)}
     if len(budgets) != 1:
         raise ValueError(f"all (d, N) pairs must share one d*N budget, got {sorted(budgets)}")
-    grid = [(d, n, teleport.SchemeParams(n, d)) for d, n in zip(d_list, n_list)]
-    rows = []
-    for d, n, params in grid:
-        gains = teleport.gain_vector(params)
-        rows.extend((d, n, k, gain) for k, gain in enumerate(gains.tolist()))
-    rows.sort(key=lambda row: row[:3])
-    _write_csv(args.out, "d,N,k,gain", [_rows_text(rows)])
+    # all pass the budget check before any runs; a pair listed r times prints each row r times
+    pairs = collections.Counter(zip(d_list, n_list))
+    grid = [(d, n, r, teleport.SchemeParams(n, d)) for (d, n), r in sorted(pairs.items())]
+    chunks = []
+    for d, n, r, params in grid:
+        gains = teleport.gain_vector(params).tolist()
+        chunks.append(_spliced([f"{d},{n},"] * (r * len(gains)),
+                               [f"{k}," for k in range(len(gains)) for _ in range(r)],
+                               [f"{g:.12g}\n" for g in gains for _ in range(r)]))
+    _write_csv(args.out, "d,N,k,gain", chunks)
     return 0
 
 
@@ -118,16 +120,19 @@ def cmd_epr_sweep(args: argparse.Namespace) -> int:
     squeeze = teleport.squeezing_from_vs(args.vs)
     # all pass the budget check before any runs; in (d, N) order each d's table grows with N
     cells = sorted((d, n) for d in args.d for n in args.n)
-    grid = [(d, n, teleport.SchemeParams(n, d)) for d, n in cells]
-    rows = []
-    for d, n, params in grid:
+    grid = [teleport.SchemeParams(n, d) for d, n in cells]
+    fidelity, p_suc = [], []
+    for params in grid:
         outcome = teleport.teleport_epr(squeeze, params)
-        rows.append((d, n, squeeze.chi, outcome.fidelity, outcome.success_probability))
-    _write_csv(args.out, "d,N,chi,f,P_suc", [_rows_text(rows)])
+        fidelity.append(f"{outcome.fidelity:.12g},")
+        p_suc.append(f"{outcome.success_probability:.12g}\n")
+    chi = f"{squeeze.chi:.12g}"
+    _write_csv(args.out, "d,N,chi,f,P_suc",
+               [_spliced([f"{d},{n},{chi}," for d, n in cells], fidelity, p_suc)])
     return 0
 
 
-_FLAGS = np.array(["0", "1"], dtype=object)
+_FLAG_ENDS = np.array(["0\n", "1\n"], dtype=object)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -145,9 +150,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     eta = np.array(args.eta, dtype=float)
     xi = np.array(args.xi, dtype=float)
     p1, eta_part, xi_part = detectors.comparison_axes(eta, xi, args.model)
-    eta_text, xi_text, p1_text, p2_text = (
-        np.array([_fmt(v) for v in values], dtype=object) for values in (eta, xi, p1, xi_part)
-    )
+    eta_text, xi_text, p1_text = (np.array([f"{v:.12g}," for v in values.tolist()], dtype=object)
+                                  for values in (eta, xi, p1))
+    # the quartit scheme2 depends on xi alone: one "scheme2,advantage" tail per (xi, flag)
+    tails = np.array([f"{v:.12g},{f}\n" for v in xi_part.tolist() for f in "01"], dtype=object)
 
     def chunks():
         order = np.argsort(eta, kind="stable")
@@ -156,13 +162,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
             cell = np.argsort(np.tile(xi, len(rows)), kind="stable")
             i, j = rows[cell // len(xi)], cell % len(xi)
             p2 = xi_part[j] if eta_part is None else eta_part[i] * xi_part[j]
-            flags = _FLAGS[(p2 > p1[i]).view(np.int8)]
-            if eta_part is None:  # p2 depends on xi alone: reuse its strings
-                cells = zip(eta_text[i], xi_text[j], p1_text[i], p2_text[j], flags)
-                yield "".join([f"{e},{x},{s1},{s2},{adv}\n" for e, x, s1, s2, adv in cells])
+            flags = (p2 > p1[i]).view(np.int8)
+            head = eta_text[i].tolist(), xi_text[j].tolist(), p1_text[i].tolist()
+            if eta_part is None:
+                yield _spliced(*head, tails[2 * j + flags].tolist())
             else:
-                cells = zip(eta_text[i], xi_text[j], p1_text[i], p2.tolist(), flags)
-                yield "".join([f"{e},{x},{s1},{s2:.12g},{adv}\n" for e, x, s1, s2, adv in cells])
+                scheme2 = [f"{v:.12g}," for v in p2.tolist()]
+                yield _spliced(*head, scheme2, _FLAG_ENDS[flags].tolist())
 
     _write_csv(args.out, "eta,xi,scheme1,scheme2,advantage", chunks())
     return 0
@@ -202,11 +208,10 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         raise ValueError("provide exactly one input: an amplitude file or --alpha")
     outcome = (teleport.teleport_coherent(args.alpha, params) if args.infile is None
                else teleport.teleport_state(_read_amplitudes(args.infile), params))
-    rows = [
-        (k, amp.real, amp.imag, outcome.success_probability)
-        for k, amp in enumerate(outcome.state.amplitudes)
-    ]
-    _write_csv(args.out, "k,re,im,p_suc", [_rows_text(rows)])
+    amps, p_suc = outcome.state.amplitudes, f"{outcome.success_probability:.12g}\n"
+    _write_csv(args.out, "k,re,im,p_suc", [_spliced(
+        [f"{k}," for k in range(len(amps))], [f"{v:.12g}," for v in amps.real.tolist()],
+        [f"{v:.12g}," for v in amps.imag.tolist()], [p_suc] * len(amps))])
     return 0
 
 
@@ -219,11 +224,9 @@ def cmd_povm(args: argparse.Namespace) -> int:
     det = detectors.DetectorModel(eta=args.eta, nu=args.nu)
     family = detectors.pnr_povm(det, max_resolved=args.max_resolved, cutoff=args.cutoff)
     # pnr_povm lists 0..K then the closure, already in (element, m) order
-    chunks = (
-        "".join(f"{'rest' if e.clicks is None else e.clicks},{m},{w:.12g}\n"
-                for m, w in enumerate(e.weights.tolist()))
-        for e in family
-    )
+    levels = [f"{m}," for m in range(args.cutoff + 1)]
+    chunks = (_spliced([f"{'rest' if e.clicks is None else e.clicks},"] * len(levels), levels,
+                       [f"{w:.12g}\n" for w in e.weights.tolist()]) for e in family)
     _write_csv(args.out, "element,m,weight", chunks)
     return 0
 

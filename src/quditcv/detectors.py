@@ -26,12 +26,14 @@ for x**11 (52,928 for x**9), which moves printed digits and near-tie flags.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._frozen import freeze_field
+from .teleport import _clamped
 
 __all__ = [
     "COMPARE_MODELS",
@@ -90,7 +92,7 @@ class PovmElement:
         arr = freeze_field(self, "weights", float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("weights must form a non-empty 1-d vector")
-        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+        if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12:
             raise ValueError("weights must lie in [0, 1]")
 
 
@@ -113,17 +115,17 @@ def povm_element(clicks: int, det: DetectorModel, cutoff: int) -> PovmElement:
     """Weight vector of the N_c-click element over Fock levels 0..cutoff."""
     if clicks < 0:
         raise ValueError(f"click count must be >= 0, got {clicks}")
-    dark, detected = _povm_tables(det, clicks, cutoff)
-    return _element(clicks, dark, detected)
+    return PovmElement(clicks, _povm_weights(det, clicks, cutoff)[clicks])
 
 
-def _povm_tables(det: DetectorModel, max_clicks: int, cutoff: int):
-    """Dark-count terms and the binomial thinning table, built once per call.
+def _povm_weights(det: DetectorModel, max_clicks: int, cutoff: int) -> np.ndarray:
+    """w(c, m) for click counts c = 0..max_clicks (rows) and Fock levels m = 0..cutoff.
 
-    dark[k] = e^-nu nu^k / k! for k <= max_clicks; detected[n, m] = C(m, n)
-    eta^n (1 - eta)^(m - n) for n <= min(max_clicks, cutoff) and m >= n, each
-    power a Python scalar.  A request whose terms would overflow a float is
-    refused before anything is built.
+    Term n of every element, dark[c - n] * C(m, n) eta^n (1 - eta)^(m - n) with
+    dark[k] = e^-nu nu^k / k! and each power a Python scalar, is added in one
+    outer product, in ascending n: per (c, m) the order a scalar running sum
+    adds the terms in, so each weight is that sum's float.  A request whose
+    terms would overflow a float is refused before anything is built.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
@@ -139,28 +141,21 @@ def _povm_tables(det: DetectorModel, max_clicks: int, cutoff: int):
             "k! needs k <= 170 and C(cutoff, n) must stay below 1.8e308"
         ) from None
     dark_norm = math.exp(-nu)
-    dark = [dark_norm * nu**k / math.factorial(k) for k in range(max_clicks + 1)]
-    comb = np.zeros((rows, cutoff + 1))
-    for n in range(rows):
-        comb[n, n:] = [float(math.comb(m, n)) for m in range(n, cutoff + 1)]
-    seen = np.array([eta**n for n in range(rows)])
+    dark = np.array([dark_norm * nu**k / math.factorial(k) for k in range(max_clicks + 1)])
     missed = np.array([(1.0 - eta) ** j for j in range(cutoff + 1)])
-    offset = np.arange(cutoff + 1) - np.arange(rows)[:, None]
-    return dark, (comb * seen[:, None]) * missed[np.maximum(offset, 0)]
+    weights = np.zeros((max_clicks + 1, cutoff + 1))
+    comb = [1] * (cutoff + 1)  # C(m, n) for m = n..cutoff, exact ints
+    for n in range(rows):
+        detected = np.array(list(map(float, comb))) * eta**n * missed[: cutoff + 1 - n]
+        weights[n:, n:] += np.multiply.outer(dark[: max_clicks + 1 - n], detected)
+        comb = list(itertools.accumulate(comb[:-1]))  # C(m, n + 1) = sum of C(j, n), j < m
+    return _clamped(weights, _slack(max_clicks, cutoff), "POVM weight", "terms past 1")
 
 
-def _element(clicks: int, dark: list[float], detected: np.ndarray) -> PovmElement:
-    # for each level m the terms n = 0, 1, ... are added in that order, as a
-    # scalar running sum would add them, so the weights are bit-identical
-    weights = np.zeros(detected.shape[1])
-    for n in range(min(clicks, detected.shape[0] - 1) + 1):
-        weights[n:] += dark[clicks - n] * detected[n, n:]
-    return PovmElement(clicks, np.minimum(weights, 1.0))
-
-
-def _closure(elements: list[PovmElement]) -> PovmElement:
-    rest = 1.0 - sum(e.weights for e in elements)
-    return PovmElement(None, np.clip(rest, 0.0, 1.0))
+def _slack(max_clicks: int, cutoff: int) -> float:
+    """Twice the bound (cutoff + terms + 16) 2^-53 past 1: a weight or click sum adds terms <=
+    (max_clicks + 1) rows products 16 roundings off an exact sum <= (1 + 2^-53)^cutoff."""
+    return (cutoff + (max_clicks + 1) * (min(max_clicks, cutoff) + 1) + 16) * 2.0**-52
 
 
 def apd_povm(det: DetectorModel, cutoff: int) -> tuple[PovmElement, PovmElement]:
@@ -172,10 +167,12 @@ def pnr_povm(det: DetectorModel, max_resolved: int, cutoff: int) -> list[PovmEle
     """Number-resolving family {Pi_0, ..., Pi_K, I - sum} for K = max_resolved."""
     if max_resolved < 0:
         raise ValueError(f"max_resolved must be >= 0, got {max_resolved}")
-    dark, detected = _povm_tables(det, max_resolved, cutoff)
-    elements = [_element(c, dark, detected) for c in range(max_resolved + 1)]
-    elements.append(_closure(elements))
-    return elements
+    weights = _povm_weights(det, max_resolved, cutoff)
+    # accumulate adds left to right, never pairwise; as each sum is >= 0,
+    # 1 - min(sum, 1) is clip(1 - sum, 0, 1) bit for bit
+    total = np.add.accumulate(weights)[-1]
+    rest = 1.0 - _clamped(total, _slack(max_resolved, cutoff), "POVM click sum", "terms past 1")
+    return [PovmElement(c, w) for c, w in enumerate(weights)] + [PovmElement(None, rest)]
 
 
 def povm_completeness_defect(det: DetectorModel, cutoff: int) -> float:
@@ -188,8 +185,7 @@ def povm_completeness_defect(det: DetectorModel, cutoff: int) -> float:
     depth = 0
     while _poisson_survival(det.nu, depth) > 1e-12:
         depth += 1
-    dark, detected = _povm_tables(det, cutoff + depth, cutoff)
-    total = sum(_element(clicks, dark, detected).weights for clicks in range(cutoff + depth + 1))
+    total = np.add.accumulate(_povm_weights(det, cutoff + depth, cutoff))[-1]
     return float(np.max(np.abs(total - 1.0)))
 
 

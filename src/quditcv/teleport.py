@@ -208,11 +208,12 @@ def fock_gain(k: int, params: SchemeParams) -> float:
     return float(gain_vector(params)[k]) if k <= params.max_photons else 0.0
 
 
-def _clamped(value: float, slack=_P_SUC_SLACK, name="P_suc", cause="input not normalized"):
-    """min(value, 1.0), refusing a value that passes 1 by more than its rounding slack."""
-    if value > 1.0 + slack:
-        raise ValueError(f"{name} = {value!r} passes 1 by more than rounding: {cause}")
-    return min(value, 1.0)
+def _clamped(value, slack=_P_SUC_SLACK, name="P_suc", cause="input not normalized"):
+    """min(value, 1.0), entrywise for an array; refuses a value past 1 by more than `slack`."""
+    top = value if isinstance(value, float) else float(value.max())
+    if top > 1.0 + slack:
+        raise ValueError(f"{name} = {top!r} passes 1 by more than rounding: {cause}")
+    return min(value, 1.0) if isinstance(value, float) else np.minimum(value, 1.0)
 
 
 def _filtered(amplitudes: np.ndarray, params: SchemeParams, log_p_suc=None) -> TeleportOutcome:

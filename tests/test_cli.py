@@ -407,6 +407,28 @@ POVM_SHA256 = {
     ("1", "0.05", 50, 200): "0c8e67b16f9b9cd7e0ef47e2db32c3ef8fc359554997abc68b2bd506c3cc824b",
 }
 
+POVM_CLOSURE_SHA256 = {
+    # (--eta, --nu, --max-resolved) at --cutoff 0, where the closure sums one column of K+1
+    # weights: a pairwise sum there moves the last digits, e.g. rest,0,1.23911991778e-12
+    ("0", "2.5", 8): "2c5dcd391fb1dd8c3c1033e4bbb505e027f2c812d2bc62c784103f256eb1622e",
+    ("0", "2.5", 9): "f503b8e7a3991275b7611845f409002e78cce1d2d6817072368c9db7a5c421d8",
+    ("0", "2.5", 33): "692319cf6d586e4ddc281f1ddbd083b39d75214c5f10e5fde50b15c2ed0aedfe",
+    ("0", "2.5", 60): "c1d5e3a2e3c78a6a63ebafbb51b320095633cf34b3e46aee86fc02dcb251e2f5",
+    ("0.5", "0.3", 8): "8b8817204adc2f4f2986256f8faaed003bf4b828d2b7e71715306d7f1eb4d9ed",
+    ("0.5", "0.3", 9): "53baa4bcdaf34a1a68d822bd74fbbee9ad89af8f6995f4cc9c36c371e0be80d1",
+    ("0.5", "0.3", 33): "340662f8cb1754b3ecbb8309c1eab5ea037602abf79c09b3863782c7db00cc13",
+    ("0.5", "0.3", 60): "c01680b1c7ec730fcd5111ca6f4b7d8bcad9043ce7b12e6054ea2e1febeb1417",
+}
+REQUEST_CSV_SHA256 = {
+    ("teleport", "--alpha=1.3,-0.4", "--n", "3", "--d", "2"):
+        "c68cd3491502e7d4e8a11962e4d7ad4e667cac3ba7475791ac18bc0a96239e04",
+    ("teleport", "--alpha=-0.7", "--n", "4", "--d", "3"):
+        "1720ae940aa5c6614a016a735976950f79ee9d2880f18859ff05fbcc01ebc087",
+    # unsorted pairs, (5, 2) and (1, 10) twice: repeated rows sit next to each other
+    ("gains", "--d", "5,1,2,5,10,1", "--n", "2,10,5,2,1,10"):
+        "5bdd786c84da0e888a6b056f282f58e89af6195b9793437a71d52dca0b1f1539",
+}
+
 
 def csv_sha256(argv, capsys):
     code, out, _ = run_cli(argv, capsys)
@@ -436,6 +458,16 @@ class TestGoldenBytes:
         argv = ["povm", "--eta", eta, "--nu", nu,
                 "--max-resolved", str(max_resolved), "--cutoff", str(cutoff)]
         assert csv_sha256(argv, capsys) == POVM_SHA256[eta, nu, max_resolved, cutoff]
+
+    @pytest.mark.parametrize("eta,nu,max_resolved", sorted(POVM_CLOSURE_SHA256))
+    def test_povm_closure_of_one_level(self, eta, nu, max_resolved, capsys):
+        argv = ["povm", "--eta", eta, "--nu", nu, "--max-resolved", str(max_resolved),
+                "--cutoff", "0"]
+        assert csv_sha256(argv, capsys) == POVM_CLOSURE_SHA256[eta, nu, max_resolved]
+
+    @pytest.mark.parametrize("argv", sorted(REQUEST_CSV_SHA256))
+    def test_teleport_and_gains(self, argv, capsys):
+        assert csv_sha256(list(argv), capsys) == REQUEST_CSV_SHA256[argv]
 
 
 class TestErrorPath:
