@@ -100,6 +100,10 @@ def cmd_gains(args: argparse.Namespace) -> int:
     budgets = {d * n for d, n in zip(d_list, n_list)}
     if len(budgets) != 1:
         raise ValueError(f"all (d, N) pairs must share one d*N budget, got {sorted(budgets)}")
+    rows = len(d_list) * (budgets.pop() + 1)  # each listed pair prints d*N + 1 rows
+    if rows > _GRID_LIMIT:
+        raise ValueError(f"budget exceeded: the (d, N) pairs give {rows} rows, "
+                         f"past the {_GRID_LIMIT} row limit")
     # all pass the budget check before any runs; a pair listed r times prints each row r times
     pairs = collections.Counter(zip(d_list, n_list))
     grid = [(d, n, r, teleport.SchemeParams(n, d)) for (d, n), r in sorted(pairs.items())]
@@ -340,7 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-mode cutoffs, comma list (default 1,2,4,5,10,20)")
     gains.add_argument("--n", type=_parse_int_list, default=(20, 10, 5, 4, 2, 1),
                        help="mode counts, pairing up with --d (default 20,10,5,4,2,1)")
-    gains.add_argument("--out", help="CSV output path (default stdout)")
     gains.set_defaults(run=cmd_gains)
 
     epr = sub.add_parser("epr-sweep", help="EPR-arm fidelity/success sweep")
@@ -349,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="per-mode cutoffs (default 1,2,3,4,5)")
     epr.add_argument("--n", type=_parse_int_list, default=tuple(range(1, 26)),
                      help="mode counts, list or range a:b (default 1:25)")
-    epr.add_argument("--out", help="CSV output path (default stdout)")
     epr.set_defaults(run=cmd_epr_sweep)
 
     compare = sub.add_parser("compare", help="scheme-1 vs scheme-2 detection success")
@@ -360,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--model", choices=detectors.COMPARE_MODELS,
                          default="quartit-interferometer",
                          help="expression pair for the two schemes")
-    compare.add_argument("--out", help="CSV output path (default stdout)")
     compare.set_defaults(run=cmd_compare)
 
     tele = sub.add_parser("teleport", help="teleport one state and print the output amplitudes")
@@ -370,7 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="coherent amplitude re[,im] as an alternative input")
     tele.add_argument("--n", type=int, required=True, help="number of modes N")
     tele.add_argument("--d", type=int, required=True, help="per-mode cutoff d")
-    tele.add_argument("--out", help="CSV output path (default stdout)")
     tele.set_defaults(run=cmd_teleport)
 
     povm = sub.add_parser("povm", help="detector POVM weights per Fock level")
@@ -379,8 +379,10 @@ def _build_parser() -> argparse.ArgumentParser:
     povm.add_argument("--max-resolved", type=int, default=1,
                       help="largest resolved click count K (default 1)")
     povm.add_argument("--cutoff", type=int, default=15, help="Fock cutoff (default 15)")
-    povm.add_argument("--out", help="CSV output path (default stdout)")
     povm.set_defaults(run=cmd_povm)
+
+    for command in (gains, epr, compare, tele, povm):
+        command.add_argument("--out", help="CSV output path (default stdout)")
 
     verify = sub.add_parser("verify", help="re-run cross-validation suites (exit 1 on failure)")
     verify.add_argument("--seed", type=int, default=0, help="seed for the randomized suites")

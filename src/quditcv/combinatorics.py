@@ -84,9 +84,11 @@ def _add_mode_count(table: tuple[int, ...], per_mode_cutoff: int) -> tuple[int, 
 
 def _add_mode_log(table: np.ndarray, per_mode_cutoff: int) -> np.ndarray:
     grown = np.full(len(table) + per_mode_cutoff, -np.inf)
-    for r in range(per_mode_cutoff + 1):
-        window = slice(r, r + len(table))
-        grown[window] = np.logaddexp(grown[window], table - math.lgamma(r + 1))
+    grown[: len(table)] = table  # the r = 0 pass: logaddexp(-inf, x - lgamma(1)) is x exactly
+    term = np.empty_like(table)
+    for r in range(1, per_mode_cutoff + 1):
+        window = grown[r : r + len(table)]
+        np.logaddexp(window, np.subtract(table, math.lgamma(r + 1), out=term), out=window)
     grown.setflags(write=False)
     return grown
 

@@ -36,19 +36,9 @@ from ._frozen import freeze_field
 from .teleport import _clamped
 
 __all__ = [
-    "COMPARE_MODELS",
-    "DetectorModel",
-    "INTERFEROMETER_SUCCESS",
-    "PovmElement",
-    "SchemeEfficiencies",
-    "advantage_region",
-    "apd_povm",
-    "comparison_axes",
-    "pnr_povm",
-    "povm_completeness_defect",
-    "povm_element",
-    "scheme1_success",
-    "scheme2_success",
+    "COMPARE_MODELS", "DetectorModel", "INTERFEROMETER_SUCCESS", "PovmElement",
+    "SchemeEfficiencies", "advantage_region", "apd_povm", "comparison_axes", "pnr_povm",
+    "povm_completeness_defect", "povm_element", "scheme1_success", "scheme2_success",
 ]
 
 # success probability of one linear-optics quartit teleportation module
@@ -106,9 +96,7 @@ class SchemeEfficiencies:
 
     def __post_init__(self) -> None:
         for name in ("eta", "xi", "interferometer_success"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+            _validate_unit(name, getattr(self, name))
 
 
 def povm_element(clicks: int, det: DetectorModel, cutoff: int) -> PovmElement:

@@ -36,19 +36,15 @@ from ._frozen import freeze_field
 from .teleport import FockVector, SchemeParams, TeleportOutcome, _clamped
 
 __all__ = [
-    "ModeMatrix",
-    "MultimodeState",
-    "apply_mode_unitary",
-    "embed_input",
-    "n_splitter",
-    "oracle_teleport",
-    "truncate_mode",
-    "vacuum_postselect",
+    "ModeMatrix", "MultimodeState", "apply_mode_unitary", "embed_input", "n_splitter",
+    "oracle_teleport", "truncate_mode", "vacuum_postselect",
 ]
 
-# index-map entries one oracle call may build; cold calls near the edge took 0.45 s at
-# (N, cap, d) = (10, 9, 1) and 0.64 s at (2, 998, 499) on a 2-core Xeon host
+# cost one oracle call may reach: its index-map entries plus _STEP_COST per scatter-add step.
+# Cold, a step at N = 1 cost 50-88 entries' worth (rounded up here); (N, cap, d) = (10, 9, 1),
+# at a cost of 932,780, took 0.61 s on a 2-core Xeon host
 _INDEX_BUDGET = 10**6
+_STEP_COST = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +57,7 @@ class ModeMatrix:
         arr = freeze_field(self, "entries", complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("entries must form a square matrix")
-        identity = np.eye(arr.shape[0])
-        if np.max(np.abs(arr @ arr.conj().T - identity)) > 1e-12:
+        if np.max(np.abs(arr @ arr.conj().T - np.eye(arr.shape[0]))) > 1e-12:
             raise ValueError("matrix is not unitary to 1e-12")
 
     @property
@@ -281,17 +276,17 @@ def oracle_teleport(state: FockVector, params: SchemeParams) -> TeleportOutcome:
 
     Raises:
         ValueError: "budget exceeded" when the sectors up to top = min(cap, N*d)
-            would need more than 10^6 index-map entries, counted as
-            N * C(top+N, N): N per occupation of at most top photons.
-            "vanishing state" when nothing survives the per-mode cutoffs.
+            would cost more than 10^6: N * C(top+N, N) index-map entries (N per
+            occupation of at most top photons) plus 100 per scatter-add step,
+            N per sector.  "vanishing state" when nothing survives the cutoffs.
     """
     n, d = params.num_modes, params.photon_cutoff
     top = min(state.cutoff, params.max_photons)
-    entries = n * math.comb(top + n, n)
-    if entries > _INDEX_BUDGET:
+    cost = n * math.comb(top + n, n) + _STEP_COST * n * top
+    if cost > _INDEX_BUDGET:
         raise ValueError(
-            f"budget exceeded: {n} modes up to {top} photons need {entries} index-map "
-            f"entries, past the {_INDEX_BUDGET:.0e} sector budget"
+            f"budget exceeded: {n} modes up to {top} photons cost {cost} index-map entries "
+            f"and steps, past the {_INDEX_BUDGET:.0e} sector budget"
         )
     if not state.is_normalized(1e-9):
         raise ValueError("oracle_teleport requires a normalized input")

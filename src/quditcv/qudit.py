@@ -115,8 +115,7 @@ def xor_gate(state: JointQuditState, control: int, target: int) -> JointQuditSta
     """|j>_target |i>_control -> |i - j mod D>_target |i>_control."""
     dim = _matching_dim(state, control, target)
     moved = np.moveaxis(state.amplitudes, (target, control), (0, 1))
-    t = np.arange(dim)[:, None]
-    c = np.arange(dim)[None, :]
+    t, c = np.ogrid[:dim, :dim]
     # new amplitude at (target=t, control=c) comes from target index c - t
     shuffled = moved[(c - t) % dim, np.broadcast_to(c, (dim, dim)), ...]
     return JointQuditState(np.moveaxis(shuffled, (0, 1), (target, control)))

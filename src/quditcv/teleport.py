@@ -32,21 +32,9 @@ from ._frozen import freeze_field
 from .combinatorics import EXACT_LIMIT, _count_table, _log_weight_table, restricted_weight_log
 
 __all__ = [
-    "EprOutcome",
-    "FockVector",
-    "SchemeParams",
-    "SqueezingParams",
-    "TeleportOutcome",
-    "coherent_fock",
-    "conventional_cv_fidelity",
-    "fock_gain",
-    "gain_vector",
-    "squeezing_from_chi",
-    "squeezing_from_r",
-    "squeezing_from_vs",
-    "state_fidelity",
-    "teleport_coherent",
-    "teleport_epr",
+    "EprOutcome", "FockVector", "SchemeParams", "SqueezingParams", "TeleportOutcome",
+    "coherent_fock", "conventional_cv_fidelity", "fock_gain", "gain_vector", "squeezing_from_chi",
+    "squeezing_from_r", "squeezing_from_vs", "state_fidelity", "teleport_coherent", "teleport_epr",
     "teleport_state",
 ]
 
@@ -67,13 +55,13 @@ class SchemeParams:
     photon_cutoff: int
 
     def __post_init__(self) -> None:
-        for name in ("num_modes", "photon_cutoff"):
-            value = getattr(self, name)
-            if (type(value) is not int  # ints skip the ABC checks, which cost microseconds
-                    and (isinstance(value, bool) or not isinstance(value, numbers.Integral))
-                    or value < 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        n, d = self.num_modes, self.photon_cutoff
+        if not (type(n) is int and type(d) is int and n >= 1 and d >= 1):  # skips the ABC checks
+            for name in ("num_modes", "photon_cutoff"):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+                object.__setattr__(self, name, int(value))
         if self.max_photons > _PHOTON_BUDGET:
             raise ValueError(f"budget exceeded: N*d = {self.max_photons} passes the "
                              f"{_PHOTON_BUDGET} photon-number budget of the closed forms")
@@ -143,37 +131,61 @@ class SqueezingParams:
             raise ValueError(f"v_s is inconsistent with chi: {self}")
 
 
+def _real(name: str, value: float) -> float:
+    """`value`, refused if a bool or not a real number; a float skips the ABC checks."""
+    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def squeezing_from_chi(chi: float) -> SqueezingParams:
-    if not 0.0 <= chi < 1.0:
+    if not 0.0 <= _real("chi", chi) < 1.0:
         raise ValueError(f"chi must lie in [0, 1), got {chi}")
     return SqueezingParams(r=math.atanh(chi), chi=chi, v_s=(1.0 + chi) / (1.0 - chi))
 
 
 def squeezing_from_vs(v_s: float) -> SqueezingParams:
-    if not 1.0 <= v_s < math.inf:
+    if not 1.0 <= _real("v_s", v_s) < math.inf:
         raise ValueError(f"v_s must be finite and >= 1, got {v_s}")
     return squeezing_from_chi((v_s - 1.0) / (v_s + 1.0))
 
 
 def squeezing_from_r(r: float) -> SqueezingParams:
-    if not 0.0 <= r < math.inf:
+    if not 0.0 <= _real("r", r) < math.inf:
         raise ValueError(f"r must be finite and >= 0, got {r}")
     return squeezing_from_chi(math.tanh(r))
 
 
-# rows k, lgamma(k + 1) and log k! summed in order, for k < len; read-only and regrown
-# by doubling: np.cumsum adds in order, so a prefix holds the bytes of a fresh short row
+def _regrown(rows: np.ndarray, count: int, build) -> np.ndarray:
+    """`rows`, or `build(2 * count)` made read-only if `rows` has fewer than `count` columns."""
+    if rows.shape[1] < count:
+        rows = build(2 * count)
+        rows.setflags(write=False)
+    return rows
+
+
+# Rows regrown by doubling: each entry is built on its own or summed in order, so a prefix
+# holds the bytes of a fresh short build.  _GRID: k, lgamma(k + 1) and log k! (np.cumsum);
+# _CHI_ROWS: ((chi, its sign, as -0.0 == 0.0 has odd powers -0.0), rows chi^k and chi^2k)
 _GRID = np.zeros((3, 0))
+_CHI_ROWS = (None, np.zeros((2, 0)))
 
 
 def _grid(count: int) -> np.ndarray:
     global _GRID
-    if _GRID.shape[1] < count:
-        k = np.arange(2 * count)
-        _GRID = np.array([k, [math.lgamma(j + 1) for j in range(2 * count)],
-                          np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))])
-        _GRID.setflags(write=False)
+    _GRID = _regrown(_GRID, count, lambda size: np.array([
+        np.arange(size), [math.lgamma(j + 1) for j in range(size)],
+        np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))]))
     return _GRID[:, :count]
+
+
+def _chi_rows(chi: float, count: int) -> np.ndarray:
+    global _CHI_ROWS
+    key = (chi, math.copysign(1.0, chi))
+    rows = _regrown(_CHI_ROWS[1] if _CHI_ROWS[0] == key else np.zeros((2, 0)), count,
+                    lambda size: np.array([row := chi ** np.arange(size, dtype=float), row**2]))
+    _CHI_ROWS = key, rows
+    return rows[:, :count]
 
 
 @cache
@@ -182,16 +194,18 @@ def gain_vector(params: SchemeParams) -> np.ndarray:
 
     For N*d <= EXACT_LIMIT, one correctly rounded int division C_N(k) / N^k of
     the word count C_N(k) = k! W(N, k, d); beyond, scalar math.exp of the log
-    gains log W + lgamma(k+1) - k log N, one numpy expression, clamped at 1 where exp overshoots by an ulp.  Not
-    np.exp: it rounds differently and moves output bytes.
+    gains log W + lgamma(k+1) - k log N (one numpy expression), clamped at 1 where
+    exp overshoots by an ulp.  Not np.exp: it rounds differently and moves bytes.
     """
     n, d = params.num_modes, params.photon_cutoff
     if n * d <= EXACT_LIMIT:
         vector = np.array([count / n**k for k, count in enumerate(_count_table(n, d))])
     else:
         log_w = _log_weight_table(n, d)
-        exponents = log_w + _grid(len(log_w))[1] - np.arange(len(log_w)) * math.log(n)
-        vector = np.minimum(1.0, list(map(math.exp, exponents.tolist())))
+        k, lgamma_row, _ = _grid(len(log_w))
+        exponents = log_w + lgamma_row - k * math.log(n)
+        vector = np.fromiter(map(math.exp, exponents.tolist()), float, len(log_w))
+        np.minimum(vector, 1.0, out=vector)
     vector[: d + 1] = 1.0
     vector.setflags(write=False)
     return vector
@@ -345,11 +359,13 @@ def teleport_epr(squeeze: SqueezingParams, params: SchemeParams) -> EprOutcome:
     """
     chi = squeeze.chi
     gains = gain_vector(params)
-    chi_pow = chi ** np.arange(len(gains), dtype=float)
-    p_suc = (1.0 - chi**2) * float(np.sum(chi_pow**2 * gains**2))
-    fidelity = (1.0 - chi**2) / math.sqrt(p_suc) * float(np.sum(chi_pow**2 * gains))
-    schmidt = math.sqrt(1.0 - chi**2) * chi_pow * gains / math.sqrt(p_suc)
-    slack = (chi**2 / (1.0 - chi**2) + 32) * 2.0**-52
+    chi_pow, chi_pow_sq = _chi_rows(chi, len(gains))  # chi^k and chi^2k, read-only
+    scale, terms = 1.0 - chi**2, gains**2
+    p_suc = scale * float(np.multiply(chi_pow_sq, terms, out=terms).sum())
+    fidelity = scale / math.sqrt(p_suc) * float(np.multiply(chi_pow_sq, gains, out=terms).sum())
+    schmidt = np.multiply(math.sqrt(scale) * chi_pow, gains, out=terms)
+    schmidt /= math.sqrt(p_suc)
+    slack = (chi**2 / scale + 32) * 2.0**-52
     return EprOutcome(schmidt, _clamped(p_suc, slack, cause="a gain above 1"),
                       _clamped(fidelity, slack, "fidelity", "not an overlap of unit vectors"))
 
@@ -364,8 +380,5 @@ def conventional_cv_fidelity(r: float) -> float:
 def state_fidelity(a: FockVector, b: FockVector) -> float:
     """|<a|b>| for normalized vectors; the shorter one is zero-padded."""
     size = max(len(a.amplitudes), len(b.amplitudes))
-    pa = np.zeros(size, dtype=complex)
-    pb = np.zeros(size, dtype=complex)
-    pa[: len(a.amplitudes)] = a.amplitudes
-    pb[: len(b.amplitudes)] = b.amplitudes
+    pa, pb = (np.pad(x.amplitudes, (0, size - len(x.amplitudes))) for x in (a, b))
     return float(abs(np.vdot(pa, pb)))

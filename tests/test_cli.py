@@ -428,6 +428,8 @@ REQUEST_CSV_SHA256 = {
     ("gains", "--d", "5,1,2,5,10,1", "--n", "2,10,5,2,1,10"):
         "5bdd786c84da0e888a6b056f282f58e89af6195b9793437a71d52dca0b1f1539",
 }
+# the bench's epr_sweep grid at V_s = 10, captured before the chi rows were cached
+EPR_SWEEP_BENCH_GRID_SHA256 = "ad698445c9f6e701589d2654ff10e73e8aceb6eee33de5053ffa3c3f668b4ea5"
 
 
 def csv_sha256(argv, capsys):
@@ -468,6 +470,12 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("argv", sorted(REQUEST_CSV_SHA256))
     def test_teleport_and_gains(self, argv, capsys):
         assert csv_sha256(list(argv), capsys) == REQUEST_CSV_SHA256[argv]
+
+
+class TestEprSweepBytes:
+    def test_bench_grid_csv_is_pinned(self, capsys):
+        argv = ["epr-sweep", "--vs", "10", "--d", "1:10", "--n", "1:100"]
+        assert csv_sha256(argv, capsys) == EPR_SWEEP_BENCH_GRID_SHA256
 
 
 class TestErrorPath:
@@ -543,6 +551,25 @@ class TestErrorPath:
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: budget exceeded: --max-resolved") and err.count("\n") == 1
+
+    def test_gains_past_row_limit_is_refused_before_any_gain(self, capsys, monkeypatch):
+        # 200 pairs of (1, 5000) print 200 * 5001 = 1,000,200 rows
+        def no_gains(params):
+            raise AssertionError("a gain was built")
+
+        monkeypatch.setattr(teleport, "gain_vector", no_gains)
+        argv = ["gains", "--d", ",".join(["1"] * 200), "--n", ",".join(["5000"] * 200)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: budget exceeded: the (d, N) pairs give 1000200 rows, " \
+                      "past the 1000000 row limit\n"
+
+    @pytest.mark.parametrize("limit, code", [(9, 2), (10, 0)])
+    def test_gains_row_limit_boundary(self, limit, code, capsys, monkeypatch):
+        # two pairs at d*N = 4 print 2 * 5 = 10 rows
+        monkeypatch.setattr(cli, "_GRID_LIMIT", limit)
+        got, out, err = run_cli(["gains", "--d", "1,2", "--n", "4,2"], capsys)
+        assert got == code and (err.startswith("error: budget exceeded") or out.count("\n") == 11)
 
     @pytest.mark.parametrize("argv, log_p", [
         (["teleport", "--alpha", "30", "--n", "3", "--d", "2"], "-869.889"),

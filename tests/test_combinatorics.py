@@ -220,3 +220,12 @@ def test_log_tables_are_read_only_arrays():
     assert isinstance(table, np.ndarray) and table.dtype == np.float64
     with pytest.raises(ValueError):
         table[0] = 1.0
+
+
+@pytest.mark.parametrize("order", [(61, 100, 7), (100, 61), (7, 13, 30)])
+@pytest.mark.parametrize("d", [1, 2, 10, 17])
+def test_log_tables_past_the_exact_limit_equal_the_scratch_dp(empty_table_caches, order, d):
+    # the r = 0 pass is a copy and the others run in place: same bytes as the plain DP
+    for n in order:
+        if n * d > 60:
+            assert _log_weight_table(n, d).tobytes() == scratch_log_table(n, d).tobytes()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dense_pipeline_reference
 
+from quditcv import multimode
 from quditcv.multimode import (
     ModeMatrix,
     MultimodeState,
@@ -216,6 +217,24 @@ class TestOracleTeleport:
                 closed.success_probability, abs=1e-10
             )
             assert state_fidelity(brute.state, closed.state) >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("n,cap,d", [(1, 10**4, 10**4), (2, 998, 499)])
+    def test_budget_counts_scatter_add_steps(self, n, cap, d, monkeypatch):
+        # 10,001 and 999,000 index-map entries, but 10^4 and 1,996 steps at 100 each
+        def no_sectors(below):
+            raise AssertionError("a sector was built")
+
+        monkeypatch.setattr(multimode, "_next_sector", no_sectors)
+        monkeypatch.setattr(multimode, "_SECTORS", {})
+        with pytest.raises(ValueError, match="^budget exceeded: "):
+            oracle_teleport(fock_basis(0, cap), SchemeParams(n, d))
+
+    def test_low_mode_counts_stay_inside_the_budget(self):
+        # 501 entries and 500 steps at N = 1: a cost of 50,501
+        rng = np.random.default_rng(80)
+        z = rng.standard_normal(501) + 1j * rng.standard_normal(501)
+        state, params = FockVector(z / np.linalg.norm(z)), SchemeParams(1, 500)
+        assert oracle_teleport(state, params).success_probability == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "n,cap,d", [(1, 4, 2), (2, 6, 1), (3, 5, 2), (4, 4, 2), (4, 8, 3), (5, 6, 2)]

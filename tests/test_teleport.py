@@ -57,6 +57,13 @@ EPR_SCHMIDT_SHA256 = {
     (100, 10): "825c4abe20158f4a14af52bc4b39969f2c4cdf845779b3f26d208df2bc07e226",
 }
 
+# sha256 over d = 1..10 (outer) and N = 1..100 of teleport_epr's little-endian
+# Schmidt vector, P_suc and fidelity, captured before the chi rows were cached
+EPR_GRID_SHA256 = {
+    10.0: "490b21fc7e8bcaa062d61624436354bca6fe47a58991bc32d343c40357c2cd8a",
+    3.0: "1fdfbb965b69138563d03db4f879b7c290605aed44dc895e8cfa8db4131db48c",
+}
+
 # request_digest of teleport_state and teleport_coherent at the six state_stream
 # configurations, on both sides of N*d = 60.  A change to the request path that
 # moves any last digit of an amplitude or of P_suc changes these.
@@ -488,6 +495,20 @@ class TestSqueezing:
         with pytest.raises(ValueError):
             SqueezingParams(r=0.1, chi=0.9, v_s=19.0)
 
+    @pytest.mark.parametrize("make, arg", [
+        (squeezing_from_vs, "v_s"), (squeezing_from_r, "r"), (squeezing_from_chi, "chi"),
+    ])
+    @pytest.mark.parametrize("value", [True, False, "3", None, 3 + 0j, np.bool_(False)])
+    def test_bools_and_non_reals_are_refused_by_name(self, make, arg, value):
+        with pytest.raises(ValueError, match=f"^{arg} must be a real number, got "):
+            make(value)
+
+    def test_other_reals_are_accepted(self):
+        assert squeezing_from_vs(10) == squeezing_from_vs(10.0)
+        assert squeezing_from_vs(np.float64(10.0)) == squeezing_from_vs(10.0)
+        assert squeezing_from_r(np.float32(0.5)).chi == math.tanh(np.float32(0.5))
+        assert squeezing_from_chi(Fraction(1, 2)).v_s == 3.0
+
 
 class TestTeleportEpr:
     def test_zero_squeezing(self):
@@ -552,6 +573,45 @@ class TestTeleportEpr:
         monkeypatch.setattr(teleport, "gain_vector", lambda params: np.full(501, 1.0 + 1e-9))
         with pytest.raises(ValueError, match="P_suc = .* passes 1 by more than rounding: a gain"):
             teleport_epr(squeezing_from_vs(10.0), SchemeParams(50, 10))
+
+    @pytest.mark.parametrize("v_s", sorted(EPR_GRID_SHA256))
+    def test_bench_grid_bytes_are_pinned(self, v_s):
+        squeeze, digest = squeezing_from_vs(v_s), hashlib.sha256()
+        for d in range(1, 11):
+            for n in range(1, 101):
+                out = teleport_epr(squeeze, SchemeParams(n, d))
+                digest.update(out.schmidt.astype("<f8").tobytes())
+                digest.update(np.array([out.success_probability, out.fidelity], "<f8").tobytes())
+        assert digest.hexdigest() == EPR_GRID_SHA256[v_s]
+
+    def test_bytes_do_not_depend_on_the_chi_rows_cache(self, monkeypatch):
+        monkeypatch.setattr(teleport, "_CHI_ROWS", (None, np.zeros((2, 0))))
+
+        def fresh(squeeze, params):
+            # the parent's expression, with chi^k built for this request alone
+            chi, gains = squeeze.chi, gain_vector(params)
+            chi_pow = chi ** np.arange(len(gains), dtype=float)
+            p_suc = (1.0 - chi**2) * float(np.sum(chi_pow**2 * gains**2))
+            fidelity = (1.0 - chi**2) / math.sqrt(p_suc) * float(np.sum(chi_pow**2 * gains))
+            schmidt = math.sqrt(1.0 - chi**2) * chi_pow * gains / math.sqrt(p_suc)
+            return schmidt.tobytes(), min(p_suc, 1.0), min(fidelity, 1.0)
+
+        squeezes = [squeezing_from_vs(10.0), squeezing_from_vs(3.0), squeezing_from_chi(0.0),
+                    squeezing_from_chi(-0.0), squeezing_from_r(2.5)]
+        requests = [SchemeParams(n, d) for n, d in [(3, 2), (61, 1), (20, 4), (2, 1), (100, 10)]]
+        for squeeze in squeezes + squeezes[::-1]:  # cold, grown past, warm and alternating chi
+            for params in requests + requests[::-1]:
+                out = teleport_epr(squeeze, params)
+                assert (out.schmidt.tobytes(), out.success_probability, out.fidelity) \
+                    == fresh(squeeze, params)
+                key, rows = teleport._CHI_ROWS
+                size = len(out.schmidt)
+                assert key[0] == squeeze.chi and rows.shape[1] >= size
+                assert not rows.flags.writeable and not np.shares_memory(out.schmidt, rows)
+                for width in (size, rows.shape[1]):
+                    cold = squeeze.chi ** np.arange(width, dtype=float)
+                    assert rows[:, :width].tobytes() == np.array([cold, cold**2]).tobytes()
+        assert np.signbit(teleport_epr(squeezes[3], requests[0]).schmidt[1])  # -0.0 keeps its sign
 
     @pytest.mark.parametrize("n,d", sorted(EPR_SCHMIDT_SHA256))
     def test_schmidt_bytes_are_pinned(self, n, d):
