@@ -275,10 +275,10 @@ def oracle_teleport(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     and success probability; the test suite holds the two to 1e-10.
 
     Raises:
-        ValueError: "budget exceeded" when the sectors up to top = min(cap, N*d)
-            would cost more than 10^6: N * C(top+N, N) index-map entries (N per
-            occupation of at most top photons) plus 100 per scatter-add step,
-            N per sector.  "vanishing state" when nothing survives the cutoffs.
+        ValueError: "budget exceeded" when the sectors up to top = min(cap, N*d),
+            all it builds besides U[:, 0] (O(N)), would cost more than 10^6:
+            N * C(top+N, N) index-map entries plus 100 per scatter-add step, N per
+            sector.  "vanishing state" when nothing survives the cutoffs.
     """
     n, d = params.num_modes, params.photon_cutoff
     top = min(state.cutoff, params.max_photons)
@@ -290,7 +290,7 @@ def oracle_teleport(state: FockVector, params: SchemeParams) -> TeleportOutcome:
         )
     if not state.is_normalized(1e-9):
         raise ValueError("oracle_teleport requires a normalized input")
-    spread = n_splitter(n).entries[:, 0]
+    spread = np.full(n, 1 / math.sqrt(n), dtype=complex)  # n_splitter's first column
     column = np.ones(1, dtype=complex)
     kept = state.amplitudes.copy()  # ||P s_0||^2 = 1: the vacuum passes every cutoff
     for k, sector in enumerate(_sectors(n, top)[:top], start=1):

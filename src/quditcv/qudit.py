@@ -16,12 +16,13 @@ Conventions, fixed once here:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from ._frozen import freeze_field
+from ._frozen import freeze_field, squared_norm
 
 __all__ = [
     "BellOutcome",
@@ -44,6 +45,13 @@ __all__ = [
 _NORM_TOL = 1e-9
 
 
+def _integer(name: str, value: int) -> int:
+    """`value`, refused if a bool or not an integer; an int skips the ABC checks."""
+    if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class QuditKet:
     """Normalized pure state of a single D-dimensional system."""
@@ -54,7 +62,7 @@ class QuditKet:
         arr = freeze_field(self, "amplitudes", complex)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a qudit needs a 1-d amplitude vector of dimension >= 2")
-        if abs(np.linalg.norm(arr) ** 2 - 1.0) > _NORM_TOL:
+        if not abs(squared_norm(arr) - 1.0) <= _NORM_TOL:  # refuses NaN too
             raise ValueError("qudit amplitudes must be normalized")
 
     @property
@@ -72,7 +80,7 @@ class JointQuditState:
         arr = freeze_field(self, "amplitudes", complex)
         if arr.ndim < 1 or any(s < 2 for s in arr.shape):
             raise ValueError("each subsystem needs dimension >= 2")
-        if abs(np.linalg.norm(arr) ** 2 - 1.0) > _NORM_TOL:
+        if not abs(squared_norm(arr.ravel()) - 1.0) <= _NORM_TOL:
             raise ValueError("joint amplitudes must be normalized")
 
     @property
@@ -95,7 +103,7 @@ class BellOutcome:
 
 def maximally_entangled(dim: int) -> JointQuditState:
     """(1/sqrt(D)) sum_m |m>|m>."""
-    if dim < 2:
+    if _integer("dim", dim) < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
     amps = np.zeros((dim, dim), dtype=complex)
     amps[np.arange(dim), np.arange(dim)] = 1.0 / math.sqrt(dim)
@@ -124,7 +132,7 @@ def xor_gate(state: JointQuditState, control: int, target: int) -> JointQuditSta
 def z_op(state: JointQuditState, index: int, power: int = 1) -> JointQuditState:
     """Apply Z^power on one subsystem: |m> -> omega^{m * power} |m>."""
     dim = state.systems[index]
-    phases = np.exp(2j * np.pi * (power % dim) * np.arange(dim) / dim)
+    phases = np.exp(2j * np.pi * (_integer("power", power) % dim) * np.arange(dim) / dim)
     shape = [1] * state.num_systems
     shape[index] = dim
     return JointQuditState(state.amplitudes * phases.reshape(shape))
@@ -132,12 +140,14 @@ def z_op(state: JointQuditState, index: int, power: int = 1) -> JointQuditState:
 
 def x_op(state: JointQuditState, index: int, power: int = 1) -> JointQuditState:
     """Apply X^power on one subsystem: |m> -> |m + power mod D>."""
-    return JointQuditState(np.roll(state.amplitudes, power % state.systems[index], axis=index))
+    shift = _integer("power", power) % state.systems[index]
+    return JointQuditState(np.roll(state.amplitudes, shift, axis=index))
 
 
 def fourier_state(ell: int, dim: int) -> QuditKet:
     """|nu_l> = (1/sqrt(D)) sum_k omega^{l k} |k>; orthonormal over l."""
-    if not 0 <= ell < dim:
+    _integer("dim", dim)
+    if not 0 <= _integer("ell", ell) < dim:
         raise ValueError(f"ell must lie in 0..{dim - 1}, got {ell}")
     k = np.arange(dim)
     return QuditKet(np.exp(2j * np.pi * ell * k / dim) / math.sqrt(dim))
@@ -189,18 +199,16 @@ def bell_measure(
     dim = probs.shape[0]
     if outcome is not None:
         ell, kk = outcome
-        if not (0 <= ell < dim and 0 <= kk < dim):
+        if not (0 <= _integer("ell", ell) < dim and 0 <= _integer("kk", kk) < dim):
             raise ValueError(f"outcome indices must lie in 0..{dim - 1}, got {outcome}")
-        p = float(probs[ell, kk])
-        if p == 0.0:
-            raise ValueError(f"zero-probability outcome requested: (ell={ell}, kk={kk})")
     elif rng is not None:
         flat = probs.ravel()
-        index = int(rng.choice(dim * dim, p=flat / flat.sum()))
-        ell, kk = divmod(index, dim)
-        p = float(probs[ell, kk])
+        ell, kk = divmod(int(rng.choice(dim * dim, p=flat / flat.sum())), dim)
     else:
         raise ValueError("provide a rng to sample or an explicit outcome to project")
+    p = float(probs[ell, kk])
+    if p == 0.0:  # only a requested outcome can have zero probability
+        raise ValueError(f"zero-probability outcome requested: (ell={ell}, kk={kk})")
     return BellOutcome(ell, kk, p), _collapse(branch[ell, kk], p)
 
 
@@ -209,12 +217,8 @@ def enumerate_bell_outcomes(
 ) -> Iterator[tuple[BellOutcome, JointQuditState | None]]:
     """Yield all D^2 branches; zero-probability branches carry no remainder."""
     branch, probs = _bell_branches(state, sys1, sys2)
-    dim = probs.shape[0]
-    for ell in range(dim):
-        for kk in range(dim):
-            p = float(probs[ell, kk])
-            remainder = _collapse(branch[ell, kk], p) if p > 0.0 else None
-            yield BellOutcome(ell, kk, p), remainder
+    for (ell, kk), p in np.ndenumerate(probs):
+        yield BellOutcome(ell, kk, float(p)), _collapse(branch[ell, kk], p) if p > 0.0 else None
 
 
 def _entangled_with_resource(phi: QuditKet, resource: JointQuditState) -> JointQuditState:
@@ -229,9 +233,12 @@ def _entangled_with_resource(phi: QuditKet, resource: JointQuditState) -> JointQ
     return xor_gate(joint, control=1, target=0)
 
 
-def _correct(remainder: JointQuditState, outcome: BellOutcome) -> QuditKet:
-    fixed = x_op(z_op(remainder, 0, outcome.ell), 0, -outcome.kk)
-    return QuditKet(fixed.amplitudes)
+def _corrected(remainders: np.ndarray, ells, kks) -> np.ndarray:
+    """Z^l then X^-k on each collapsed remainder row: x_op(z_op(row, 0, l), 0, -k) byte for byte."""
+    dim = remainders.shape[1]
+    m = np.arange(dim)
+    phases = np.exp(2j * np.pi * np.asarray(ells)[:, None] * m / dim)  # z_op's phase row per l
+    return np.take_along_axis(remainders * phases, (np.asarray(kks)[:, None] + m) % dim, axis=1)
 
 
 def teleport_qudit(
@@ -248,23 +255,28 @@ def teleport_qudit(
     """
     entangled = _entangled_with_resource(phi, resource)
     result, remainder = bell_measure(entangled, 0, 1, rng=rng, outcome=outcome)
-    return _correct(remainder, result), result
+    return QuditKet(_corrected(remainder.amplitudes[None], [result.ell], [result.kk])[0]), result
 
 
 def teleport_qudit_branches(
     phi: QuditKet, resource: JointQuditState
 ) -> Iterator[tuple[BellOutcome, QuditKet | None]]:
-    """Enumerate every outcome branch with its corrected output state."""
-    entangled = _entangled_with_resource(phi, resource)
-    for result, remainder in enumerate_bell_outcomes(entangled, 0, 1):
-        yield result, None if remainder is None else _correct(remainder, result)
+    """Enumerate every outcome branch with its corrected output state, all corrected in one pass."""
+    branch, probs = _bell_branches(_entangled_with_resource(phi, resource), 0, 1)
+    ells, kks = np.nonzero(probs > 0.0)
+    remainders = branch[ells, kks] / np.sqrt(probs[ells, kks])[:, None]  # as _collapse divides
+    if not np.all(np.abs(np.linalg.norm(remainders, axis=1) ** 2 - 1.0) <= _NORM_TOL):
+        raise ValueError("joint amplitudes must be normalized")
+    kets = iter(_corrected(remainders, ells, kks))
+    for (ell, kk), p in np.ndenumerate(probs):
+        yield BellOutcome(ell, kk, float(p)), QuditKet(next(kets)) if p > 0.0 else None
 
 
 def depolarized_fidelity(p: float, dim: int) -> float:
     """Channel fidelity p + (1 - p)/D over the resource p |phi><phi| + (1 - p) I / D^2."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
-    if dim < 2:
+    if _integer("dim", dim) < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
     return p + (1.0 - p) / dim
 
@@ -276,7 +288,7 @@ def singlet_fraction_fidelity(singlet_fraction: float, dim: int) -> float:
     anywhere in [0, 1] are accepted so the depolarized consistency identity
     F(p) = p + (1 - p)/D^2 can be evaluated down to p = 0.
     """
-    if dim < 2:
+    if _integer("dim", dim) < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
     if not 0.0 <= singlet_fraction <= 1.0:
         raise ValueError(f"singlet fraction must lie in [0, 1], got {singlet_fraction}")
@@ -285,5 +297,5 @@ def singlet_fraction_fidelity(singlet_fraction: float, dim: int) -> float:
 
 def haar_random_ket(dim: int, rng: np.random.Generator) -> QuditKet:
     """Draw a ket uniformly from the unit sphere in C^dim."""
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    z = rng.standard_normal(_integer("dim", dim)) + 1j * rng.standard_normal(dim)
     return QuditKet(z / np.linalg.norm(z))

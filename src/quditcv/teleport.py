@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import freeze_field
+from ._frozen import freeze_field, squared_norm
 from .combinatorics import EXACT_LIMIT, _count_table, _log_weight_table, restricted_weight_log
 
 __all__ = [
@@ -88,8 +88,7 @@ class FockVector:
         return len(self.amplitudes) - 1
 
     def norm(self) -> float:
-        x = self.amplitudes  # np.linalg.norm's own sum for a complex vector, without its wrapper
-        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+        return math.sqrt(squared_norm(self.amplitudes))
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(self.norm() ** 2 - 1.0) <= tol

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,30 @@ from quditcv.teleport import (
     state_fidelity,
     teleport_state,
 )
+
+
+# sha256 of oracle_teleport's little-endian amplitudes and P_suc for five seeded
+# states at each oracle_check configuration (N, cap, d).  A change to how the
+# oracle builds its splitter or sectors that moves any last digit changes these.
+ORACLE_SHA256 = {
+    (2, 8, 1): "0c568168cb3d7c0686e23a8a5cf279c2820b5a26c7768986a462e8eb457b21ad",
+    (3, 8, 2): "4f2e1db3b240184f71d2b148cbb865fa965503f7f883ecc93613a4e8326393d6",
+    (4, 6, 2): "95d49b95aee86be67f8234b4bdba8a554ba76d3de083411fdcfeabb6bf406f7a",
+    (4, 8, 3): "59ecc453b1a4c4b98ae6e1fc101dd61f5f74d067a13b42a9722d8c51b64acda8",
+    (5, 5, 2): "108e19f98af44e1aa997e945d7740285dc9dea55f2b9bc92ecfd5518936155c5",
+    (5, 6, 2): "8b0e64ae6bfa3aabc2fe72757e73700a0293764726958f3732d43192f47f126b",
+}
+
+
+def oracle_digest(n: int, cap: int, d: int) -> str:
+    rng = np.random.default_rng([n, cap, d])
+    params, digest = SchemeParams(n, d), hashlib.sha256()
+    for _ in range(5):
+        z = rng.standard_normal(cap + 1) + 1j * rng.standard_normal(cap + 1)
+        out = oracle_teleport(FockVector(z / np.linalg.norm(z)), params)
+        digest.update(out.state.amplitudes.astype("<c16").tobytes())
+        digest.update(np.float64(out.success_probability).astype("<f8").tobytes())
+    return digest.hexdigest()
 
 
 def fock_basis(k: int, cutoff: int) -> FockVector:
@@ -229,6 +254,18 @@ class TestOracleTeleport:
         with pytest.raises(ValueError, match="^budget exceeded: "):
             oracle_teleport(fock_basis(0, cap), SchemeParams(n, d))
 
+    @pytest.mark.parametrize("n", [2000, 10**4])
+    def test_many_modes_never_build_the_splitter_matrix(self, n, monkeypatch):
+        # a vacuum input passes the sector budget at any N, so the N x N splitter and its
+        # N^3 unitarity check must not be built: only its first column is read
+        def no_splitter(num_modes):
+            raise AssertionError("the full splitter was built")
+
+        monkeypatch.setattr(multimode, "n_splitter", no_splitter)
+        out = oracle_teleport(FockVector([1.0]), SchemeParams(n, 1))
+        assert out.success_probability == 1.0
+        assert out.state.amplitudes.tolist() == [1.0]
+
     def test_low_mode_counts_stay_inside_the_budget(self):
         # 501 entries and 500 steps at N = 1: a cost of 50,501
         rng = np.random.default_rng(80)
@@ -253,6 +290,10 @@ class TestOracleTeleport:
                 stepwise.success_probability, abs=1e-12
             )
             assert np.max(np.abs(read_off.state.amplitudes - stepwise.state.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("n,cap,d", sorted(ORACLE_SHA256))
+    def test_oracle_keeps_its_bytes(self, n, cap, d):
+        assert oracle_digest(n, cap, d) == ORACLE_SHA256[n, cap, d]
 
     def test_dense_pipeline_vanishing_input(self):
         for run in (oracle_teleport, dense_pipeline_reference):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -45,6 +46,80 @@ def overlap(a: QuditKet, b: QuditKet) -> float:
     return abs(np.vdot(a.amplitudes, b.amplitudes))
 
 
+# sha256 of teleport_qudit_branches over three seeded inputs per dimension:
+# every probability and every ket ("none" for a zero-probability branch), as
+# little-endian bytes.  "entangled" uses maximally_entangled(D), "random" a
+# seeded random two-qudit resource, and "product" |1>|D-1> with inputs that
+# vanish on odd basis states, so some branches have zero probability.
+# A change to the branch correction that moves any last digit changes these.
+BRANCHES_SHA256 = {
+    (2, "entangled"): "d3097b31ca44b5a20d265dba7cbf99f6a17a462bc475c90fa73f14480db46500",
+    (2, "product"): "6eb73f37d3414e7937bbfac97d170a53fbcd8aba3e34486346f27219537b8e46",
+    (2, "random"): "34573b502071f5fe8470ec97ac51fbd3fadfda6ed408850ff0cf749dd234a77f",
+    (3, "entangled"): "d365d62fd883aa8570dfcd1724753a7c7134f981db9e11f0805898d88a685eaf",
+    (3, "product"): "a960cf193a1f59c2d8b5fad7f8979f9f88927cfe67b9c91abb504299bfae43b1",
+    (3, "random"): "c04886887cac6d8e80620518fe710d7745895ef553a20e1edd3321e01f484344",
+    (5, "entangled"): "1ea4a041cbe2b380ecdf26668c303a313e86a7a8337dafdd99f138dd8841d89f",
+    (5, "product"): "2694660316304e62198751fc9b6c6ffeebaf6b71f6ee92d50cc55da98b50bebe",
+    (5, "random"): "e1906deb81d76498e1b6803999e1dc722290623ac3033f3317e763e51cf08cc6",
+    (7, "entangled"): "00a13705244871300bd66b34befd27fbb9cd02c41f251c9981c50663f5d0a46b",
+    (7, "product"): "b13035745fd428910ef07ba9cc7eddc5472f7851a7c89b98d0bd1e39e882934d",
+    (7, "random"): "719b61cb040485019849b918c31365c1f1a69bc466db9fc401c84601681d5b04",
+    (16, "entangled"): "f77523e8282bba2b44fc8a54deee935f50e2d637402885e9cfef875be2c00854",
+    (16, "product"): "809a3ffcf1e944c15c09721e29243a92cb6b50238053c2c6b7e0be19a3b2a2fb",
+    (16, "random"): "9f05d048c19dcd08e403a16f5615869bf7ea30a6283140a6a4dfd121eb548033",
+}
+
+# sha256 of teleport_qudit's ket and probability at fixed outcomes, through a
+# seeded random resource
+TELEPORT_SHA256 = {
+    2: "d58d67588cd830875160ba097f4c671e9a2b2cabb2649146448ede4ec7932bb9",
+    3: "57f56d0717dd653106dbfdc3d9e99f637dd22a923bc8c5675e3031a74999153d",
+    5: "5e4edd5800fed3777ea1f01e2698d63254c01f04fc8f70dca341b770055e3ae3",
+    7: "fb5659f7cdca790b82cab2a173d27798ac9c4c92451d3f6a5da00ed0cc554a71",
+    16: "dece70c0645198f175c33a3fd12f46d2b4608ea14d47f98e77a5c8a1c6ccb1ca",
+}
+
+
+def random_joint(rng, dims: tuple[int, ...]) -> JointQuditState:
+    z = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    return JointQuditState(z / np.linalg.norm(z))
+
+
+def pinned_inputs(dim: int, kind: str):
+    """Three seeded (input, resource) pairs of one kind."""
+    rng = np.random.default_rng([dim, len(kind)])
+    for _ in range(3):
+        phi = haar_random_ket(dim, rng)
+        if kind == "entangled":
+            yield phi, maximally_entangled(dim)
+        elif kind == "random":
+            yield phi, random_joint(rng, (dim, dim))
+        else:
+            sparse = phi.amplitudes.copy()
+            sparse[1::2] = 0.0
+            yield QuditKet(sparse / np.linalg.norm(sparse)), product_resource(dim, 1, dim - 1)
+
+
+def branches_digest(dim: int, kind: str) -> str:
+    digest = hashlib.sha256()
+    for phi, resource in pinned_inputs(dim, kind):
+        for outcome, ket in teleport_qudit_branches(phi, resource):
+            digest.update(np.float64(outcome.probability).astype("<f8").tobytes())
+            digest.update(b"none" if ket is None else ket.amplitudes.astype("<c16").tobytes())
+    return digest.hexdigest()
+
+
+def teleport_digest(dim: int) -> str:
+    digest = hashlib.sha256()
+    for phi, resource in pinned_inputs(dim, "random"):
+        for outcome in [(0, 0), (dim - 1, 1), (1, dim - 1)]:
+            ket, result = teleport_qudit(phi, resource, outcome=outcome)
+            digest.update(np.float64(result.probability).astype("<f8").tobytes())
+            digest.update(ket.amplitudes.astype("<c16").tobytes())
+    return digest.hexdigest()
+
+
 class TestStates:
     def test_maximally_entangled_qubits(self):
         state = maximally_entangled(2)
@@ -69,6 +144,18 @@ class TestStates:
             QuditKet([1.0, 1.0])
         with pytest.raises(ValueError, match="normalized"):
             JointQuditState(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_amplitudes_refused(self, bad):
+        # abs(x - 1) > tol is False for NaN, so the check must read "not <= tol"
+        with pytest.raises(ValueError, match="qudit amplitudes must be normalized"):
+            QuditKet([bad, 0.0])
+        with pytest.raises(ValueError, match="joint amplitudes must be normalized"):
+            JointQuditState(np.full((2, 2), bad))
+        mixed = np.eye(2, dtype=complex) / math.sqrt(2.0)
+        mixed[0, 1] = bad
+        with pytest.raises(ValueError, match="joint amplitudes must be normalized"):
+            JointQuditState(mixed)  # so no Bell branch can carry a NaN probability
 
 
 class TestOperators:
@@ -280,10 +367,52 @@ class TestTeleportation:
             assert np.allclose(np.abs(ket_a.amplitudes), np.abs(ket_b.amplitudes), atol=1e-13)
             assert np.count_nonzero(np.abs(ket_a.amplitudes) > 1e-12) == 1
 
+    def test_subnormal_branch_is_refused(self):
+        # p = 1e-320 is subnormal, so branch / sqrt(p) is off unit norm by far more than 1e-9
+        amps = np.zeros((2, 2), dtype=complex)
+        amps[0, 0], amps[1, 1] = 1.0, 1e-160
+        resource = JointQuditState(amps)
+        with pytest.raises(ValueError, match="joint amplitudes must be normalized"):
+            next(teleport_qudit_branches(basis_ket(2, 0), resource))
+        with pytest.raises(ValueError, match="joint amplitudes must be normalized"):
+            teleport_qudit(basis_ket(2, 0), resource, outcome=(0, 1))
+
     def test_resource_shape_validation(self):
         phi = basis_ket(2, 0)
         with pytest.raises(ValueError, match="resource"):
             teleport_qudit(phi, maximally_entangled(3), outcome=(0, 0))
+
+
+class TestCorrectionBytes:
+    @pytest.mark.parametrize("dim,kind", sorted(BRANCHES_SHA256))
+    def test_branches_keep_their_bytes(self, dim, kind):
+        assert branches_digest(dim, kind) == BRANCHES_SHA256[dim, kind]
+
+    @pytest.mark.parametrize("dim", sorted(TELEPORT_SHA256))
+    def test_fixed_outcomes_keep_their_bytes(self, dim):
+        assert teleport_digest(dim) == TELEPORT_SHA256[dim]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8, 16])
+    @pytest.mark.parametrize("kind", ["entangled", "random", "product"])
+    def test_batched_correction_equals_the_operators(self, dim, kind):
+        # z_op and x_op stay the reference for the correction of every branch; a
+        # zero-probability branch is never divided, so no floating-point warning is raised
+        for phi, resource in pinned_inputs(dim, kind):
+            joint = JointQuditState(np.multiply.outer(phi.amplitudes, resource.amplitudes))
+            entangled = xor_gate(joint, control=1, target=0)
+            with np.errstate(all="raise"):
+                branches = list(teleport_qudit_branches(phi, resource))
+            for (outcome, remainder), (result, ket) in zip(
+                enumerate_bell_outcomes(entangled, 0, 1), branches, strict=True
+            ):
+                assert result == outcome
+                if remainder is None:
+                    assert ket is None
+                    continue
+                fixed = x_op(z_op(remainder, 0, outcome.ell), 0, -outcome.kk)
+                assert ket.amplitudes.tobytes() == fixed.amplitudes.tobytes()
+                single, _ = teleport_qudit(phi, resource, outcome=(outcome.ell, outcome.kk))
+                assert single.amplitudes.tobytes() == fixed.amplitudes.tobytes()
 
 
 class TestFidelityLaws:
@@ -316,3 +445,30 @@ class TestFidelityLaws:
     def test_domain_errors(self, bad_call):
         with pytest.raises(ValueError):
             bad_call()
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("name,bad_call", [
+        ("dim", lambda: maximally_entangled(2.5)),
+        ("dim", lambda: haar_random_ket(2.0, np.random.default_rng(0))),
+        ("ell", lambda: fourier_state(True, 3)),
+        ("ell", lambda: fourier_state(1.0, 3)),
+        ("dim", lambda: fourier_state(0, 2.5)),
+        ("dim", lambda: fourier_state(-1, 2.5)),
+        ("dim", lambda: depolarized_fidelity(0.5, 2.5)),
+        ("dim", lambda: singlet_fraction_fidelity(0.5, True)),
+        ("power", lambda: z_op(maximally_entangled(2), 0, 1.5)),
+        ("power", lambda: x_op(maximally_entangled(2), 0, 1.5)),
+        ("ell", lambda: bell_measure(maximally_entangled(2), 0, 1, outcome=(True, 0))),
+        ("ell", lambda: bell_measure(maximally_entangled(2), 0, 1, outcome=(0.5, 0))),
+        ("kk", lambda: teleport_qudit(basis_ket(2, 0), maximally_entangled(2), outcome=(0, 1.0))),
+    ])
+    def test_bools_and_non_integers_refused(self, name, bad_call):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            bad_call()
+
+    def test_numpy_integers_accepted(self):
+        out, _ = bell_measure(maximally_entangled(3), 0, 1, outcome=(np.int64(2), np.int8(1)))
+        assert out.probability == pytest.approx(1.0 / 9.0, abs=1e-15)
+        assert fourier_state(np.int32(1), np.int64(2)).amplitudes[1] == pytest.approx(
+            -1.0 / math.sqrt(2.0), abs=1e-15)
