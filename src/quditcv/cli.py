@@ -56,9 +56,10 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
             lo, hi, count = float(lo_text), float(hi_text), int(count_text)
             if not (1 <= count <= _GRID_LIMIT and math.isfinite(hi - lo)):
                 raise ValueError  # an infinite span would make linspace warn and emit nan
-            return tuple(float(x) for x in np.linspace(lo, hi, count))
+            with np.errstate(over="raise"):  # a finite span near the float limit can still overflow
+                return tuple(float(x) for x in np.linspace(lo, hi, count))
         return tuple(float(part) for part in text.split(",", _GRID_LIMIT - 1))
-    except ValueError:
+    except (ValueError, FloatingPointError):
         raise argparse.ArgumentTypeError(
             f"expected a comma list like 0.1,0.2 or a finite grid like 0:1:21 "
             f"of at most {_GRID_LIMIT} points, got {text!r}"

@@ -32,13 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import freeze_field
-from .teleport import _clamped
+from ._frozen import freeze_field, integer, real
+from .teleport import _clamped, _poisson_tail_bound
 
 __all__ = [
-    "COMPARE_MODELS", "DetectorModel", "INTERFEROMETER_SUCCESS", "PovmElement",
-    "SchemeEfficiencies", "advantage_region", "apd_povm", "comparison_axes", "pnr_povm",
-    "povm_completeness_defect", "povm_element", "scheme1_success", "scheme2_success",
+    "COMPARE_MODELS", "DetectorModel", "INTERFEROMETER_SUCCESS", "PovmElement", "advantage_region",
+    "apd_povm", "comparison_axes", "pnr_povm", "povm_completeness_defect", "povm_element",
+    "scheme1_success", "scheme2_success",
 ]
 
 # success probability of one linear-optics quartit teleportation module
@@ -61,9 +61,8 @@ class DetectorModel:
     nu: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.eta}")
-        if not 0.0 <= self.nu < math.inf:
+        _validate_unit("eta", self.eta)
+        if not 0.0 <= real("nu", self.nu) < math.inf:
             raise ValueError(f"dark-count rate must be finite and >= 0, got {self.nu}")
 
 
@@ -86,23 +85,9 @@ class PovmElement:
             raise ValueError("weights must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class SchemeEfficiencies:
-    """Efficiency point for the comparison: single-photon eta, PNR xi."""
-
-    eta: float
-    xi: float
-    interferometer_success: float = INTERFEROMETER_SUCCESS
-
-    def __post_init__(self) -> None:
-        for name in ("eta", "xi", "interferometer_success"):
-            _validate_unit(name, getattr(self, name))
-
-
 def povm_element(clicks: int, det: DetectorModel, cutoff: int) -> PovmElement:
     """Weight vector of the N_c-click element over Fock levels 0..cutoff."""
-    if clicks < 0:
-        raise ValueError(f"click count must be >= 0, got {clicks}")
+    clicks = integer("clicks", clicks, 0)
     return PovmElement(clicks, _povm_weights(det, clicks, cutoff)[clicks])
 
 
@@ -115,8 +100,7 @@ def _povm_weights(det: DetectorModel, max_clicks: int, cutoff: int) -> np.ndarra
     adds the terms in, so each weight is that sum's float.  A request whose
     terms would overflow a float is refused before anything is built.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    cutoff = integer("cutoff", cutoff, 0)
     eta, nu = det.eta, det.nu
     rows = min(max_clicks, cutoff) + 1
     try:
@@ -153,8 +137,7 @@ def apd_povm(det: DetectorModel, cutoff: int) -> tuple[PovmElement, PovmElement]
 
 def pnr_povm(det: DetectorModel, max_resolved: int, cutoff: int) -> list[PovmElement]:
     """Number-resolving family {Pi_0, ..., Pi_K, I - sum} for K = max_resolved."""
-    if max_resolved < 0:
-        raise ValueError(f"max_resolved must be >= 0, got {max_resolved}")
+    max_resolved = integer("max_resolved", max_resolved, 0)
     weights = _povm_weights(det, max_resolved, cutoff)
     # accumulate adds left to right, never pairwise; as each sum is >= 0,
     # 1 - min(sum, 1) is clip(1 - sum, 0, 1) bit for bit
@@ -170,23 +153,12 @@ def povm_completeness_defect(det: DetectorModel, cutoff: int) -> float:
     tiny: click counts above cutoff + j need at least j dark counts, so the
     truncation error at depth j is bounded by the Poisson(nu) mass above j.
     """
+    cutoff = integer("cutoff", cutoff, 0)
     depth = 0
-    while _poisson_survival(det.nu, depth) > 1e-12:
+    while _poisson_tail_bound(det.nu, depth) > 1e-12:
         depth += 1
     total = np.add.accumulate(_povm_weights(det, cutoff + depth, cutoff))[-1]
     return float(np.max(np.abs(total - 1.0)))
-
-
-def _poisson_survival(mean: float, count: int) -> float:
-    """P[Poisson(mean) > count], summed directly."""
-    if mean <= 0.0:
-        return 0.0
-    term = math.exp(-mean)
-    cumulative = term
-    for j in range(1, count + 1):
-        term *= mean / j
-        cumulative += term
-    return max(0.0, 1.0 - cumulative)
 
 
 def scheme1_success(eta: float, num_channels: int, model: str = "deterministic") -> float:
@@ -197,7 +169,7 @@ def scheme1_success(eta: float, num_channels: int, model: str = "deterministic")
     linear-optics Bell measurement, giving (1/2)^N eta^N.
     """
     _validate_unit("eta", eta)
-    _validate_channels(num_channels)
+    num_channels = integer("num_channels", num_channels, 1)
     if model == "deterministic":
         return eta ** (2 * num_channels)
     if model == "linear-optics":
@@ -215,7 +187,7 @@ def scheme2_success(xi: float, eta: float, num_channels: int, model: str = "gene
     """
     _validate_unit("xi", xi)
     _validate_unit("eta", eta)
-    _validate_channels(num_channels)
+    num_channels = integer("num_channels", num_channels, 1)
     if model == "generic":
         return xi**num_channels * eta**num_channels
     if model == "quartit-interferometer":
@@ -255,10 +227,5 @@ def advantage_region(eta_grid, xi_grid) -> np.ndarray:
 
 
 def _validate_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
+    if not 0.0 <= real(name, value) <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
-def _validate_channels(num_channels: int) -> None:
-    if num_channels < 1:
-        raise ValueError(f"need at least one channel, got {num_channels}")

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import freeze_field
+from ._frozen import freeze_field, integer
 from .teleport import FockVector, SchemeParams, TeleportOutcome, _clamped
 
 __all__ = [
@@ -100,17 +100,15 @@ class MultimodeState:
 
 def n_splitter(num_modes: int) -> ModeMatrix:
     """Balanced splitter: the N-point DFT unitary, first column 1/sqrt(N)."""
-    if num_modes < 1:
-        raise ValueError(f"need at least one mode, got {num_modes}")
+    num_modes = integer("num_modes", num_modes, 1)
     j = np.arange(num_modes)
     return ModeMatrix(np.exp(2j * np.pi * np.outer(j, j) / num_modes) / math.sqrt(num_modes))
 
 
 def embed_input(state: FockVector, num_modes: int, cap: int | None = None) -> MultimodeState:
     """Place a single-mode state in mode 0 with vacuum everywhere else."""
-    if num_modes < 1:
-        raise ValueError(f"need at least one mode, got {num_modes}")
-    cap = state.cutoff if cap is None else cap
+    num_modes = integer("num_modes", num_modes, 1)
+    cap = state.cutoff if cap is None else integer("cap", cap)
     if cap < state.cutoff:
         raise ValueError(f"cap {cap} cannot hold the input cutoff {state.cutoff}")
     amps = np.zeros((cap + 1,) * num_modes, dtype=complex)
@@ -178,10 +176,9 @@ def truncate_mode(
 
     Returns the (unnormalized) surviving state and the discarded squared norm.
     """
-    if not 0 <= mode_index < state.num_modes:
+    if not 0 <= integer("mode_index", mode_index) < state.num_modes:
         raise ValueError(f"mode index {mode_index} out of range")
-    if max_photons < 0:
-        raise ValueError(f"max_photons must be >= 0, got {max_photons}")
+    max_photons = integer("max_photons", max_photons, 0)
     if max_photons >= state.per_mode_cap:
         return state, 0.0
     amps = state.amplitudes.copy()
@@ -204,7 +201,7 @@ def vacuum_postselect(state: MultimodeState, kept_mode: int) -> tuple[FockVector
     """
     if state.num_modes < 2:
         raise ValueError("need at least two modes to post-select")
-    if not 0 <= kept_mode < state.num_modes:
+    if not 0 <= integer("kept_mode", kept_mode) < state.num_modes:
         raise ValueError(f"mode index {kept_mode} out of range")
     index: list[object] = [0] * state.num_modes
     index[kept_mode] = slice(None)

@@ -16,13 +16,12 @@ Conventions, fixed once here:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from ._frozen import freeze_field, squared_norm
+from ._frozen import freeze_field, integer, real, squared_norm
 
 __all__ = [
     "BellOutcome",
@@ -43,13 +42,6 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-9
-
-
-def _integer(name: str, value: int) -> int:
-    """`value`, refused if a bool or not an integer; an int skips the ABC checks."""
-    if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,14 +95,15 @@ class BellOutcome:
 
 def maximally_entangled(dim: int) -> JointQuditState:
     """(1/sqrt(D)) sum_m |m>|m>."""
-    if _integer("dim", dim) < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
+    dim = integer("dim", dim, 2)
     amps = np.zeros((dim, dim), dtype=complex)
     amps[np.arange(dim), np.arange(dim)] = 1.0 / math.sqrt(dim)
     return JointQuditState(amps)
 
 
-def _matching_dim(state: JointQuditState, a: int, b: int) -> int:
+def _matching_dim(state: JointQuditState, **systems: int) -> int:
+    """The dimension two distinct systems of `state` share, given as name=index."""
+    a, b = (integer(name, index) for name, index in systems.items())
     dims = state.systems
     if not (0 <= a < len(dims) and 0 <= b < len(dims)) or a == b:
         raise ValueError(f"need two distinct valid system indices, got {a}, {b}")
@@ -121,7 +114,7 @@ def _matching_dim(state: JointQuditState, a: int, b: int) -> int:
 
 def xor_gate(state: JointQuditState, control: int, target: int) -> JointQuditState:
     """|j>_target |i>_control -> |i - j mod D>_target |i>_control."""
-    dim = _matching_dim(state, control, target)
+    dim = _matching_dim(state, control=control, target=target)
     moved = np.moveaxis(state.amplitudes, (target, control), (0, 1))
     t, c = np.ogrid[:dim, :dim]
     # new amplitude at (target=t, control=c) comes from target index c - t
@@ -131,8 +124,8 @@ def xor_gate(state: JointQuditState, control: int, target: int) -> JointQuditSta
 
 def z_op(state: JointQuditState, index: int, power: int = 1) -> JointQuditState:
     """Apply Z^power on one subsystem: |m> -> omega^{m * power} |m>."""
-    dim = state.systems[index]
-    phases = np.exp(2j * np.pi * (_integer("power", power) % dim) * np.arange(dim) / dim)
+    dim = state.systems[integer("index", index)]
+    phases = np.exp(2j * np.pi * (integer("power", power) % dim) * np.arange(dim) / dim)
     shape = [1] * state.num_systems
     shape[index] = dim
     return JointQuditState(state.amplitudes * phases.reshape(shape))
@@ -140,14 +133,14 @@ def z_op(state: JointQuditState, index: int, power: int = 1) -> JointQuditState:
 
 def x_op(state: JointQuditState, index: int, power: int = 1) -> JointQuditState:
     """Apply X^power on one subsystem: |m> -> |m + power mod D>."""
-    shift = _integer("power", power) % state.systems[index]
+    shift = integer("power", power) % state.systems[integer("index", index)]
     return JointQuditState(np.roll(state.amplitudes, shift, axis=index))
 
 
 def fourier_state(ell: int, dim: int) -> QuditKet:
     """|nu_l> = (1/sqrt(D)) sum_k omega^{l k} |k>; orthonormal over l."""
-    _integer("dim", dim)
-    if not 0 <= _integer("ell", ell) < dim:
+    integer("dim", dim)
+    if not 0 <= integer("ell", ell) < dim:
         raise ValueError(f"ell must lie in 0..{dim - 1}, got {ell}")
     k = np.arange(dim)
     return QuditKet(np.exp(2j * np.pi * ell * k / dim) / math.sqrt(dim))
@@ -161,7 +154,7 @@ def _bell_branches(
     Returns (branch, probs): branch[l, k, ...] is the residual amplitude
     tensor over the unmeasured systems, probs[l, k] its squared norm.
     """
-    dim = _matching_dim(state, sys1, sys2)
+    dim = _matching_dim(state, sys1=sys1, sys2=sys2)
     moved = np.moveaxis(state.amplitudes, (sys1, sys2), (0, 1))
     grid = np.outer(np.arange(dim), np.arange(dim))
     conj_fourier = np.exp(-2j * np.pi * grid / dim) / math.sqrt(dim)  # [l, i]
@@ -199,7 +192,7 @@ def bell_measure(
     dim = probs.shape[0]
     if outcome is not None:
         ell, kk = outcome
-        if not (0 <= _integer("ell", ell) < dim and 0 <= _integer("kk", kk) < dim):
+        if not (0 <= integer("ell", ell) < dim and 0 <= integer("kk", kk) < dim):
             raise ValueError(f"outcome indices must lie in 0..{dim - 1}, got {outcome}")
     elif rng is not None:
         flat = probs.ravel()
@@ -274,11 +267,9 @@ def teleport_qudit_branches(
 
 def depolarized_fidelity(p: float, dim: int) -> float:
     """Channel fidelity p + (1 - p)/D over the resource p |phi><phi| + (1 - p) I / D^2."""
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= real("p", p) <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
-    if _integer("dim", dim) < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
-    return p + (1.0 - p) / dim
+    return p + (1.0 - p) / integer("dim", dim, 2)
 
 
 def singlet_fraction_fidelity(singlet_fraction: float, dim: int) -> float:
@@ -288,14 +279,13 @@ def singlet_fraction_fidelity(singlet_fraction: float, dim: int) -> float:
     anywhere in [0, 1] are accepted so the depolarized consistency identity
     F(p) = p + (1 - p)/D^2 can be evaluated down to p = 0.
     """
-    if _integer("dim", dim) < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
-    if not 0.0 <= singlet_fraction <= 1.0:
+    dim = integer("dim", dim, 2)
+    if not 0.0 <= real("singlet_fraction", singlet_fraction) <= 1.0:
         raise ValueError(f"singlet fraction must lie in [0, 1], got {singlet_fraction}")
     return (singlet_fraction * dim + 1.0) / (dim + 1.0)
 
 
 def haar_random_ket(dim: int, rng: np.random.Generator) -> QuditKet:
     """Draw a ket uniformly from the unit sphere in C^dim."""
-    z = rng.standard_normal(_integer("dim", dim)) + 1j * rng.standard_normal(dim)
+    z = rng.standard_normal(integer("dim", dim, 2)) + 1j * rng.standard_normal(dim)
     return QuditKet(z / np.linalg.norm(z))

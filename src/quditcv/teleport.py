@@ -21,15 +21,15 @@ overlap, with the squared variant exposed alongside.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import freeze_field, squared_norm
-from .combinatorics import EXACT_LIMIT, _count_table, _log_weight_table, restricted_weight_log
+from ._frozen import freeze_field, integer, real, squared_norm
+from .combinatorics import (EXACT_LIMIT, PHOTON_BUDGET, _count_table, _log_weight_table, _within,
+                            restricted_weight_log)
 
 __all__ = [
     "EprOutcome", "FockVector", "SchemeParams", "SqueezingParams", "TeleportOutcome",
@@ -41,8 +41,6 @@ __all__ = [
 _COHERENT_TAIL = 1e-12
 # coherent_fock's vector keeps its norm within 1e-9 up to about |alpha| = 120
 _ALPHA_LIMIT = 100.0
-# most photons N*d a closed form keeps: a cold log weight table costs O((N*d)^2)
-_PHOTON_BUDGET = 10**4
 # P_suc may pass 1 by the 1e-9 teleport_state's norm check admits plus 64 ulps of rounding
 _P_SUC_SLACK = 1e-9 + 64 * 2.0**-52
 
@@ -57,14 +55,10 @@ class SchemeParams:
     def __post_init__(self) -> None:
         n, d = self.num_modes, self.photon_cutoff
         if not (type(n) is int and type(d) is int and n >= 1 and d >= 1):  # skips the ABC checks
-            for name in ("num_modes", "photon_cutoff"):
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-                object.__setattr__(self, name, int(value))
-        if self.max_photons > _PHOTON_BUDGET:
-            raise ValueError(f"budget exceeded: N*d = {self.max_photons} passes the "
-                             f"{_PHOTON_BUDGET} photon-number budget of the closed forms")
+            n, d = integer("num_modes", n, 1), integer("photon_cutoff", d, 1)
+            object.__setattr__(self, "num_modes", n)
+            object.__setattr__(self, "photon_cutoff", d)
+        _within(PHOTON_BUDGET, n, d)
 
     @property
     def max_photons(self) -> int:
@@ -122,7 +116,8 @@ class SqueezingParams:
     v_s: float
 
     def __post_init__(self) -> None:
-        if not (self.r >= 0.0 and 0.0 <= self.chi < 1.0 and self.v_s >= 1.0):
+        if not (real("r", self.r) >= 0.0 and 0.0 <= real("chi", self.chi) < 1.0
+                and real("v_s", self.v_s) >= 1.0):
             raise ValueError(f"squeezing parameters out of range: {self}")
         if abs(math.tanh(self.r) - self.chi) > 1e-12:
             raise ValueError(f"chi is inconsistent with r: {self}")
@@ -130,27 +125,20 @@ class SqueezingParams:
             raise ValueError(f"v_s is inconsistent with chi: {self}")
 
 
-def _real(name: str, value: float) -> float:
-    """`value`, refused if a bool or not a real number; a float skips the ABC checks."""
-    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return value
-
-
 def squeezing_from_chi(chi: float) -> SqueezingParams:
-    if not 0.0 <= _real("chi", chi) < 1.0:
+    if not 0.0 <= real("chi", chi) < 1.0:
         raise ValueError(f"chi must lie in [0, 1), got {chi}")
     return SqueezingParams(r=math.atanh(chi), chi=chi, v_s=(1.0 + chi) / (1.0 - chi))
 
 
 def squeezing_from_vs(v_s: float) -> SqueezingParams:
-    if not 1.0 <= _real("v_s", v_s) < math.inf:
+    if not 1.0 <= real("v_s", v_s) < math.inf:
         raise ValueError(f"v_s must be finite and >= 1, got {v_s}")
     return squeezing_from_chi((v_s - 1.0) / (v_s + 1.0))
 
 
 def squeezing_from_r(r: float) -> SqueezingParams:
-    if not 0.0 <= _real("r", r) < math.inf:
+    if not 0.0 <= real("r", r) < math.inf:
         raise ValueError(f"r must be finite and >= 0, got {r}")
     return squeezing_from_chi(math.tanh(r))
 
@@ -216,8 +204,7 @@ def fock_gain(k: int, params: SchemeParams) -> float:
     Exactly 1 for k <= d, exactly 0 beyond N*d, and strictly between 0 and 1
     in the window where truncation bites: entry k of :func:`gain_vector`.
     """
-    if k < 0:
-        raise ValueError(f"photon number cannot be negative, got {k}")
+    k = integer("k", k, 0)
     return float(gain_vector(params)[k]) if k <= params.max_photons else 0.0
 
 
@@ -298,8 +285,7 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
             is not provably below 1e-12, and when alpha is not finite or
             |alpha| > 100.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    cutoff = integer("cutoff", cutoff, 0)
     mean = _mean_photons(alpha)
     if _poisson_tail_bound(mean, cutoff) >= _COHERENT_TAIL:
         raise ValueError(
@@ -371,7 +357,7 @@ def teleport_epr(squeeze: SqueezingParams, params: SchemeParams) -> EprOutcome:
 
 def conventional_cv_fidelity(r: float) -> float:
     """Coherent-state fidelity 1/(1 + e^{-2r}) of gain-matched CV teleportation."""
-    if r < 0.0:
+    if not real("r", r) >= 0.0:
         raise ValueError(f"r must be >= 0, got {r}")
     return 1.0 / (1.0 + math.exp(-2.0 * r))
 

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quditcv
@@ -622,6 +622,7 @@ class TestGridGrammar:
 
     @pytest.mark.parametrize("parse", [cli._parse_int_list, cli._parse_float_grid])
     @given(text=_GRID_TEXTS)
+    @example(text="0:1.7976931348623157e+308:73")  # finite span whose linspace step overflows
     @settings(max_examples=300, deadline=None)
     def test_parsers_return_a_bounded_tuple_or_refuse(self, parse, text):
         try:

@@ -229,3 +229,33 @@ def test_log_tables_past_the_exact_limit_equal_the_scratch_dp(empty_table_caches
     for n in order:
         if n * d > 60:
             assert _log_weight_table(n, d).tobytes() == scratch_log_table(n, d).tobytes()
+
+
+def _no_table(*args):
+    raise AssertionError("a table was built for a request past the budget")
+
+
+@pytest.mark.parametrize("n, d", [(1001, 1), (501, 2), (1, 1001), (10**4 + 1, 1)])
+def test_exact_weight_refuses_past_its_budget_before_any_table(n, d, monkeypatch):
+    monkeypatch.setattr(combinatorics, "_count_table", _no_table)
+    with pytest.raises(ValueError, match=r"^budget exceeded: N\*d = \d+ passes the 1000 "):
+        restricted_weight(n, 1, d)
+
+
+def test_exact_weight_serves_its_budget(monkeypatch):
+    monkeypatch.setattr(combinatorics, "_count_table", lambda n, d: (1,) * (n * d + 1))
+    assert combinatorics.EXACT_BUDGET == 1000
+    assert restricted_weight(1000, 3, 1) == restricted_weight(10, 3, 100) == Fraction(1, 6)
+
+
+@pytest.mark.parametrize("n, d", [(20000, 1), (10**4 + 1, 1), (101, 100), (1, 10**4 + 1)])
+def test_log_weight_refuses_past_its_budget_before_any_table(n, d, monkeypatch):
+    monkeypatch.setattr(combinatorics, "_log_weight_table", _no_table)
+    with pytest.raises(ValueError, match=r"^budget exceeded: N\*d = \d+ passes the 10000 "):
+        restricted_weight_log(n, 3, d)
+
+
+def test_log_weight_serves_its_budget(monkeypatch):
+    monkeypatch.setattr(combinatorics, "_log_weight_table", lambda n, d: np.zeros(n * d + 1))
+    assert combinatorics.PHOTON_BUDGET == 10**4
+    assert restricted_weight_log(10**4, 3, 1) == restricted_weight_log(100, 3, 100) == 0.0

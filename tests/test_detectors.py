@@ -11,7 +11,6 @@ from quditcv.detectors import (
     COMPARE_MODELS,
     INTERFEROMETER_SUCCESS,
     DetectorModel,
-    SchemeEfficiencies,
     advantage_region,
     apd_povm,
     comparison_axes,
@@ -226,11 +225,6 @@ class TestSchemeComparison:
             scheme1_success(0.5, 2, model="bogus")
         with pytest.raises(ValueError, match="model"):
             scheme2_success(0.5, 0.5, 2, model="bogus")
-
-    def test_efficiencies_dataclass_validation(self):
-        SchemeEfficiencies(eta=0.5, xi=0.5)
-        with pytest.raises(ValueError):
-            SchemeEfficiencies(eta=0.5, xi=1.2)
 
     def test_advantage_at_perfect_detectors(self):
         region = advantage_region([1.0], [1.0])
