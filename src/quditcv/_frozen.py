@@ -32,3 +32,12 @@ def real(name: str, value):
     if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return value
+
+
+def complex_number(name: str, value):
+    """`value`, refused if a bool or not a complex number; a complex or float skips the ABCs."""
+    kind = type(value)
+    if kind is not complex and kind is not float and (
+            kind is bool or not isinstance(value, numbers.Complex)):
+        raise ValueError(f"{name} must be a complex number, got {value!r}")
+    return value

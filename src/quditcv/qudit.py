@@ -122,9 +122,17 @@ def xor_gate(state: JointQuditState, control: int, target: int) -> JointQuditSta
     return JointQuditState(np.moveaxis(shuffled, (0, 1), (target, control)))
 
 
+def _system(state: JointQuditState, index: int) -> int:
+    """`index` as an int, refused unless it names one of the state's systems."""
+    if not 0 <= (index := integer("index", index)) < state.num_systems:
+        raise ValueError(f"index must lie in 0..{state.num_systems - 1}, got {index}")
+    return index
+
+
 def z_op(state: JointQuditState, index: int, power: int = 1) -> JointQuditState:
     """Apply Z^power on one subsystem: |m> -> omega^{m * power} |m>."""
-    dim = state.systems[integer("index", index)]
+    index = _system(state, index)
+    dim = state.systems[index]
     phases = np.exp(2j * np.pi * (integer("power", power) % dim) * np.arange(dim) / dim)
     shape = [1] * state.num_systems
     shape[index] = dim
@@ -133,7 +141,8 @@ def z_op(state: JointQuditState, index: int, power: int = 1) -> JointQuditState:
 
 def x_op(state: JointQuditState, index: int, power: int = 1) -> JointQuditState:
     """Apply X^power on one subsystem: |m> -> |m + power mod D>."""
-    shift = integer("power", power) % state.systems[integer("index", index)]
+    index = _system(state, index)
+    shift = integer("power", power) % state.systems[index]
     return JointQuditState(np.roll(state.amplitudes, shift, axis=index))
 
 

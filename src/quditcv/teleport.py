@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import freeze_field, integer, real, squared_norm
+from ._frozen import complex_number, freeze_field, integer, real, squared_norm
 from .combinatorics import (EXACT_LIMIT, PHOTON_BUDGET, _count_table, _log_weight_table, _within,
                             restricted_weight_log)
 
@@ -260,7 +260,7 @@ def _poisson_tail_bound(mean: float, cutoff: int) -> float:
 
 def _mean_photons(alpha: complex) -> float:
     try:
-        magnitude = abs(alpha)
+        magnitude = abs(complex_number("alpha", alpha))
     except OverflowError:  # a complex whose modulus passes the float range
         magnitude = math.inf
     if not magnitude <= _ALPHA_LIMIT:

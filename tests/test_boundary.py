@@ -1,8 +1,10 @@
-"""Every public integer and real argument is checked where it enters the package.
+"""Every public integer, real and complex argument is checked where it enters the package.
 
 An integer argument refuses a bool, a float and a string; a real argument refuses
-a bool, a string and a complex number.  Each refusal is a ValueError whose message
-starts with the argument's name, and a numpy scalar of a valid value is accepted.
+a bool, a string and a complex number; a complex argument refuses a bool, a string
+and None.  Each refusal is a ValueError whose message starts with the argument's
+name, and a numpy scalar of a valid value is accepted.  A qudit system index must
+also name one of the state's systems.
 """
 
 import numpy as np
@@ -37,6 +39,7 @@ from quditcv import (
     squeezing_from_chi,
     squeezing_from_r,
     squeezing_from_vs,
+    teleport_coherent,
     truncate_mode,
     vacuum_postselect,
     x_op,
@@ -151,6 +154,35 @@ def test_real_argument_accepts_numpy_reals(name, call, good):
     call(np.float32(good))
 
 
+COMPLEXES = [
+    ("alpha", lambda x: coherent_fock(x, 30), 1.0),
+    ("alpha", lambda x: teleport_coherent(x, PARAMS), 1.0),
+]
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "1", None], ids=["bool", "np-bool", "str", "none"])
+@pytest.mark.parametrize("name, call, good", COMPLEXES, ids=_ids(COMPLEXES))
+def test_complex_argument_refuses_non_numbers(name, call, good, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be a complex number, got "):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call, good", COMPLEXES, ids=_ids(COMPLEXES))
+def test_complex_argument_accepts_numbers(name, call, good):
+    for kind in (complex, float, int, np.complex128, np.complex64, np.float64, np.float32,
+                 np.int64):
+        call(kind(good))
+
+
+@pytest.mark.parametrize("op", [z_op, x_op], ids=["z_op", "x_op"])
+@pytest.mark.parametrize("index", [2, 5, -1, -2, np.int64(2)])
+def test_system_index_must_name_a_system(op, index):
+    with pytest.raises(ValueError, match=f"^index must lie in 0..1, got {index}$"):
+        op(ME, index)
+    for valid in (0, 1, np.int8(1)):
+        op(ME, valid)
+
+
 # each of these once returned a value, measured the wrong system, or raised a TypeError
 SEEN = {
     "scheme1_success(0.5, 2.5)": ("num_channels", lambda: scheme1_success(0.5, 2.5)),
@@ -163,6 +195,8 @@ SEEN = {
     "conventional_cv_fidelity(True)": ("r", lambda: conventional_cv_fidelity(True)),
     "restricted_weight(True, 1, 1)": ("n_modes", lambda: restricted_weight(True, 1, 1)),
     "z_op(me, 1.5)": ("index", lambda: z_op(ME, 1.5)),
+    "coherent_fock(True, 30)": ("alpha", lambda: coherent_fock(True, 30)),
+    "coherent_fock('x', 3)": ("alpha", lambda: coherent_fock("x", 3)),
     "xor_gate(me, 0.0, 1)": ("control", lambda: xor_gate(ME, 0.0, 1)),
     "bell_measure(me, True, 0)": ("sys1", lambda: bell_measure(ME, True, 0, outcome=(0, 0))),
     "n_splitter(2.5)": ("num_modes", lambda: n_splitter(2.5)),

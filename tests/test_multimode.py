@@ -315,3 +315,57 @@ class TestOracleTeleport:
                 closed.success_probability, abs=1e-10
             )
             assert state_fidelity(brute.state, closed.state) >= 1.0 - 1e-10
+
+
+def oracle_bytes(n: int, cap: int, d: int) -> bytes:
+    """Raw bytes of one oracle call on a seeded state: amplitudes, then P_suc."""
+    rng = np.random.default_rng([n, cap, d, 1])
+    z = rng.standard_normal(cap + 1) + 1j * rng.standard_normal(cap + 1)
+    out = oracle_teleport(FockVector(z / np.linalg.norm(z)), SchemeParams(n, d))
+    return out.state.amplitudes.tobytes() + np.float64(out.success_probability).tobytes()
+
+
+def fail_if_called(*args):
+    raise AssertionError("a sector was built")
+
+
+class TestKeptNorms:
+    """||P s_k||^2 depends on (N, d, k) alone, so the oracle keeps it per (N, d)."""
+
+    @pytest.fixture(autouse=True)
+    def cold_caches(self, monkeypatch):
+        monkeypatch.setattr(multimode, "_SECTORS", {})
+        monkeypatch.setattr(multimode, "_NORMS", {})
+
+    def test_warm_call_returns_the_cold_bytes_and_builds_nothing(self, monkeypatch):
+        cold = oracle_bytes(5, 6, 2)
+        monkeypatch.setattr(multimode, "_next_sector", fail_if_called)
+        assert oracle_bytes(5, 6, 2) == cold
+        assert oracle_digest(5, 6, 2) == ORACLE_SHA256[5, 6, 2]
+        # a smaller top reads a prefix of the kept norms
+        oracle_bytes(5, 3, 2)
+        assert len(multimode._NORMS[5, 2]) == 6
+
+    def test_call_order_does_not_move_the_bytes(self, monkeypatch):
+        order = [(5, 5, 2), (5, 6, 2), (5, 3, 2), (5, 6, 1)]  # the last: norms are per d too
+        cold = {}
+        for config in order:
+            monkeypatch.setattr(multimode, "_SECTORS", {})
+            monkeypatch.setattr(multimode, "_NORMS", {})
+            cold[config] = oracle_bytes(*config)
+        monkeypatch.setattr(multimode, "_SECTORS", {})
+        monkeypatch.setattr(multimode, "_NORMS", {})
+        for config in order:
+            assert oracle_bytes(*config) == cold[config]
+
+    def test_budget_refusal_comes_before_any_cache_use(self, monkeypatch):
+        class Untouchable(dict):
+            def fail(self, *args):
+                raise AssertionError("the norm cache was used")
+
+            get = __getitem__ = __setitem__ = __contains__ = setdefault = fail
+
+        monkeypatch.setattr(multimode, "_NORMS", Untouchable())
+        monkeypatch.setattr(multimode, "_next_sector", fail_if_called)
+        with pytest.raises(ValueError, match="^budget exceeded: "):
+            oracle_teleport(fock_basis(0, 9), SchemeParams(11, 1))
