@@ -6,8 +6,13 @@ import numpy as np
 
 
 def freeze_field(obj, name: str, dtype) -> np.ndarray:
-    """Store a read-only `dtype` copy of field `name` on the frozen dataclass `obj`."""
-    arr = np.array(getattr(obj, name), dtype=dtype)
+    """Store a read-only `dtype` copy of field `name` on `obj`; refuse bool, bytes and str input."""
+    value = getattr(obj, name)
+    if not (type(value) is np.ndarray and value.dtype.kind in "fc"):  # fast path: one copy
+        given, value = value, np.asarray(value)
+        if value.dtype.kind in "bSU":
+            raise ValueError(f"{name} must hold numbers, got {given!r}")
+    arr = value.astype(dtype)  # np.array(value, dtype=dtype) byte for byte, with less overhead
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr

@@ -24,20 +24,9 @@ import numpy as np
 from ._frozen import freeze_field, integer, real, squared_norm
 
 __all__ = [
-    "BellOutcome",
-    "JointQuditState",
-    "QuditKet",
-    "bell_measure",
-    "depolarized_fidelity",
-    "enumerate_bell_outcomes",
-    "fourier_state",
-    "haar_random_ket",
-    "maximally_entangled",
-    "singlet_fraction_fidelity",
-    "teleport_qudit",
-    "teleport_qudit_branches",
-    "x_op",
-    "xor_gate",
+    "BellOutcome", "JointQuditState", "QuditKet", "bell_measure", "depolarized_fidelity",
+    "enumerate_bell_outcomes", "fourier_state", "haar_random_ket", "maximally_entangled",
+    "singlet_fraction_fidelity", "teleport_qudit", "teleport_qudit_branches", "x_op", "xor_gate",
     "z_op",
 ]
 
@@ -60,6 +49,22 @@ class QuditKet:
     @property
     def dim(self) -> int:
         return len(self.amplitudes)
+
+
+def _unit_rows(rows: np.ndarray) -> bool:
+    """Whether each row of a C-contiguous 2-d complex array has unit norm to _NORM_TOL (not NaN)."""
+    return bool(np.all(np.abs((rows.view(np.float64) ** 2).sum(axis=1) - 1.0) <= _NORM_TOL))
+
+
+def _kets(rows: np.ndarray) -> list[QuditKet]:
+    """QuditKet(row) per row of a fresh 2-d complex array: rows frozen in place, no row copied."""
+    if not _unit_rows(rows):
+        raise ValueError("qudit amplitudes must be normalized")
+    rows.setflags(write=False)
+    kets = [object.__new__(QuditKet) for _ in range(len(rows))]
+    for ket, row in zip(kets, rows):
+        object.__setattr__(ket, "amplitudes", row)
+    return kets
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,9 +101,7 @@ class BellOutcome:
 def maximally_entangled(dim: int) -> JointQuditState:
     """(1/sqrt(D)) sum_m |m>|m>."""
     dim = integer("dim", dim, 2)
-    amps = np.zeros((dim, dim), dtype=complex)
-    amps[np.arange(dim), np.arange(dim)] = 1.0 / math.sqrt(dim)
-    return JointQuditState(amps)
+    return JointQuditState(np.eye(dim) / math.sqrt(dim))
 
 
 def _matching_dim(state: JointQuditState, **systems: int) -> int:
@@ -112,13 +115,17 @@ def _matching_dim(state: JointQuditState, **systems: int) -> int:
     return dims[a]
 
 
+def _xor(amps: np.ndarray) -> np.ndarray:
+    """The XOR gate on an amplitude tensor whose axes 0 and 1 are the target and the control."""
+    m = np.arange(len(amps))
+    # new amplitude at (target=t, control=c) comes from target index c - t
+    return amps[(m - m[:, None]) % len(amps), m]
+
+
 def xor_gate(state: JointQuditState, control: int, target: int) -> JointQuditState:
     """|j>_target |i>_control -> |i - j mod D>_target |i>_control."""
-    dim = _matching_dim(state, control=control, target=target)
-    moved = np.moveaxis(state.amplitudes, (target, control), (0, 1))
-    t, c = np.ogrid[:dim, :dim]
-    # new amplitude at (target=t, control=c) comes from target index c - t
-    shuffled = moved[(c - t) % dim, np.broadcast_to(c, (dim, dim)), ...]
+    _matching_dim(state, control=control, target=target)
+    shuffled = _xor(np.moveaxis(state.amplitudes, (target, control), (0, 1)))
     return JointQuditState(np.moveaxis(shuffled, (0, 1), (target, control)))
 
 
@@ -148,23 +155,22 @@ def x_op(state: JointQuditState, index: int, power: int = 1) -> JointQuditState:
 
 def fourier_state(ell: int, dim: int) -> QuditKet:
     """|nu_l> = (1/sqrt(D)) sum_k omega^{l k} |k>; orthonormal over l."""
-    integer("dim", dim)
+    dim = integer("dim", dim, 2)
     if not 0 <= integer("ell", ell) < dim:
         raise ValueError(f"ell must lie in 0..{dim - 1}, got {ell}")
     k = np.arange(dim)
     return QuditKet(np.exp(2j * np.pi * ell * k / dim) / math.sqrt(dim))
 
 
-def _bell_branches(
-    state: JointQuditState, sys1: int, sys2: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """All unnormalized projections onto |k'>_{sys1} |nu_l'>_{sys2}.
+def _bell_branches(state: JointQuditState, sys1: int, sys2: int) -> tuple[np.ndarray, np.ndarray]:
+    """All unnormalized projections onto |k'>_{sys1} |nu_l'>_{sys2}, as `_projected` gives."""
+    _matching_dim(state, sys1=sys1, sys2=sys2)
+    return _projected(np.moveaxis(state.amplitudes, (sys1, sys2), (0, 1)))
 
-    Returns (branch, probs): branch[l, k, ...] is the residual amplitude
-    tensor over the unmeasured systems, probs[l, k] its squared norm.
-    """
-    dim = _matching_dim(state, sys1=sys1, sys2=sys2)
-    moved = np.moveaxis(state.amplitudes, (sys1, sys2), (0, 1))
+
+def _projected(moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measuring axes 0, 1: branch[l, k, ...], the residual tensor, and probs[l, k], its norm^2."""
+    dim = len(moved)
     grid = np.outer(np.arange(dim), np.arange(dim))
     conj_fourier = np.exp(-2j * np.pi * grid / dim) / math.sqrt(dim)  # [l, i]
     branch = np.tensordot(conj_fourier, moved, axes=([1], [1]))  # [l, k, rest...]
@@ -178,14 +184,9 @@ def _collapse(branch: np.ndarray, probability: float) -> JointQuditState | None:
     return JointQuditState(branch / math.sqrt(probability))
 
 
-def bell_measure(
-    state: JointQuditState,
-    sys1: int,
-    sys2: int,
-    *,
-    rng: np.random.Generator | None = None,
-    outcome: tuple[int, int] | None = None,
-) -> tuple[BellOutcome, JointQuditState | None]:
+def bell_measure(state: JointQuditState, sys1: int, sys2: int, *,
+                 rng: np.random.Generator | None = None, outcome: tuple[int, int] | None = None
+                 ) -> tuple[BellOutcome, JointQuditState | None]:
     """Measure (sys1, sys2) in the generalized Bell product basis.
 
     Pass a seeded ``rng`` to sample an outcome, or ``outcome=(ell, kk)`` to
@@ -200,7 +201,10 @@ def bell_measure(
     branch, probs = _bell_branches(state, sys1, sys2)
     dim = probs.shape[0]
     if outcome is not None:
-        ell, kk = outcome
+        try:
+            ell, kk = outcome
+        except (TypeError, ValueError):
+            raise ValueError(f"outcome must be a pair (ell, kk), got {outcome!r}") from None
         if not (0 <= integer("ell", ell) < dim and 0 <= integer("kk", kk) < dim):
             raise ValueError(f"outcome indices must lie in 0..{dim - 1}, got {outcome}")
     elif rng is not None:
@@ -214,9 +218,8 @@ def bell_measure(
     return BellOutcome(ell, kk, p), _collapse(branch[ell, kk], p)
 
 
-def enumerate_bell_outcomes(
-    state: JointQuditState, sys1: int, sys2: int
-) -> Iterator[tuple[BellOutcome, JointQuditState | None]]:
+def enumerate_bell_outcomes(state: JointQuditState, sys1: int, sys2: int
+                            ) -> Iterator[tuple[BellOutcome, JointQuditState | None]]:
     """Yield all D^2 branches; zero-probability branches carry no remainder."""
     branch, probs = _bell_branches(state, sys1, sys2)
     for (ell, kk), p in np.ndenumerate(probs):
@@ -224,15 +227,16 @@ def enumerate_bell_outcomes(
 
 
 def _entangled_with_resource(phi: QuditKet, resource: JointQuditState) -> JointQuditState:
+    for name, value, kind in (("phi", phi, QuditKet), ("resource", resource, JointQuditState)):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
     dim = phi.dim
     if resource.num_systems != 2 or resource.systems != (dim, dim):
-        raise ValueError(
-            f"resource must be a two-system state of dimension {dim} each, "
-            f"got systems {resource.systems}"
-        )
+        raise ValueError(f"resource must be a two-system state of dimension {dim} each, "
+                         f"got systems {resource.systems}")
     joint = JointQuditState(np.multiply.outer(phi.amplitudes, resource.amplitudes))
-    # the sender entangles the input (system 0) with their half (system 1)
-    return xor_gate(joint, control=1, target=0)
+    # the sender entangles the input (system 0, the target) with their half (system 1, the control)
+    return JointQuditState(_xor(joint.amplitudes))
 
 
 def _corrected(remainders: np.ndarray, ells, kks) -> np.ndarray:
@@ -243,13 +247,9 @@ def _corrected(remainders: np.ndarray, ells, kks) -> np.ndarray:
     return np.take_along_axis(remainders * phases, (np.asarray(kks)[:, None] + m) % dim, axis=1)
 
 
-def teleport_qudit(
-    phi: QuditKet,
-    resource: JointQuditState,
-    *,
-    rng: np.random.Generator | None = None,
-    outcome: tuple[int, int] | None = None,
-) -> tuple[QuditKet, BellOutcome]:
+def teleport_qudit(phi: QuditKet, resource: JointQuditState, *,
+                   rng: np.random.Generator | None = None, outcome: tuple[int, int] | None = None
+                   ) -> tuple[QuditKet, BellOutcome]:
     """Run the full protocol for one (sampled or requested) outcome.
 
     With ``maximally_entangled(D)`` as the resource the returned ket equals
@@ -260,18 +260,18 @@ def teleport_qudit(
     return QuditKet(_corrected(remainder.amplitudes[None], [result.ell], [result.kk])[0]), result
 
 
-def teleport_qudit_branches(
-    phi: QuditKet, resource: JointQuditState
-) -> Iterator[tuple[BellOutcome, QuditKet | None]]:
+def teleport_qudit_branches(phi: QuditKet, resource: JointQuditState
+                            ) -> Iterator[tuple[BellOutcome, QuditKet | None]]:
     """Enumerate every outcome branch with its corrected output state, all corrected in one pass."""
-    branch, probs = _bell_branches(_entangled_with_resource(phi, resource), 0, 1)
+    branch, probs = _projected(_entangled_with_resource(phi, resource).amplitudes)
     ells, kks = np.nonzero(probs > 0.0)
     remainders = branch[ells, kks] / np.sqrt(probs[ells, kks])[:, None]  # as _collapse divides
-    if not np.all(np.abs(np.linalg.norm(remainders, axis=1) ** 2 - 1.0) <= _NORM_TOL):
+    if not _unit_rows(remainders):
         raise ValueError("joint amplitudes must be normalized")
-    kets = iter(_corrected(remainders, ells, kks))
-    for (ell, kk), p in np.ndenumerate(probs):
-        yield BellOutcome(ell, kk, float(p)), QuditKet(next(kets)) if p > 0.0 else None
+    kets = iter(_kets(_corrected(remainders, ells, kks)))
+    for ell, row in enumerate(probs.tolist()):
+        for kk, p in enumerate(row):
+            yield BellOutcome(ell, kk, p), next(kets) if p > 0.0 else None
 
 
 def depolarized_fidelity(p: float, dim: int) -> float:

@@ -4,8 +4,12 @@ An integer argument refuses a bool, a float and a string; a real argument refuse
 a bool, a string and a complex number; a complex argument refuses a bool, a string
 and None.  Each refusal is a ValueError whose message starts with the argument's
 name, and a numpy scalar of a valid value is accepted.  A qudit system index must
-also name one of the state's systems.
+also name one of the state's systems.  The teleportation protocol's state arguments
+must be states, and the array fields of the frozen classes refuse bool, bytes and
+str input, each with a message that names the argument or field.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +17,10 @@ import pytest
 from quditcv import (
     DetectorModel,
     FockVector,
+    JointQuditState,
+    ModeMatrix,
+    PovmElement,
+    QuditKet,
     SchemeParams,
     SqueezingParams,
     apd_povm,
@@ -40,6 +48,8 @@ from quditcv import (
     squeezing_from_r,
     squeezing_from_vs,
     teleport_coherent,
+    teleport_qudit,
+    teleport_qudit_branches,
     truncate_mode,
     vacuum_postselect,
     x_op,
@@ -228,3 +238,96 @@ def test_lower_bounds_name_the_argument(name, call, low):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}, got {low - 1}$"):
         call(low - 1)
     call(low)
+
+
+KET = QuditKet([1.0, 0.0])
+
+# (argument name, the type it must have, call with that argument set to x)
+PROTOCOL_ARGUMENTS = [
+    ("phi", "QuditKet", lambda x: teleport_qudit(x, ME, outcome=(0, 0))),
+    ("phi", "QuditKet", lambda x: list(teleport_qudit_branches(x, ME))),
+    ("resource", "JointQuditState", lambda x: teleport_qudit(KET, x, outcome=(0, 0))),
+    ("resource", "JointQuditState", lambda x: list(teleport_qudit_branches(KET, x))),
+]
+
+
+@pytest.mark.parametrize("bad", ["x", [1.0, 0.0], np.eye(2) / np.sqrt(2.0), None],
+                         ids=["str", "list", "ndarray", "none"])
+@pytest.mark.parametrize("name, kind, call", PROTOCOL_ARGUMENTS,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(PROTOCOL_ARGUMENTS)])
+def test_protocol_arguments_must_be_states(name, kind, call, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got {type(bad).__name__}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("dim", [0, -3, 1])
+def test_fourier_state_checks_dim_before_ell(dim):
+    with pytest.raises(ValueError, match=f"^dim must be an integer >= 2, got {dim}$"):
+        fourier_state(0, dim)
+
+
+@pytest.mark.parametrize("outcome", [(0,), (0, 0, 0), 5, "a", ()], ids=repr)
+def test_outcome_must_be_a_pair(outcome):
+    with pytest.raises(ValueError, match=r"^outcome must be a pair \(ell, kk\), got "):
+        bell_measure(ME, 0, 1, outcome=outcome)
+    bell_measure(ME, 0, 1, outcome=[0, 1])  # any two-item sequence still serves
+
+
+# (field name, call with that field set to x, a valid value for it)
+ARRAY_FIELDS = [
+    ("amplitudes", QuditKet, [1.0, 0.0]),
+    ("amplitudes", FockVector, [0.0, 1.0]),
+    ("amplitudes", JointQuditState, [[1.0, 0.0], [0.0, 0.0]]),
+    ("entries", ModeMatrix, [[1.0, 0.0], [0.0, 1.0]]),
+    ("weights", lambda x: PovmElement(0, x), [1.0, 0.0]),
+]
+
+
+NON_NUMBERS = {
+    "str": lambda good: np.asarray(good).astype(str).tolist(),
+    "bytes": lambda good: np.asarray(good).astype(bytes).tolist(),
+    "bool": lambda good: (np.asarray(good) != 0.0).tolist(),
+    "bool-ndarray": lambda good: np.asarray(good) != 0.0,
+    "bool-scalar": lambda good: True,
+}
+
+
+@pytest.mark.parametrize("bad", NON_NUMBERS.values(), ids=NON_NUMBERS.keys())
+@pytest.mark.parametrize("name, call, good", ARRAY_FIELDS,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(ARRAY_FIELDS)])
+def test_array_fields_refuse_strings_bytes_and_bools(name, call, good, bad):
+    with pytest.raises(ValueError, match=f"^{name} must hold numbers, got "):
+        call(bad(good))
+
+
+@pytest.mark.parametrize("name, call, good", ARRAY_FIELDS,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(ARRAY_FIELDS)])
+def test_array_fields_accept_numbers(name, call, good):
+    values = [good, np.array(good, dtype=float), np.array(good, dtype=np.int64),
+              np.vectorize(Fraction, otypes=[object])(np.array(good, dtype=int))]
+    if name != "weights":  # the one real-valued field
+        values += [np.array(good, dtype=complex), np.array(good, dtype=np.complex64)]
+    for value in values:
+        kept = getattr(call(value), name)
+        assert np.array_equal(kept, np.asarray(good)) and not kept.flags.writeable
+        if isinstance(value, np.ndarray):
+            assert kept is not value and value.flags.writeable  # one copy, the input untouched
+
+
+# each of these once returned a value or failed deep inside with an AttributeError
+SEEN_STATES = {
+    "QuditKet(['1', '0'])": ("amplitudes", lambda: QuditKet(["1", "0"])),
+    "teleport_qudit_branches(ket, 'x')":
+        ("resource", lambda: list(teleport_qudit_branches(KET, "x"))),
+    "teleport_qudit_branches([1, 0], me)":
+        ("phi", lambda: list(teleport_qudit_branches([1, 0], ME))),
+    "fourier_state(0, 0)": ("dim", lambda: fourier_state(0, 0)),
+    "bell_measure(me, 0, 1, outcome=(0,))":
+        ("outcome", lambda: bell_measure(ME, 0, 1, outcome=(0,))),
+}
+
+
+@pytest.mark.parametrize("name, call", SEEN_STATES.values(), ids=SEEN_STATES.keys())
+def test_state_calls_that_once_passed_or_failed_deep_inside(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call()

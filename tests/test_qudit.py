@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditcv import qudit
 from quditcv.qudit import (
     JointQuditState,
     QuditKet,
@@ -472,3 +473,80 @@ class TestIntegerArguments:
         assert out.probability == pytest.approx(1.0 / 9.0, abs=1e-15)
         assert fourier_state(np.int32(1), np.int64(2)).amplitudes[1] == pytest.approx(
             -1.0 / math.sqrt(2.0), abs=1e-15)
+
+
+class TestBatchedKets:
+    """teleport_qudit_branches wraps views of one checked, read-only array as its kets."""
+
+    @pytest.mark.parametrize("dim,kind", sorted(BRANCHES_SHA256))
+    def test_each_ket_equals_quditket_of_its_row(self, dim, kind):
+        for phi, resource in pinned_inputs(dim, kind):
+            for outcome, ket in teleport_qudit_branches(phi, resource):
+                if ket is None:
+                    continue
+                single, _ = teleport_qudit(phi, resource, outcome=(outcome.ell, outcome.kk))
+                rebuilt = QuditKet(ket.amplitudes)
+                for reference in (single, rebuilt):
+                    assert type(ket) is QuditKet and ket.dim == dim
+                    assert ket.amplitudes.dtype == reference.amplitudes.dtype
+                    assert ket.amplitudes.shape == reference.amplitudes.shape
+                    assert ket.amplitudes.strides == reference.amplitudes.strides
+                    assert ket.amplitudes.tobytes() == reference.amplitudes.tobytes()
+
+    def test_batch_constructor_equals_the_public_one(self):
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        rows = z / np.linalg.norm(z, axis=1, keepdims=True)
+        for row, ket in zip(rows, qudit._kets(rows.copy()), strict=True):
+            assert ket.amplitudes.tobytes() == QuditKet(row).amplitudes.tobytes()
+            assert ket.amplitudes.dtype == np.complex128 and ket.amplitudes.flags.c_contiguous
+
+    @pytest.mark.parametrize("dim,kind", [(2, "entangled"), (5, "random"), (7, "product")])
+    def test_kets_are_read_only(self, dim, kind):
+        phi, resource = next(pinned_inputs(dim, kind))
+        kets = [ket for _, ket in teleport_qudit_branches(phi, resource) if ket is not None]
+        assert kets
+        for ket in kets:
+            assert not ket.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                ket.amplitudes.setflags(write=True)
+            with pytest.raises(ValueError):
+                ket.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize("row", [0, -1], ids=["first-row", "last-row"])
+    @pytest.mark.parametrize("damage", [math.nan, math.inf, 1e-8, -1e-8],
+                             ids=["nan", "inf", "over-1e-8", "under-1e-8"])
+    def test_a_bad_corrected_row_is_refused_before_any_ket(self, monkeypatch, row, damage):
+        corrected = qudit._corrected
+
+        def damaged(remainders, ells, kks):
+            out = corrected(remainders, ells, kks)
+            out[row] *= damage if not math.isfinite(damage) else math.sqrt(1.0 + damage)
+            return out
+
+        monkeypatch.setattr(qudit, "_corrected", damaged)
+        phi, resource = next(pinned_inputs(3, "entangled"))
+        branches = teleport_qudit_branches(phi, resource)
+        with pytest.raises(ValueError, match="^qudit amplitudes must be normalized$"):
+            next(branches)
+
+    @pytest.mark.parametrize("damage", [5e-10, -5e-10, 2e-9, 1e-8, math.nan])
+    def test_the_batch_check_agrees_with_quditket(self, damage):
+        row = fourier_state(1, 3).amplitudes * math.sqrt(1.0 + damage)
+        try:
+            QuditKet(row)
+        except ValueError:
+            with pytest.raises(ValueError, match="^qudit amplitudes must be normalized$"):
+                qudit._kets(np.array([row]))
+        else:
+            assert qudit._kets(np.array([row]))[0].amplitudes.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: teleport_qudit_branches([1.0, 0.0], maximally_entangled(2)), "^phi must be a "),
+        (lambda: teleport_qudit_branches(basis_ket(2, 0), "x"), "^resource must be a "),
+        (lambda: teleport_qudit_branches(basis_ket(2, 0), maximally_entangled(3)), "^resource "),
+    ], ids=["phi", "resource-type", "resource-shape"])
+    def test_errors_surface_on_the_first_next(self, call, message):
+        branches = call()  # a generator: nothing runs until the first next()
+        with pytest.raises(ValueError, match=message):
+            next(branches)
