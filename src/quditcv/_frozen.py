@@ -5,12 +5,16 @@ import numbers
 import numpy as np
 
 
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
 def freeze_field(obj, name: str, dtype) -> np.ndarray:
     """Store a read-only `dtype` copy of field `name` on `obj`; refuse bool, bytes and str input."""
     value = getattr(obj, name)
     if not (type(value) is np.ndarray and value.dtype.kind in "fc"):  # fast path: one copy
         given, value = value, np.asarray(value)
-        if value.dtype.kind in "bSU":
+        # entry by entry: np.asarray turns [True, 0.0] into floats, and astype parses a str
+        if any(isinstance(x, _NOT_NUMBERS) for x in np.asarray(given, object).flat):
             raise ValueError(f"{name} must hold numbers, got {given!r}")
     arr = value.astype(dtype)  # np.array(value, dtype=dtype) byte for byte, with less overhead
     arr.setflags(write=False)

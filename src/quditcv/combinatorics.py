@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, mul
 from typing import Iterator
 
 import numpy as np
@@ -84,12 +86,14 @@ def _grown(tables: dict, n_modes: int, per_mode_cutoff: int, empty, add_mode):
 
 
 def _add_mode_count(table: tuple[int, ...], per_mode_cutoff: int) -> tuple[int, ...]:
-    # the new letter takes r of the k positions: C_{n+1}(k) = sum_r comb(k, r) C_n(k - r)
-    return tuple(
-        sum(math.comb(k, r) * table[k - r]
-            for r in range(max(0, k - len(table) + 1), min(per_mode_cutoff, k) + 1))
-        for k in range(len(table) + per_mode_cutoff)
-    )
+    # the new letter takes r of the k positions: C_{n+1}(k) = sum_r comb(k, r) C_n(k - r),
+    # added one whole row per r; row[j] = comb(j + r, r) is the running sum of the last row
+    size = len(table)
+    grown, row = [*table, *[0] * per_mode_cutoff], [1] * size
+    for r in range(1, per_mode_cutoff + 1):
+        row = list(accumulate(row))
+        grown[r : r + size] = map(add, grown[r : r + size], map(mul, row, table))
+    return tuple(grown)
 
 
 def _add_mode_log(table: np.ndarray, per_mode_cutoff: int) -> np.ndarray:

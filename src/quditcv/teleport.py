@@ -21,8 +21,11 @@ overlap, with the squared variant exposed alongside.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache
+from functools import wraps
+from itertools import accumulate, repeat
+from operator import mul, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +46,8 @@ _COHERENT_TAIL = 1e-12
 _ALPHA_LIMIT = 100.0
 # P_suc may pass 1 by the 1e-9 teleport_state's norm check admits plus 64 ulps of rounding
 _P_SUC_SLACK = 1e-9 + 64 * 2.0**-52
+# gain_vector keeps about this many bytes of vectors: the bench grid's 1,000 (2.2 MB) stay warm
+_GAIN_CACHE_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -175,23 +180,52 @@ def _chi_rows(chi: float, count: int) -> np.ndarray:
     return rows[:, :count]
 
 
-@cache
+def _libm_exp(exponents: np.ndarray) -> np.ndarray:
+    """math.exp of each entry, bit for bit, as a new vector: numpy's complex exp calls libm's
+    cexp, whose real part at x + 0j is exp(x) * 1.0.  Plain np.exp's SIMD kernels differ."""
+    return np.exp(exponents.astype(complex)).real.copy()
+
+
+def _lru_by_bytes(build):
+    """functools.cache for `build(params)` per (N, d), dropping the least recently used vectors
+    past _GAIN_CACHE_BYTES; an (N, d) pair of ints hashes and compares faster than the params."""
+    store, held = OrderedDict(), 0
+
+    @wraps(build)
+    def cached(params):
+        nonlocal held
+        key = params.num_modes, params.photon_cutoff
+        if (value := store.get(key)) is not None:
+            store.move_to_end(key)
+            return value
+        value = store[key] = build(params)
+        held += value.nbytes
+        while held > _GAIN_CACHE_BYTES:
+            held -= store.popitem(last=False)[1].nbytes
+        return value
+
+    return cached
+
+
+@_lru_by_bytes
 def gain_vector(params: SchemeParams) -> np.ndarray:
     """The gains g(k) for k = 0..N*d, cached per (N, d) as a read-only vector.
 
     For N*d <= EXACT_LIMIT, one correctly rounded int division C_N(k) / N^k of
-    the word count C_N(k) = k! W(N, k, d); beyond, scalar math.exp of the log
-    gains log W + lgamma(k+1) - k log N (one numpy expression), clamped at 1 where
-    exp overshoots by an ulp.  Not np.exp: it rounds differently and moves bytes.
+    the word count C_N(k) = k! W(N, k, d); beyond, libm's exp of the log gains
+    log W + lgamma(k+1) - k log N (one numpy expression), clamped at 1 where exp
+    overshoots by an ulp.  Complex np.exp = libm exp (see _libm_exp); plain np.exp
+    rounds differently and moves bytes.  About 16 MB of vectors are kept.
     """
     n, d = params.num_modes, params.photon_cutoff
     if n * d <= EXACT_LIMIT:
-        vector = np.array([count / n**k for k, count in enumerate(_count_table(n, d))])
+        counts = _count_table(n, d)
+        powers = accumulate(repeat(n, len(counts) - 1), mul, initial=1)  # N^k
+        vector = np.fromiter(map(truediv, counts, powers), float, len(counts))
     else:
         log_w = _log_weight_table(n, d)
         k, lgamma_row, _ = _grid(len(log_w))
-        exponents = log_w + lgamma_row - k * math.log(n)
-        vector = np.fromiter(map(math.exp, exponents.tolist()), float, len(log_w))
+        vector = _libm_exp(log_w + lgamma_row - k * math.log(n))
         np.minimum(vector, 1.0, out=vector)
     vector[: d + 1] = 1.0
     vector.setflags(write=False)

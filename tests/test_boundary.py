@@ -6,7 +6,8 @@ and None.  Each refusal is a ValueError whose message starts with the argument's
 name, and a numpy scalar of a valid value is accepted.  A qudit system index must
 also name one of the state's systems.  The teleportation protocol's state arguments
 must be states, and the array fields of the frozen classes refuse bool, bytes and
-str input, each with a message that names the argument or field.
+str input, as an array or entry by entry, each with a message that names the
+argument or field.
 """
 
 from fractions import Fraction
@@ -317,6 +318,8 @@ def test_array_fields_accept_numbers(name, call, good):
 # each of these once returned a value or failed deep inside with an AttributeError
 SEEN_STATES = {
     "QuditKet(['1', '0'])": ("amplitudes", lambda: QuditKet(["1", "0"])),
+    "QuditKet([True, 0.0])": ("amplitudes", lambda: QuditKet([True, 0.0])),
+    "FockVector([Fraction(1), '0'])": ("amplitudes", lambda: FockVector([Fraction(1), "0"])),
     "teleport_qudit_branches(ket, 'x')":
         ("resource", lambda: list(teleport_qudit_branches(KET, "x"))),
     "teleport_qudit_branches([1, 0], me)":

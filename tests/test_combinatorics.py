@@ -208,6 +208,16 @@ def test_grown_tables_equal_tables_built_from_scratch(empty_table_caches, order,
         assert build(last, d) is store[d][1]
 
 
+@pytest.mark.parametrize("n, d", [(60, 1), (20, 3), (6, 10), (1, 40), (2, 30)])
+@pytest.mark.parametrize("steps", [lambda n: (n,), lambda n: range(1, n + 1),
+                                   lambda n: (n, max(1, n // 3), n)],
+                         ids=["at-once", "mode-by-mode", "down-and-up"])
+def test_count_tables_grown_in_any_order_equal_the_scratch_dp(empty_table_caches, n, d, steps):
+    for m in steps(n):
+        assert all(type(c) is int for c in _count_table(m, d))
+    assert count_fractions(n, d) == scratch_exact_table(n, d)
+
+
 def test_thousand_mode_log_table_builds_by_iteration(empty_table_caches):
     table = _log_weight_table(1000, 1)
     assert len(table) == 1001

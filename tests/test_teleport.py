@@ -191,6 +191,35 @@ class TestFockGain:
             gains[5] = 0.5
         assert np.all(gains[:4] == 1.0)
 
+    def test_libm_exp_is_math_exp_bit_for_bit(self):
+        # the log-gain exponents reach the subnormal range and past it near N*d = 10^4
+        x = np.random.default_rng(18).uniform(-750.0, 5.0, 20_000)
+        x[:2000] = np.random.default_rng(19).uniform(-746.0, -700.0, 2000)
+        expected = np.array([math.exp(v) for v in x.tolist()])
+        assert np.any((expected > 0.0) & (expected < np.finfo(float).tiny))
+        assert np.any(expected == 0.0)
+        got = teleport._libm_exp(x)
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.tobytes() == expected.tobytes()
+
+    def test_gain_cache_drops_the_least_recently_used_past_its_bound(self, monkeypatch):
+        monkeypatch.setattr(teleport, "_GAIN_CACHE_BYTES", 64 * 1024)
+        kept = SchemeParams(2, 1)
+        swept = {n: gain_vector(SchemeParams(n, 1)) for n in (1, 100)}
+        held = gain_vector(kept)
+        for n in range(101, 301):  # 8 (n + 1) bytes each, about 320 KB in all
+            gain_vector(SchemeParams(n, 1))
+            assert gain_vector(kept) is held  # touched every step, so never the oldest
+        assert gain_vector(SchemeParams(300, 1)) is gain_vector(SchemeParams(300, 1))
+        for n, old in swept.items():  # dropped, and rebuilt with the same bytes
+            again = gain_vector(SchemeParams(n, 1))
+            assert again is not old and again.tobytes() == old.tobytes()
+
+    def test_gain_cache_keeps_the_bench_grid(self):
+        grid = [SchemeParams(n, d) for d in range(1, 11) for n in range(1, 101)]
+        first = [gain_vector(params) for params in grid]
+        assert all(gain_vector(params) is gains for params, gains in zip(grid, first))
+
 
 class TestSchemeParams:
     def test_validation(self):
