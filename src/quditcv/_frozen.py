@@ -27,6 +27,13 @@ def squared_norm(x: np.ndarray) -> float:
     return x.real.dot(x.real) + x.imag.dot(x.imag)
 
 
+def instance(name: str, value, kind: type):
+    """`value`, refused unless it is a `kind`: a state or parameter object, not its raw data."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def integer(name: str, value, low: int | None = None) -> int:
     """`int(value)`, refused if a bool, not an integer or below `low`; an int skips the ABC checks."""
     if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):

@@ -10,6 +10,7 @@ values, not lists.  Exit codes: 0 on success, 1 when `verify` finds a deviation,
 from __future__ import annotations
 
 import argparse
+import cmath
 import collections
 import contextlib
 import functools
@@ -197,12 +198,17 @@ def _read_amplitudes(path: str) -> teleport.FockVector:
             values.append(complex(float(parts[0]), float(parts[1])))
         except ValueError:
             raise ValueError(f"{path}: amplitude entries must be numbers") from None
+        if not cmath.isfinite(values[-1]):
+            raise ValueError(f"{path}:{lineno}: amplitude entries must be finite, got {line!r}")
     if not values:
         raise ValueError(f"{path}: no amplitudes found")
     arr = np.array(values, dtype=complex)
-    norm = np.linalg.norm(arr)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(arr)
     if norm == 0.0:
         raise ValueError(f"{path}: amplitudes are identically zero")
+    if norm == math.inf:
+        raise ValueError(f"{path}: the norm of the amplitudes overflows a float")
     return teleport.FockVector(arr / norm)
 
 

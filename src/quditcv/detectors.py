@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import freeze_field, integer, real
+from ._frozen import freeze_field, instance, integer, real
 from .teleport import _clamped, _poisson_tail_bound
 
 __all__ = [
@@ -81,7 +81,7 @@ class PovmElement:
         arr = freeze_field(self, "weights", float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("weights must form a non-empty 1-d vector")
-        if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12:
+        if not (arr.min() >= -1e-12 and arr.max() <= 1.0 + 1e-12):  # refuses NaN too
             raise ValueError("weights must lie in [0, 1]")
 
 
@@ -101,7 +101,7 @@ def _povm_weights(det: DetectorModel, max_clicks: int, cutoff: int) -> np.ndarra
     terms would overflow a float is refused before anything is built.
     """
     cutoff = integer("cutoff", cutoff, 0)
-    eta, nu = det.eta, det.nu
+    eta, nu = instance("det", det, DetectorModel).eta, det.nu
     rows = min(max_clicks, cutoff) + 1
     try:
         float(math.factorial(max_clicks))
@@ -155,7 +155,7 @@ def povm_completeness_defect(det: DetectorModel, cutoff: int) -> float:
     """
     cutoff = integer("cutoff", cutoff, 0)
     depth = 0
-    while _poisson_tail_bound(det.nu, depth) > 1e-12:
+    while _poisson_tail_bound(instance("det", det, DetectorModel).nu, depth) > 1e-12:
         depth += 1
     total = np.add.accumulate(_povm_weights(det, cutoff + depth, cutoff))[-1]
     return float(np.max(np.abs(total - 1.0)))

@@ -12,9 +12,9 @@ The inverse split and vacuum post-selection keep <k,0,...,0|U^dagger P|psi>
 = <s_k|P|psi> = c_k ||P s_k||^2: P is diagonal in occupation and s_k lies in
 the k-photon sector, so no other column overlaps it.
 
-:func:`oracle_teleport` holds each s_k on the C(k+N-1, k) occupations of its
-sector, which the creation operators themselves build from vacuum (cached
-per N), and keeps the norms ||P s_k||^2 per (N, d).  The dense (cap+1)^N
+:func:`oracle_teleport` holds each P s_k on the occupations of its sector
+that P keeps, which the creation operators themselves build from vacuum,
+and keeps nothing but the norms ||P s_k||^2 per (N, d).  The dense (cap+1)^N
 grid API, :class:`MultimodeState` with :func:`apply_mode_unitary`,
 :func:`truncate_mode` and :func:`vacuum_postselect`, runs every step of the
 pipeline literally; the tests hold the oracle's read-off against it.
@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import freeze_field, integer
+from ._frozen import freeze_field, instance, integer
 from .teleport import FockVector, SchemeParams, TeleportOutcome, _clamped
 
 __all__ = [
@@ -41,8 +40,10 @@ __all__ = [
 ]
 
 # cost one oracle call may reach: its index-map entries plus _STEP_COST per scatter-add step.
-# Cold, a step at N = 1 cost 50-88 entries' worth (rounded up here); (N, cap, d) = (10, 9, 1),
-# at a cost of 932,780, took 0.61 s on a 2-core Xeon host
+# Cold, a step at N = 1 cost 50-88 entries' worth (rounded up here).  Only the occupations P
+# keeps are built, so this bounds the work loosely: at a cost of 932,780, (N, cap, d) =
+# (10, 9, 9), which keeps every occupation, took 0.3-0.5 s cold on a 2-core Xeon host, and
+# (10, 9, 1) 4-8 ms
 _INDEX_BUDGET = 10**6
 _STEP_COST = 100
 
@@ -57,7 +58,7 @@ class ModeMatrix:
         arr = freeze_field(self, "entries", complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("entries must form a square matrix")
-        if np.max(np.abs(arr @ arr.conj().T - np.eye(arr.shape[0]))) > 1e-12:
+        if not np.max(np.abs(arr @ arr.conj().T - np.eye(arr.shape[0]))) <= 1e-12:  # NaN too
             raise ValueError("matrix is not unitary to 1e-12")
 
     @property
@@ -108,7 +109,7 @@ def n_splitter(num_modes: int) -> ModeMatrix:
 def embed_input(state: FockVector, num_modes: int, cap: int | None = None) -> MultimodeState:
     """Place a single-mode state in mode 0 with vacuum everywhere else."""
     num_modes = integer("num_modes", num_modes, 1)
-    cap = state.cutoff if cap is None else integer("cap", cap)
+    cap = instance("state", state, FockVector).cutoff if cap is None else integer("cap", cap)
     if cap < state.cutoff:
         raise ValueError(f"cap {cap} cannot hold the input cutoff {state.cutoff}")
     amps = np.zeros((cap + 1,) * num_modes, dtype=complex)
@@ -213,46 +214,18 @@ def vacuum_postselect(state: MultimodeState, kept_mode: int) -> tuple[FockVector
     return FockVector(kept / math.sqrt(kept_mass)), kept_mass / total
 
 
-class _Sector(NamedTuple):
-    """One photon-number sector, its occupations ranked in order of first creation.
-
-    ``raised[j, r]`` is the rank here of occupation r of the sector below with
-    one more photon in mode j, and ``weights[j, r]`` is sqrt(n_j + 1) for it, so
-    a_j^dagger maps amplitude r below to ``weights[j, r]`` times it at ``raised[j, r]``.
-    """
-
-    raised: np.ndarray
-    weights: np.ndarray
-    peaks: np.ndarray  # largest single-mode occupation of each entry
-
-
-# N -> (sectors 1, 2, ... built so far, occupations of the last): sector k depends on (N, k) only
-_SECTORS: dict[int, tuple[list[_Sector], list[tuple[int, ...]]]] = {}
-
-
-def _next_sector(below: list[tuple[int, ...]]) -> tuple[_Sector, list[tuple[int, ...]]]:
-    """The sector one photon above ``below``, and its occupations in rank order."""
-    rank: dict[tuple[int, ...], int] = {}
-    raised = [[rank.setdefault(occ[:j] + (occ[j] + 1,) + occ[j + 1:], len(rank)) for occ in below]
-              for j in range(len(below[0]))]
-    occupations = list(rank)
-    sector = _Sector(np.array(raised), np.sqrt(np.array(below, dtype=float).T + 1.0),
-                     np.array(occupations).max(axis=1))
-    return sector, occupations
-
-
-def _sectors(num_modes: int, top: int) -> list[_Sector]:
-    """Sectors 1..top (or more) of num_modes modes, built by the creation operators from vacuum."""
-    sectors, frontier = _SECTORS.get(num_modes, ([], [(0,) * num_modes]))
-    while len(sectors) < top:
-        sector, frontier = _next_sector(frontier)
-        sectors.append(sector)
-    _SECTORS[num_modes] = sectors, frontier
-    return sectors
-
-
 # (N, d) -> ||P s_k||^2 for k = 1, 2, ... up to the largest top asked for so far
 _NORMS: dict[tuple[int, int], list[np.float64]] = {}
+
+
+def _next_sector(below: list[tuple[int, ...]], cutoff: int
+                 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """``raised[j, r]``, the rank of occupation r of ``below`` plus a photon in mode j (-1 if a
+    mode passes `cutoff`), and those kept occupations in rank order: the order of first creation."""
+    rank: dict[tuple[int, ...], int] = {}
+    raised = [[rank.setdefault(occ[:j] + (occ[j] + 1,) + occ[j + 1:], len(rank))
+               if occ[j] < cutoff else -1 for occ in below] for j in range(len(below[0]))]
+    return np.array(raised), list(rank)
 
 
 def _kept_norms(num_modes: int, cutoff: int, top: int) -> list[np.float64]:
@@ -261,15 +234,15 @@ def _kept_norms(num_modes: int, cutoff: int, top: int) -> list[np.float64]:
     if len(norms) < top:
         # n_splitter's first column
         spread = np.full(num_modes, 1 / math.sqrt(num_modes), dtype=complex)
-        column = np.ones(1, dtype=complex)
-        norms = []
-        for k, sector in enumerate(_sectors(num_modes, top)[:top], start=1):
-            scaled = (spread / math.sqrt(k))[:, None] * sector.weights
-            lifted = np.zeros(len(sector.peaks), dtype=complex)
+        below, column, norms = [(0,) * num_modes], np.ones(1, dtype=complex), []
+        for k in range(1, top + 1):
+            raised, above = _next_sector(below, cutoff)
+            scaled = (spread / math.sqrt(k))[:, None] * np.sqrt(np.array(below, float).T + 1.0)
+            lifted = np.zeros(len(above) + 1, dtype=complex)  # the last slot takes P's drops
             for j in range(num_modes):
-                lifted[sector.raised[j]] += scaled[j] * column
-            column = lifted
-            norms.append(np.sum(np.abs(column[sector.peaks <= cutoff]) ** 2))
+                lifted[raised[j]] += scaled[j] * column
+            below, column = above, lifted[:-1]
+            norms.append(np.sum(np.abs(column) ** 2))
         _NORMS[num_modes, cutoff] = norms
     return norms
 
@@ -285,28 +258,30 @@ def oracle_teleport(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     <s_k|P|s_j> = 0 for j != k (P is diagonal in occupation, s_j lies in the
     j-photon sector), so output amplitude k is c_k ||P s_k||^2.
 
-    Since s_k lies in the k-photon sector, it is held on that sector's
-    C(k+N-1, k) occupations, not on the (cap+1)^N grid, and each a_j^dagger
-    is one indexed add.  Past N*d photons every occupation has some mode above
-    d, so P s_k = 0 there and no sector above min(cap, N*d) is built.  The
-    dense grid API above is what the tests hold this read-off against.
+    A creation operator never lowers an occupation, so P s_k = P b^dagger P s_{k-1}
+    / sqrt(k), and P s_k is held on the occupations of the k-photon sector with
+    no mode above d, not on the (cap+1)^N grid; each a_j^dagger is one indexed
+    add.  Past N*d photons every occupation has some mode above d, so P s_k = 0
+    there and no sector above min(cap, N*d) is built.  The dense grid API above
+    is what the tests hold this read-off against.
 
     The norms ||P s_k||^2 depend on (N, d, k) alone, never on the input, so they
-    are cached per (N, d) for k up to the largest top asked for.  A warm call
-    builds no sector: it still checks the budget and the input's norm, then
-    multiplies the O(cutoff) amplitudes by the kept norms one entry at a time.
+    are cached per (N, d) for k up to the largest top asked for; no sector is
+    kept.  A warm call builds no sector: it still checks the budget and the
+    input's norm, then multiplies the O(cutoff) amplitudes by the kept norms one
+    entry at a time.
 
     Must agree with :func:`quditcv.teleport.teleport_state` in output state
     and success probability; the test suite holds the two to 1e-10.
 
     Raises:
-        ValueError: "budget exceeded" when the sectors up to top = min(cap, N*d),
-            all it builds besides U[:, 0] (O(N)), would cost more than 10^6:
-            N * C(top+N, N) index-map entries plus 100 per scatter-add step, N per
-            sector.  "vanishing state" when nothing survives the cutoffs.
+        ValueError: "budget exceeded" when the full sectors up to top = min(cap, N*d),
+            a bound on the kept part it builds besides U[:, 0] (O(N)), would cost more
+            than 10^6: N * C(top+N, N) index-map entries plus 100 per scatter-add step,
+            N per sector.  "vanishing state" when nothing survives the cutoffs.
     """
-    n, d = params.num_modes, params.photon_cutoff
-    top = min(state.cutoff, params.max_photons)
+    n, d = instance("params", params, SchemeParams).num_modes, params.photon_cutoff
+    top = min(instance("state", state, FockVector).cutoff, params.max_photons)
     cost = n * math.comb(top + n, n) + _STEP_COST * n * top
     if cost > _INDEX_BUDGET:
         raise ValueError(

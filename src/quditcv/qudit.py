@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._frozen import freeze_field, integer, real, squared_norm
+from ._frozen import freeze_field, instance, integer, real, squared_norm
 
 __all__ = [
     "BellOutcome", "JointQuditState", "QuditKet", "bell_measure", "depolarized_fidelity",
@@ -227,10 +227,8 @@ def enumerate_bell_outcomes(state: JointQuditState, sys1: int, sys2: int
 
 
 def _entangled_with_resource(phi: QuditKet, resource: JointQuditState) -> JointQuditState:
-    for name, value, kind in (("phi", phi, QuditKet), ("resource", resource, JointQuditState)):
-        if not isinstance(value, kind):
-            raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
-    dim = phi.dim
+    dim = instance("phi", phi, QuditKet).dim
+    instance("resource", resource, JointQuditState)
     if resource.num_systems != 2 or resource.systems != (dim, dim):
         raise ValueError(f"resource must be a two-system state of dimension {dim} each, "
                          f"got systems {resource.systems}")

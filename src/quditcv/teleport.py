@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import complex_number, freeze_field, integer, real, squared_norm
+from ._frozen import complex_number, freeze_field, instance, integer, real, squared_norm
 from .combinatorics import (EXACT_LIMIT, PHOTON_BUDGET, _count_table, _log_weight_table, _within,
                             restricted_weight_log)
 
@@ -194,7 +194,7 @@ def _lru_by_bytes(build):
     @wraps(build)
     def cached(params):
         nonlocal held
-        key = params.num_modes, params.photon_cutoff
+        key = instance("params", params, SchemeParams).num_modes, params.photon_cutoff
         if (value := store.get(key)) is not None:
             store.move_to_end(key)
             return value
@@ -239,6 +239,7 @@ def fock_gain(k: int, params: SchemeParams) -> float:
     in the window where truncation bites: entry k of :func:`gain_vector`.
     """
     k = integer("k", k, 0)
+    params = instance("params", params, SchemeParams)
     return float(gain_vector(params)[k]) if k <= params.max_photons else 0.0
 
 
@@ -277,9 +278,10 @@ def teleport_state(state: FockVector, params: SchemeParams) -> TeleportOutcome:
         ValueError: "vanishing state" when no amplitude survives the filter,
             giving log P_suc when P_suc underflows though amplitudes survive.
     """
-    if not state.is_normalized(1e-9):
+    if not instance("state", state, FockVector).is_normalized(1e-9):
         raise ValueError("teleport_state requires a normalized input")
-    return _filtered(state.amplitudes[: params.max_photons + 1], params)
+    top = instance("params", params, SchemeParams).max_photons
+    return _filtered(state.amplitudes[: top + 1], params)
 
 
 def _poisson_tail_bound(mean: float, cutoff: int) -> float:
@@ -336,7 +338,7 @@ def teleport_coherent(alpha: complex, params: SchemeParams) -> TeleportOutcome:
         ValueError: "vanishing state", giving log P_suc, when P_suc underflows.
     """
     mean = _mean_photons(alpha)
-    n, d = params.num_modes, params.photon_cutoff
+    n, d = instance("params", params, SchemeParams).num_modes, params.photon_cutoff
 
     def log_p_suc() -> float:
         # log of sum_k e^-mean mean^k / k! g(k)^2 over k <= N*d, g(k) = W k! / N^k
@@ -376,7 +378,7 @@ def teleport_epr(squeeze: SqueezingParams, params: SchemeParams) -> EprOutcome:
     while the gains are, and f <= 1; each is clamped to 1 within chi^2/(1-chi^2)
     + 32 ulps (rounding chi^2 moves 1 - chi^2 by up to half the first term).
     """
-    chi = squeeze.chi
+    chi = instance("squeeze", squeeze, SqueezingParams).chi
     gains = gain_vector(params)
     chi_pow, chi_pow_sq = _chi_rows(chi, len(gains))  # chi^k and chi^2k, read-only
     scale, terms = 1.0 - chi**2, gains**2
@@ -398,6 +400,7 @@ def conventional_cv_fidelity(r: float) -> float:
 
 def state_fidelity(a: FockVector, b: FockVector) -> float:
     """|<a|b>| for normalized vectors; the shorter one is zero-padded."""
-    size = max(len(a.amplitudes), len(b.amplitudes))
+    size = max(len(instance("a", a, FockVector).amplitudes),
+               len(instance("b", b, FockVector).amplitudes))
     pa, pb = (np.pad(x.amplitudes, (0, size - len(x.amplitudes))) for x in (a, b))
     return float(abs(np.vdot(pa, pb)))

@@ -15,7 +15,9 @@ vector out to a tail-bound cutoff past N*d and sends it through
 `teleport_state`, so the shortcut that builds only c_0..c_{N*d} can be held
 to it bit for bit.  The independent coherent reference builds each amplitude
 from exact `math.factorial` ints and scalar `math` calls, sharing neither the
-`log k!` row nor the filter with the library.
+`log k!` row nor the filter with the library.  The full-sector reference builds
+every split column s_k on all occupations of its sector and masks the kept ones
+out afterwards, so the oracle's kept-only build can be held to it bit for bit.
 """
 
 import math
@@ -107,6 +109,31 @@ def dense_pipeline_reference(state: FockVector, params: SchemeParams) -> Telepor
         return TeleportOutcome(FockVector(psi.amplitudes / psi.norm()), survived)
     output, p_vacuum = vacuum_postselect(psi, 0)
     return TeleportOutcome(output, survived * p_vacuum)
+
+
+def full_sector_norms(num_modes: int, top: int, cutoffs) -> dict[int, list[np.float64]]:
+    """||P s_k||^2 for k = 1..top, per cutoff d in `cutoffs`, P cutting every mode at d photons.
+
+    Each s_k = b^dagger s_{k-1} / sqrt(k) is held on every occupation of the k-photon sector,
+    ranked in order of first creation, and the kept entries are picked out by a mask of each
+    occupation's largest single-mode count: the oracle's build before it kept only those.
+    """
+    spread = np.full(num_modes, 1 / math.sqrt(num_modes), dtype=complex)  # U[:, 0]
+    below, column = [(0,) * num_modes], np.ones(1, dtype=complex)
+    norms = {d: [] for d in cutoffs}
+    for k in range(1, top + 1):
+        rank = {}
+        raised = [[rank.setdefault(occ[:j] + (occ[j] + 1,) + occ[j + 1:], len(rank))
+                   for occ in below] for j in range(num_modes)]
+        scaled = (spread / math.sqrt(k))[:, None] * np.sqrt(np.array(below, dtype=float).T + 1.0)
+        lifted = np.zeros(len(rank), dtype=complex)
+        for j in range(num_modes):
+            lifted[np.array(raised[j])] += scaled[j] * column
+        below, column = list(rank), lifted
+        peaks = np.array(below).max(axis=1)
+        for d in cutoffs:
+            norms[d].append(np.sum(np.abs(column[peaks <= d]) ** 2))
+    return norms
 
 
 def weight_table_reference(n_modes: int, cutoff: int) -> list[Fraction]:

@@ -4,10 +4,11 @@ An integer argument refuses a bool, a float and a string; a real argument refuse
 a bool, a string and a complex number; a complex argument refuses a bool, a string
 and None.  Each refusal is a ValueError whose message starts with the argument's
 name, and a numpy scalar of a valid value is accepted.  A qudit system index must
-also name one of the state's systems.  The teleportation protocol's state arguments
-must be states, and the array fields of the frozen classes refuse bool, bytes and
-str input, as an array or entry by entry, each with a message that names the
-argument or field.
+also name one of the state's systems.  The state and parameter arguments of the
+protocols, the oracle and the detector functions must be objects of their classes,
+and the array fields of the frozen classes refuse bool, bytes and str input, as an
+array or entry by entry, each with a message that names the argument or field.
+Range checks on those fields refuse NaN.
 """
 
 from fractions import Fraction
@@ -34,9 +35,11 @@ from quditcv import (
     enumerate_compositions,
     fock_gain,
     fourier_state,
+    gain_vector,
     haar_random_ket,
     maximally_entangled,
     n_splitter,
+    oracle_teleport,
     pnr_povm,
     povm_completeness_defect,
     povm_element,
@@ -48,9 +51,12 @@ from quditcv import (
     squeezing_from_chi,
     squeezing_from_r,
     squeezing_from_vs,
+    state_fidelity,
     teleport_coherent,
+    teleport_epr,
     teleport_qudit,
     teleport_qudit_branches,
+    teleport_state,
     truncate_mode,
     vacuum_postselect,
     x_op,
@@ -242,6 +248,8 @@ def test_lower_bounds_name_the_argument(name, call, low):
 
 
 KET = QuditKet([1.0, 0.0])
+FOCK = FockVector([1.0])
+SQUEEZE = squeezing_from_chi(0.5)
 
 # (argument name, the type it must have, call with that argument set to x)
 PROTOCOL_ARGUMENTS = [
@@ -249,11 +257,27 @@ PROTOCOL_ARGUMENTS = [
     ("phi", "QuditKet", lambda x: list(teleport_qudit_branches(x, ME))),
     ("resource", "JointQuditState", lambda x: teleport_qudit(KET, x, outcome=(0, 0))),
     ("resource", "JointQuditState", lambda x: list(teleport_qudit_branches(KET, x))),
+    ("state", "FockVector", lambda x: teleport_state(x, PARAMS)),
+    ("params", "SchemeParams", lambda x: teleport_state(FOCK, x)),
+    ("params", "SchemeParams", lambda x: teleport_coherent(1.0, x)),
+    ("squeeze", "SqueezingParams", lambda x: teleport_epr(x, PARAMS)),
+    ("params", "SchemeParams", lambda x: teleport_epr(SQUEEZE, x)),
+    ("params", "SchemeParams", gain_vector),
+    ("params", "SchemeParams", lambda x: fock_gain(0, x)),
+    ("a", "FockVector", lambda x: state_fidelity(x, FOCK)),
+    ("b", "FockVector", lambda x: state_fidelity(FOCK, x)),
+    ("state", "FockVector", lambda x: oracle_teleport(x, PARAMS)),
+    ("params", "SchemeParams", lambda x: oracle_teleport(FOCK, x)),
+    ("state", "FockVector", lambda x: embed_input(x, 2)),
+    ("det", "DetectorModel", lambda x: pnr_povm(x, 1, 3)),
+    ("det", "DetectorModel", lambda x: apd_povm(x, 3)),
+    ("det", "DetectorModel", lambda x: povm_element(1, x, 3)),
+    ("det", "DetectorModel", lambda x: povm_completeness_defect(x, 3)),
 ]
 
 
-@pytest.mark.parametrize("bad", ["x", [1.0, 0.0], np.eye(2) / np.sqrt(2.0), None],
-                         ids=["str", "list", "ndarray", "none"])
+@pytest.mark.parametrize("bad", ["x", [1.0, 0.0], np.eye(2) / np.sqrt(2.0), None, (2, 1)],
+                         ids=["str", "list", "ndarray", "none", "tuple"])
 @pytest.mark.parametrize("name, kind, call", PROTOCOL_ARGUMENTS,
                          ids=[f"{row[0]}-{i}" for i, row in enumerate(PROTOCOL_ARGUMENTS)])
 def test_protocol_arguments_must_be_states(name, kind, call, bad):
@@ -333,4 +357,18 @@ SEEN_STATES = {
 @pytest.mark.parametrize("name, call", SEEN_STATES.values(), ids=SEEN_STATES.keys())
 def test_state_calls_that_once_passed_or_failed_deep_inside(name, call):
     with pytest.raises(ValueError, match=f"^{name} must "):
+        call()
+
+
+# each of these was once accepted: a range check written as `x > bound` lets NaN pass
+SEEN_NAN = {
+    "ModeMatrix([[nan]])": ("^matrix is not unitary to 1e-12$", lambda: ModeMatrix([[np.nan]])),
+    "PovmElement(0, [nan])":
+        (r"^weights must lie in \[0, 1\]$", lambda: PovmElement(0, [np.nan])),
+}
+
+
+@pytest.mark.parametrize("message, call", SEEN_NAN.values(), ids=SEEN_NAN.keys())
+def test_range_checks_refuse_nan(message, call):
+    with pytest.raises(ValueError, match=message):
         call()

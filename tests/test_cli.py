@@ -234,6 +234,37 @@ class TestTeleportCommand:
         code, _, _ = run_cli(["teleport", str(infile), "--n", "1", "--d", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("nan,0\n", 1), ("inf,0\n", 1), ("1,0\n0,-inf\n", 2), ("1,0\n\n1e999,0\n", 3),
+    ])
+    def test_non_finite_entry_is_config_error(self, tmp_path, capsys, text, lineno):
+        # once a numpy RuntimeWarning, then "teleport_state requires a normalized input"
+        infile = tmp_path / "bad.txt"
+        infile.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["teleport", str(infile), "--n", "2", "--d", "1"], capsys)
+        line = text.splitlines()[lineno - 1]
+        assert (code, out) == (2, "")
+        assert err == f"error: {infile}:{lineno}: amplitude entries must be finite, got {line!r}\n"
+
+    def test_overflowing_norm_is_config_error(self, tmp_path, capsys):
+        infile = tmp_path / "big.txt"
+        infile.write_text("1e308,0\n" * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["teleport", str(infile), "--n", "2", "--d", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {infile}: the norm of the amplitudes overflows a float\n"
+
+    def test_large_finite_entries_print_as_unit_ones(self, tmp_path, capsys):
+        outputs = []
+        for scale in ("1", "1e150"):
+            infile = tmp_path / f"state-{scale}.txt"
+            infile.write_text(f"{scale},0\n0,0\n{scale},0\n")
+            outputs.append(run_cli(["teleport", str(infile), "--n", "2", "--d", "1"], capsys))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
 
 class TestPovmCommand:
     def test_matches_library_weights(self, capsys):

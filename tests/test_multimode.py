@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_pipeline_reference
+from oracles import dense_pipeline_reference, full_sector_norms
 
 from quditcv import multimode
 from quditcv.multimode import (
@@ -246,11 +246,10 @@ class TestOracleTeleport:
     @pytest.mark.parametrize("n,cap,d", [(1, 10**4, 10**4), (2, 998, 499)])
     def test_budget_counts_scatter_add_steps(self, n, cap, d, monkeypatch):
         # 10,001 and 999,000 index-map entries, but 10^4 and 1,996 steps at 100 each
-        def no_sectors(below):
+        def no_sectors(below, cutoff):
             raise AssertionError("a sector was built")
 
         monkeypatch.setattr(multimode, "_next_sector", no_sectors)
-        monkeypatch.setattr(multimode, "_SECTORS", {})
         with pytest.raises(ValueError, match="^budget exceeded: "):
             oracle_teleport(fock_basis(0, cap), SchemeParams(n, d))
 
@@ -334,7 +333,6 @@ class TestKeptNorms:
 
     @pytest.fixture(autouse=True)
     def cold_caches(self, monkeypatch):
-        monkeypatch.setattr(multimode, "_SECTORS", {})
         monkeypatch.setattr(multimode, "_NORMS", {})
 
     def test_warm_call_returns_the_cold_bytes_and_builds_nothing(self, monkeypatch):
@@ -350,10 +348,8 @@ class TestKeptNorms:
         order = [(5, 5, 2), (5, 6, 2), (5, 3, 2), (5, 6, 1)]  # the last: norms are per d too
         cold = {}
         for config in order:
-            monkeypatch.setattr(multimode, "_SECTORS", {})
             monkeypatch.setattr(multimode, "_NORMS", {})
             cold[config] = oracle_bytes(*config)
-        monkeypatch.setattr(multimode, "_SECTORS", {})
         monkeypatch.setattr(multimode, "_NORMS", {})
         for config in order:
             assert oracle_bytes(*config) == cold[config]
@@ -369,3 +365,39 @@ class TestKeptNorms:
         monkeypatch.setattr(multimode, "_next_sector", fail_if_called)
         with pytest.raises(ValueError, match="^budget exceeded: "):
             oracle_teleport(fock_basis(0, 9), SchemeParams(11, 1))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kept_norms_equal_the_full_sector_build(self, n, monkeypatch):
+        # top = N*d, lowered until the full sectors stay small: N * C(top+N, N) <= 2 * 10^6
+        tops = {}
+        for d in range(1, 7):
+            tops[d] = n * d
+            while n * math.comb(tops[d] + n, n) > 2 * 10**6:
+                tops[d] -= 1
+        reference = full_sector_norms(n, max(tops.values()), tops)
+        for d, top in tops.items():
+            monkeypatch.setattr(multimode, "_NORMS", {})
+            kept = multimode._kept_norms(n, d, top)
+            assert np.array(kept).tobytes() == np.array(reference[d][:top]).tobytes(), (n, d)
+
+    def test_only_kept_occupations_are_built(self, monkeypatch):
+        # at d = 1, P keeps the C(10, k) occupations with k single photons, of C(k+9, k)
+        sizes, build = [], multimode._next_sector
+
+        def recorded(below, cutoff):
+            raised, above = build(below, cutoff)
+            sizes.append(len(above))
+            return raised, above
+
+        monkeypatch.setattr(multimode, "_next_sector", recorded)
+        oracle_bytes(10, 9, 1)
+        assert sizes == [math.comb(10, k) for k in range(1, 10)]
+
+    def test_cold_call_keeps_nothing_but_its_norms(self):
+        # five seeded states at (N, cap, d) = (10, 9, 1), captured on the full-sector build
+        digest = "21066130b9298745e53269bebec5fd22aab7adea19486bb0e20bb4771be87c83"
+        assert oracle_digest(10, 9, 1) == digest
+        held = [name for name, value in vars(multimode).items()
+                if isinstance(value, (dict, list, tuple, np.ndarray)) and not name.startswith("__")]
+        assert held == ["_NORMS"]
+        assert list(multimode._NORMS) == [(10, 1)] and len(multimode._NORMS[10, 1]) == 9
