@@ -154,8 +154,8 @@ def povm_completeness_defect(det: DetectorModel, cutoff: int) -> float:
     truncation error at depth j is bounded by the Poisson(nu) mass above j.
     """
     cutoff = integer("cutoff", cutoff, 0)
-    depth = 0
-    while _poisson_tail_bound(instance("det", det, DetectorModel).nu, depth) > 1e-12:
+    nu, depth = instance("det", det, DetectorModel).nu, 0
+    while _poisson_tail_bound(nu, depth) > 1e-12:
         depth += 1
     total = np.add.accumulate(_povm_weights(det, cutoff + depth, cutoff))[-1]
     return float(np.max(np.abs(total - 1.0)))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._frozen import freeze_field, instance, integer
-from .teleport import FockVector, SchemeParams, TeleportOutcome, _clamped
+from .teleport import FockVector, SchemeParams, TeleportOutcome, _renormalized
 
 __all__ = [
     "ModeMatrix", "MultimodeState", "apply_mode_unitary", "embed_input", "n_splitter",
@@ -58,7 +58,8 @@ class ModeMatrix:
         arr = freeze_field(self, "entries", complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("entries must form a square matrix")
-        if not np.max(np.abs(arr @ arr.conj().T - np.eye(arr.shape[0]))) <= 1e-12:  # NaN too
+        if not (np.isfinite(arr).all()  # first: an infinite entry warns inside the product
+                and np.max(np.abs(arr @ arr.conj().T - np.eye(arr.shape[0]))) <= 1e-12):
             raise ValueError("matrix is not unitary to 1e-12")
 
     @property
@@ -278,7 +279,8 @@ def oracle_teleport(state: FockVector, params: SchemeParams) -> TeleportOutcome:
         ValueError: "budget exceeded" when the full sectors up to top = min(cap, N*d),
             a bound on the kept part it builds besides U[:, 0] (O(N)), would cost more
             than 10^6: N * C(top+N, N) index-map entries plus 100 per scatter-add step,
-            N per sector.  "vanishing state" when nothing survives the cutoffs.
+            N per sector.  "vanishing state" when nothing survives the cutoffs, or with
+            log P_suc when P_suc underflows, in :func:`quditcv.teleport.teleport_state`'s words.
     """
     n, d = instance("params", params, SchemeParams).num_modes, params.photon_cutoff
     top = min(instance("state", state, FockVector).cutoff, params.max_photons)
@@ -294,7 +296,4 @@ def oracle_teleport(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     for k, norm in zip(range(1, top + 1), _kept_norms(n, d, top)):
         kept[k] *= norm  # entry by entry: a complex-by-real array multiply may move signed zeros
     kept[top + 1:] *= 0.0  # nothing past N*d photons survives P: an empty sum, signs kept
-    p_suc = float(np.sum(np.abs(kept) ** 2))
-    if p_suc == 0.0:
-        raise ValueError("vanishing state: nothing survives the per-mode photon cutoffs")
-    return TeleportOutcome(FockVector(kept / math.sqrt(p_suc)), _clamped(p_suc))
+    return _renormalized(kept)

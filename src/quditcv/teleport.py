@@ -31,8 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._frozen import complex_number, freeze_field, instance, integer, real, squared_norm
-from .combinatorics import (EXACT_LIMIT, PHOTON_BUDGET, _count_table, _log_weight_table, _within,
-                            restricted_weight_log)
+from .combinatorics import EXACT_LIMIT, PHOTON_BUDGET, _count_table, _log_weight_table, _within
 
 __all__ = [
     "EprOutcome", "FockVector", "SchemeParams", "SqueezingParams", "TeleportOutcome",
@@ -251,9 +250,8 @@ def _clamped(value, slack=_P_SUC_SLACK, name="P_suc", cause="input not normalize
     return min(value, 1.0) if isinstance(value, float) else np.minimum(value, 1.0)
 
 
-def _filtered(amplitudes: np.ndarray, params: SchemeParams, log_p_suc=None) -> TeleportOutcome:
-    """Scale c_0..c_m (m <= N*d) by the gains and renormalize; name log P_suc if it underflows."""
-    scaled = amplitudes * gain_vector(params)[: len(amplitudes)]
+def _renormalized(scaled: np.ndarray, log_p_suc=None) -> TeleportOutcome:
+    """Renormalize what survives, the one single-mode exit; name log P_suc if it underflows."""
     p_suc = float((np.abs(scaled) ** 2).sum())
     if p_suc > 0.0:
         return TeleportOutcome(FockVector(scaled / math.sqrt(p_suc)), _clamped(p_suc))
@@ -280,8 +278,8 @@ def teleport_state(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     """
     if not instance("state", state, FockVector).is_normalized(1e-9):
         raise ValueError("teleport_state requires a normalized input")
-    top = instance("params", params, SchemeParams).max_photons
-    return _filtered(state.amplitudes[: top + 1], params)
+    amplitudes = state.amplitudes[: instance("params", params, SchemeParams).max_photons + 1]
+    return _renormalized(amplitudes * gain_vector(params)[: len(amplitudes)])
 
 
 def _poisson_tail_bound(mean: float, cutoff: int) -> float:
@@ -341,12 +339,14 @@ def teleport_coherent(alpha: complex, params: SchemeParams) -> TeleportOutcome:
     n, d = instance("params", params, SchemeParams).num_modes, params.photon_cutoff
 
     def log_p_suc() -> float:
-        # log of sum_k e^-mean mean^k / k! g(k)^2 over k <= N*d, g(k) = W k! / N^k
-        terms = [-mean + k * (math.log(mean) - 2 * math.log(n)) + math.lgamma(k + 1)
-                 + 2 * restricted_weight_log(n, k, d) for k in range(n * d + 1)]
-        return float(np.logaddexp.reduce(terms))
+        # log of sum_k e^-mean mean^k / k! g(k)^2 over k <= N*d, g(k) = W k! / N^k: one vector
+        # expression over the log weight row, no per-k restricted_weight_log call
+        k, lgamma_row, _ = _grid(n * d + 1)
+        log_w, log_ratio = _log_weight_table(n, d), math.log(mean) - 2 * math.log(n)
+        return float(np.logaddexp.reduce(-mean + k * log_ratio + lgamma_row + 2 * log_w))
 
-    return _filtered(_coherent_amplitudes(alpha, mean, n * d + 1), params, log_p_suc)
+    scaled = _coherent_amplitudes(alpha, mean, n * d + 1) * gain_vector(params)
+    return _renormalized(scaled, log_p_suc)
 
 
 class EprOutcome(NamedTuple):

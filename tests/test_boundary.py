@@ -8,7 +8,7 @@ also name one of the state's systems.  The state and parameter arguments of the
 protocols, the oracle and the detector functions must be objects of their classes,
 and the array fields of the frozen classes refuse bool, bytes and str input, as an
 array or entry by entry, each with a message that names the argument or field.
-Range checks on those fields refuse NaN.
+Range checks on those fields refuse NaN, and a mode matrix refuses an infinite entry.
 """
 
 from fractions import Fraction
@@ -360,9 +360,14 @@ def test_state_calls_that_once_passed_or_failed_deep_inside(name, call):
         call()
 
 
-# each of these was once accepted: a range check written as `x > bound` lets NaN pass
+# each of these was once accepted: a range check written as `x > bound` lets NaN pass.  An
+# infinite ModeMatrix entry was refused only after numpy warned inside the unitarity product
 SEEN_NAN = {
     "ModeMatrix([[nan]])": ("^matrix is not unitary to 1e-12$", lambda: ModeMatrix([[np.nan]])),
+    "ModeMatrix([[inf]])": ("^matrix is not unitary to 1e-12$", lambda: ModeMatrix([[np.inf]])),
+    "ModeMatrix([[-inf]])": ("^matrix is not unitary to 1e-12$", lambda: ModeMatrix([[-np.inf]])),
+    "ModeMatrix([[infj]])":
+        ("^matrix is not unitary to 1e-12$", lambda: ModeMatrix([[complex(0, np.inf)]])),
     "PovmElement(0, [nan])":
         (r"^weights must lie in \[0, 1\]$", lambda: PovmElement(0, [np.nan])),
 }

@@ -227,6 +227,17 @@ class TestOracleTeleport:
         with pytest.raises(ValueError, match="vanishing state"):
             oracle_teleport(fock_basis(3, 3), SchemeParams(2, 1))
 
+    @pytest.mark.parametrize("amps, n, d, log_p", [
+        ([1e-200, 0.0, 1.0], 1, 1, "-921.034"),
+        ([0.0, 0.0, 1e-200, 1.0], 2, 1, "-922.42"),
+    ])
+    def test_underflow_is_reported_as_the_closed_form_reports_it(self, amps, n, d, log_p):
+        # amplitudes survive the cutoffs, but P_suc is below the smallest double
+        message = f"^vanishing state: P_suc underflows double precision, log P_suc = {log_p}$"
+        for run in (oracle_teleport, teleport_state):
+            with pytest.raises(ValueError, match=message):
+                run(FockVector(amps), SchemeParams(n, d))
+
     def test_budget_guard(self):
         # N * C(top+N, N) index-map entries, top = min(cap, N*d): 1.8e6 and 2.0e8
         for n in (11, 20):

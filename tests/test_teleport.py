@@ -4,6 +4,8 @@ import hashlib
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from oracles import (
     gain_vector_reference,
 )
 
-from quditcv import teleport
+from quditcv import combinatorics, teleport
 from quditcv.combinatorics import restricted_weight
 from quditcv.teleport import (
     FockVector,
@@ -311,7 +313,7 @@ class TestTeleportState:
 
     def test_success_past_the_rounding_slack_is_refused(self):
         with pytest.raises(ValueError, match="passes 1 by more than rounding: input not normalized"):
-            teleport._filtered(np.array([1.0, 1e-4j]), SchemeParams(2, 1))
+            teleport._renormalized(np.array([1.0, 1e-4j]))
 
     def test_requires_normalized_input(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -405,6 +407,31 @@ class TestCoherent:
             teleport_coherent(alpha, SchemeParams(n, d))
         reported = float(str(excinfo.value).rsplit("=", 1)[1])
         assert reported == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [1000, 2000, 5000])
+    def test_underflow_report_matches_the_exact_perm_reference(self, n):
+        # 70, 546 and 2,532 float gains underflow to 0.0 here; at N = 5000 the largest term,
+        # k = 2500, is among them, so log gains read off gain_vector would move the report.
+        # At d = 1, g(k) = perm(N, k) / N^k exactly, perm(N, k) = N! / (N-k)! as a running product
+        assert 0.0 in gain_vector(SchemeParams(n, 1))
+        mean = 1e4
+        perms = accumulate(range(n, 0, -1), mul, initial=1)
+        terms = [-mean + k * math.log(mean) - math.lgamma(k + 1)
+                 + 2 * (math.log(perm) - k * math.log(n)) for k, perm in enumerate(perms)]
+        top = max(terms)
+        expected = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        with pytest.raises(ValueError, match=f"log P_suc = {expected:.6g}$"):
+            teleport_coherent(100.0, SchemeParams(n, 1))
+
+    @pytest.mark.parametrize("alpha, n, d", [(100.0, 2, 1), (-100j, 61, 1), (100.0, 1000, 1)])
+    def test_underflow_report_makes_no_per_k_weight_call(self, alpha, n, d, monkeypatch):
+        def per_k_call(*args):
+            raise AssertionError("restricted_weight_log was called")
+
+        monkeypatch.setattr(combinatorics, "restricted_weight_log", per_k_call)
+        monkeypatch.setattr(teleport, "restricted_weight_log", per_k_call, raising=False)
+        with pytest.raises(ValueError, match="vanishing state: P_suc underflows"):
+            teleport_coherent(alpha, SchemeParams(n, d))
 
     @pytest.mark.parametrize("alpha", [100.0, -100.0, 100j, complex(60.0, -80.0)])
     def test_alpha_at_limit_is_normalized(self, alpha):
