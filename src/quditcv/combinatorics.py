@@ -50,9 +50,9 @@ Composition = tuple[int, ...]
 # Up to this many photon slots (N*d) gains come from exact integer counts;
 # beyond it the log-domain table is the default.
 EXACT_LIMIT = 60
-# Most photon slots N*d a table is built for, each measured cold on a 2-core Xeon host: the
-# log table (restricted_weight_log, every closed form) took 1.2-1.4 s at N*d = 10^4, and the
-# int counts behind restricted_weight 0.4-1.4 s at 1000 for (1000,1), (500,2), (100,10), (40,25).
+# Most photon slots N*d a table is built for. A cold table costs O((N*d)^2) steps: float
+# logaddexp passes for the log table (restricted_weight_log, every closed form), big-int sums
+# for the exact counts behind restricted_weight, whose digits grow with N*d too.
 PHOTON_BUDGET = 10**4
 EXACT_BUDGET = 1000
 

@@ -5,8 +5,9 @@ Conventions, fixed once here:
 * omega = exp(2*pi*i / D); Z|m> = omega^m |m>; X|m> = |m + 1 mod D>.
 * The XOR gate maps |j>_target |i>_control to |i - j mod D>_target |i>_control.
 * Tensor index order is (input, sender half, receiver half) = (0, 1, 2).
-* A generalized Bell measurement projects systems (sys1, sys2) onto the
-  product basis |k'> (x) |nu_l'> with |nu_l> the Fourier-phase states, after
+* The generalized Bell measurement projects the input and the sender's half
+  (systems 0 and 1) onto the product basis |k'> (x) |nu_l'>, with
+  |nu_l> = (1/sqrt(D)) sum_k omega^{l k} |k> the Fourier-phase states, after
   the sender's XOR has been applied.
 * The correction for outcome (l', k') is Z^{l'} followed by X^{-k'}; with a
   maximally entangled resource this returns the input exactly, including the
@@ -24,10 +25,8 @@ import numpy as np
 from ._frozen import freeze_field, instance, integer, real, squared_norm
 
 __all__ = [
-    "BellOutcome", "JointQuditState", "QuditKet", "bell_measure", "depolarized_fidelity",
-    "enumerate_bell_outcomes", "fourier_state", "haar_random_ket", "maximally_entangled",
-    "singlet_fraction_fidelity", "teleport_qudit", "teleport_qudit_branches", "x_op", "xor_gate",
-    "z_op",
+    "BellOutcome", "JointQuditState", "QuditKet", "depolarized_fidelity", "haar_random_ket",
+    "maximally_entangled", "singlet_fraction_fidelity", "teleport_qudit", "teleport_qudit_branches",
 ]
 
 _NORM_TOL = 1e-9
@@ -104,17 +103,6 @@ def maximally_entangled(dim: int) -> JointQuditState:
     return JointQuditState(np.eye(dim) / math.sqrt(dim))
 
 
-def _matching_dim(state: JointQuditState, **systems: int) -> int:
-    """The dimension two distinct systems of `state` share, given as name=index."""
-    a, b = (integer(name, index) for name, index in systems.items())
-    dims = state.systems
-    if not (0 <= a < len(dims) and 0 <= b < len(dims)) or a == b:
-        raise ValueError(f"need two distinct valid system indices, got {a}, {b}")
-    if dims[a] != dims[b]:
-        raise ValueError(f"dimension mismatch: system {a} has {dims[a]}, system {b} has {dims[b]}")
-    return dims[a]
-
-
 def _xor(amps: np.ndarray) -> np.ndarray:
     """The XOR gate on an amplitude tensor whose axes 0 and 1 are the target and the control."""
     m = np.arange(len(amps))
@@ -122,108 +110,13 @@ def _xor(amps: np.ndarray) -> np.ndarray:
     return amps[(m - m[:, None]) % len(amps), m]
 
 
-def xor_gate(state: JointQuditState, control: int, target: int) -> JointQuditState:
-    """|j>_target |i>_control -> |i - j mod D>_target |i>_control."""
-    _matching_dim(state, control=control, target=target)
-    shuffled = _xor(np.moveaxis(state.amplitudes, (target, control), (0, 1)))
-    return JointQuditState(np.moveaxis(shuffled, (0, 1), (target, control)))
-
-
-def _system(state: JointQuditState, index: int) -> int:
-    """`index` as an int, refused unless it names one of the state's systems."""
-    if not 0 <= (index := integer("index", index)) < state.num_systems:
-        raise ValueError(f"index must lie in 0..{state.num_systems - 1}, got {index}")
-    return index
-
-
-def z_op(state: JointQuditState, index: int, power: int = 1) -> JointQuditState:
-    """Apply Z^power on one subsystem: |m> -> omega^{m * power} |m>."""
-    index = _system(state, index)
-    dim = state.systems[index]
-    phases = np.exp(2j * np.pi * (integer("power", power) % dim) * np.arange(dim) / dim)
-    shape = [1] * state.num_systems
-    shape[index] = dim
-    return JointQuditState(state.amplitudes * phases.reshape(shape))
-
-
-def x_op(state: JointQuditState, index: int, power: int = 1) -> JointQuditState:
-    """Apply X^power on one subsystem: |m> -> |m + power mod D>."""
-    index = _system(state, index)
-    shift = integer("power", power) % state.systems[index]
-    return JointQuditState(np.roll(state.amplitudes, shift, axis=index))
-
-
-def fourier_state(ell: int, dim: int) -> QuditKet:
-    """|nu_l> = (1/sqrt(D)) sum_k omega^{l k} |k>; orthonormal over l."""
-    dim = integer("dim", dim, 2)
-    if not 0 <= integer("ell", ell) < dim:
-        raise ValueError(f"ell must lie in 0..{dim - 1}, got {ell}")
-    k = np.arange(dim)
-    return QuditKet(np.exp(2j * np.pi * ell * k / dim) / math.sqrt(dim))
-
-
-def _bell_branches(state: JointQuditState, sys1: int, sys2: int) -> tuple[np.ndarray, np.ndarray]:
-    """All unnormalized projections onto |k'>_{sys1} |nu_l'>_{sys2}, as `_projected` gives."""
-    _matching_dim(state, sys1=sys1, sys2=sys2)
-    return _projected(np.moveaxis(state.amplitudes, (sys1, sys2), (0, 1)))
-
-
-def _projected(moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Measuring axes 0, 1: branch[l, k, ...], the residual tensor, and probs[l, k], its norm^2."""
-    dim = len(moved)
+def _projected(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measuring axes 0, 1 of a 3-axis tensor: the residual rows branch[l, k] and probs[l, k]."""
+    dim = len(amps)
     grid = np.outer(np.arange(dim), np.arange(dim))
     conj_fourier = np.exp(-2j * np.pi * grid / dim) / math.sqrt(dim)  # [l, i]
-    branch = np.tensordot(conj_fourier, moved, axes=([1], [1]))  # [l, k, rest...]
-    probs = np.abs(branch.reshape(dim, dim, -1)) ** 2
-    return branch, probs.sum(axis=2)
-
-
-def _collapse(branch: np.ndarray, probability: float) -> JointQuditState | None:
-    if branch.ndim == 0:
-        return None
-    return JointQuditState(branch / math.sqrt(probability))
-
-
-def bell_measure(state: JointQuditState, sys1: int, sys2: int, *,
-                 rng: np.random.Generator | None = None, outcome: tuple[int, int] | None = None
-                 ) -> tuple[BellOutcome, JointQuditState | None]:
-    """Measure (sys1, sys2) in the generalized Bell product basis.
-
-    Pass a seeded ``rng`` to sample an outcome, or ``outcome=(ell, kk)`` to
-    project on a specific branch.  Returns the outcome with its exact
-    probability and the renormalized state of the remaining systems (None
-    when nothing remains).
-
-    Raises:
-        ValueError: If an explicitly requested outcome has zero probability,
-            or if neither ``rng`` nor ``outcome`` is given.
-    """
-    branch, probs = _bell_branches(state, sys1, sys2)
-    dim = probs.shape[0]
-    if outcome is not None:
-        try:
-            ell, kk = outcome
-        except (TypeError, ValueError):
-            raise ValueError(f"outcome must be a pair (ell, kk), got {outcome!r}") from None
-        if not (0 <= integer("ell", ell) < dim and 0 <= integer("kk", kk) < dim):
-            raise ValueError(f"outcome indices must lie in 0..{dim - 1}, got {outcome}")
-    elif rng is not None:
-        flat = probs.ravel()
-        ell, kk = divmod(int(rng.choice(dim * dim, p=flat / flat.sum())), dim)
-    else:
-        raise ValueError("provide a rng to sample or an explicit outcome to project")
-    p = float(probs[ell, kk])
-    if p == 0.0:  # only a requested outcome can have zero probability
-        raise ValueError(f"zero-probability outcome requested: (ell={ell}, kk={kk})")
-    return BellOutcome(ell, kk, p), _collapse(branch[ell, kk], p)
-
-
-def enumerate_bell_outcomes(state: JointQuditState, sys1: int, sys2: int
-                            ) -> Iterator[tuple[BellOutcome, JointQuditState | None]]:
-    """Yield all D^2 branches; zero-probability branches carry no remainder."""
-    branch, probs = _bell_branches(state, sys1, sys2)
-    for (ell, kk), p in np.ndenumerate(probs):
-        yield BellOutcome(ell, kk, float(p)), _collapse(branch[ell, kk], p) if p > 0.0 else None
+    branch = np.tensordot(conj_fourier, amps, axes=([1], [1]))  # [l, k, receiver]
+    return branch, (np.abs(branch) ** 2).sum(axis=2)
 
 
 def _entangled_with_resource(phi: QuditKet, resource: JointQuditState) -> JointQuditState:
@@ -238,35 +131,61 @@ def _entangled_with_resource(phi: QuditKet, resource: JointQuditState) -> JointQ
 
 
 def _corrected(remainders: np.ndarray, ells, kks) -> np.ndarray:
-    """Z^l then X^-k on each collapsed remainder row: x_op(z_op(row, 0, l), 0, -k) byte for byte."""
+    """Z^l then X^-k on each collapsed remainder row, as the textbook operators give it."""
     dim = remainders.shape[1]
     m = np.arange(dim)
-    phases = np.exp(2j * np.pi * np.asarray(ells)[:, None] * m / dim)  # z_op's phase row per l
+    phases = np.exp(2j * np.pi * np.asarray(ells)[:, None] * m / dim)  # Z^l's phase row per l
     return np.take_along_axis(remainders * phases, (np.asarray(kks)[:, None] + m) % dim, axis=1)
+
+
+def _branch_kets(branch: np.ndarray, probs: np.ndarray, ells, kks) -> list[QuditKet]:
+    """The corrected output ket of each live branch (ells[i], kks[i]), all in one pass."""
+    remainders = branch[ells, kks] / np.sqrt(probs[ells, kks])[:, None]
+    if not _unit_rows(remainders):
+        raise ValueError("joint amplitudes must be normalized")
+    return _kets(_corrected(remainders, ells, kks))
 
 
 def teleport_qudit(phi: QuditKet, resource: JointQuditState, *,
                    rng: np.random.Generator | None = None, outcome: tuple[int, int] | None = None
                    ) -> tuple[QuditKet, BellOutcome]:
-    """Run the full protocol for one (sampled or requested) outcome.
+    """Run the full protocol for one outcome: ``outcome=(ell, kk)`` if given, else drawn by ``rng``.
 
     With ``maximally_entangled(D)`` as the resource the returned ket equals
     ``phi`` exactly for every outcome; other resources degrade the output.
+
+    Raises:
+        ValueError: If ``outcome`` is not a pair of integers in 0..D-1 or has
+            zero probability, or if no outcome is given and ``rng`` is not a
+            numpy Generator.
     """
-    entangled = _entangled_with_resource(phi, resource)
-    result, remainder = bell_measure(entangled, 0, 1, rng=rng, outcome=outcome)
-    return QuditKet(_corrected(remainder.amplitudes[None], [result.ell], [result.kk])[0]), result
+    branch, probs = _projected(_entangled_with_resource(phi, resource).amplitudes)
+    dim = len(probs)
+    if outcome is not None:
+        try:
+            ell, kk = outcome
+        except (TypeError, ValueError):
+            raise ValueError(f"outcome must be a pair (ell, kk), got {outcome!r}") from None
+        ell, kk = integer("ell", ell), integer("kk", kk)
+        if not (0 <= ell < dim and 0 <= kk < dim):
+            raise ValueError(f"outcome indices must lie in 0..{dim - 1}, got {outcome}")
+    elif rng is None:
+        raise ValueError("provide a rng to sample or an explicit outcome to project")
+    else:
+        flat = probs.ravel()
+        draw = instance("rng", rng, np.random.Generator).choice(dim * dim, p=flat / flat.sum())
+        ell, kk = divmod(int(draw), dim)
+    p = float(probs[ell, kk])
+    if p == 0.0:  # only a requested outcome can have zero probability
+        raise ValueError(f"zero-probability outcome requested: (ell={ell}, kk={kk})")
+    return _branch_kets(branch, probs, [ell], [kk])[0], BellOutcome(ell, kk, p)
 
 
 def teleport_qudit_branches(phi: QuditKet, resource: JointQuditState
                             ) -> Iterator[tuple[BellOutcome, QuditKet | None]]:
     """Enumerate every outcome branch with its corrected output state, all corrected in one pass."""
     branch, probs = _projected(_entangled_with_resource(phi, resource).amplitudes)
-    ells, kks = np.nonzero(probs > 0.0)
-    remainders = branch[ells, kks] / np.sqrt(probs[ells, kks])[:, None]  # as _collapse divides
-    if not _unit_rows(remainders):
-        raise ValueError("joint amplitudes must be normalized")
-    kets = iter(_kets(_corrected(remainders, ells, kks)))
+    kets = iter(_branch_kets(branch, probs, *np.nonzero(probs > 0.0)))
     for ell, row in enumerate(probs.tolist()):
         for kk, p in enumerate(row):
             yield BellOutcome(ell, kk, p), next(kets) if p > 0.0 else None
@@ -294,5 +213,7 @@ def singlet_fraction_fidelity(singlet_fraction: float, dim: int) -> float:
 
 def haar_random_ket(dim: int, rng: np.random.Generator) -> QuditKet:
     """Draw a ket uniformly from the unit sphere in C^dim."""
-    z = rng.standard_normal(integer("dim", dim, 2)) + 1j * rng.standard_normal(dim)
+    dim = integer("dim", dim, 2)
+    rng = instance("rng", rng, np.random.Generator)
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return QuditKet(z / np.linalg.norm(z))

@@ -18,6 +18,8 @@ from exact `math.factorial` ints and scalar `math` calls, sharing neither the
 `log k!` row nor the filter with the library.  The full-sector reference builds
 every split column s_k on all occupations of its sector and masks the kept ones
 out afterwards, so the oracle's kept-only build can be held to it bit for bit.
+The qudit references are the textbook XOR, Z^p, X^p and Fourier kets on plain
+arrays, so the protocol's one-pass projection and correction can be held to them.
 """
 
 import math
@@ -45,6 +47,35 @@ from quditcv.teleport import (
 def haar_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
+
+
+def xor_reference(amps: np.ndarray, control: int, target: int) -> np.ndarray:
+    """|j>_target |i>_control -> |i - j mod D>_target |i>_control, one basis entry at a time."""
+    out = np.zeros_like(amps)
+    for index in np.ndindex(amps.shape):
+        moved = list(index)
+        moved[target] = (index[control] - index[target]) % amps.shape[target]
+        out[tuple(moved)] = amps[index]
+    return out
+
+
+def z_power(amps: np.ndarray, axis: int, power: int) -> np.ndarray:
+    """Z^power on one axis: |m> -> omega^{m * power} |m>."""
+    dim = amps.shape[axis]
+    phases = np.exp(2j * np.pi * (power % dim) * np.arange(dim) / dim)
+    shape = [1] * amps.ndim
+    shape[axis] = dim
+    return amps * phases.reshape(shape)
+
+
+def x_power(amps: np.ndarray, axis: int, power: int) -> np.ndarray:
+    """X^power on one axis: |m> -> |m + power mod D>."""
+    return np.roll(amps, power % amps.shape[axis], axis=axis)
+
+
+def fourier_ket(ell: int, dim: int) -> np.ndarray:
+    """|nu_l> = (1/sqrt(D)) sum_k omega^{l k} |k>; orthonormal over l."""
+    return np.exp(2j * np.pi * ell * np.arange(dim) / dim) / math.sqrt(dim)
 
 
 def mc_depolarized_fidelity(

@@ -3,11 +3,12 @@
 An integer argument refuses a bool, a float and a string; a real argument refuses
 a bool, a string and a complex number; a complex argument refuses a bool, a string
 and None.  Each refusal is a ValueError whose message starts with the argument's
-name, and a numpy scalar of a valid value is accepted.  A qudit system index must
-also name one of the state's systems.  The state and parameter arguments of the
-protocols, the oracle and the detector functions must be objects of their classes,
-and the array fields of the frozen classes refuse bool, bytes and str input, as an
-array or entry by entry, each with a message that names the argument or field.
+name, and a numpy scalar of a valid value is accepted.  A requested qudit Bell
+outcome must be a pair of integers.  The state, parameter and random-generator
+arguments of the protocols, the oracle and the detector functions must be objects
+of their classes, and the array fields of the frozen classes refuse bool, bytes and
+str input, as an array or entry by entry, each with a message that names the
+argument or field.
 Range checks on those fields refuse NaN, and a mode matrix refuses an infinite entry.
 """
 
@@ -26,15 +27,12 @@ from quditcv import (
     SchemeParams,
     SqueezingParams,
     apd_povm,
-    bell_measure,
     coherent_fock,
     conventional_cv_fidelity,
     depolarized_fidelity,
     embed_input,
-    enumerate_bell_outcomes,
     enumerate_compositions,
     fock_gain,
-    fourier_state,
     gain_vector,
     haar_random_ket,
     maximally_entangled,
@@ -59,12 +57,10 @@ from quditcv import (
     teleport_state,
     truncate_mode,
     vacuum_postselect,
-    x_op,
-    xor_gate,
-    z_op,
 )
 
 ME = maximally_entangled(2)
+KET = QuditKet([1.0, 0.0])
 DET = DetectorModel(0.5, 0.05)
 PARAMS = SchemeParams(2, 1)
 SPLIT = embed_input(FockVector([0, 1]), 2)  # two modes, cap 1
@@ -90,20 +86,8 @@ INTEGERS = [
     ("k", lambda x: fock_gain(x, PARAMS), 1),
     ("cutoff", lambda x: coherent_fock(0.0, x), 1),
     ("dim", maximally_entangled, 2),
-    ("control", lambda x: xor_gate(ME, x, 1), 0),
-    ("target", lambda x: xor_gate(ME, 0, x), 1),
-    ("index", lambda x: z_op(ME, x), 0),
-    ("power", lambda x: z_op(ME, 0, x), 1),
-    ("index", lambda x: x_op(ME, x), 0),
-    ("power", lambda x: x_op(ME, 0, x), 1),
-    ("ell", lambda x: fourier_state(x, 2), 1),
-    ("dim", lambda x: fourier_state(0, x), 2),
-    ("sys1", lambda x: bell_measure(ME, x, 1, outcome=(0, 0)), 0),
-    ("sys2", lambda x: bell_measure(ME, 0, x, outcome=(0, 0)), 1),
-    ("ell", lambda x: bell_measure(ME, 0, 1, outcome=(x, 0)), 0),
-    ("kk", lambda x: bell_measure(ME, 0, 1, outcome=(0, x)), 0),
-    ("sys1", lambda x: list(enumerate_bell_outcomes(ME, x, 1)), 0),
-    ("sys2", lambda x: list(enumerate_bell_outcomes(ME, 0, x)), 1),
+    ("ell", lambda x: teleport_qudit(KET, ME, outcome=(x, 0)), 0),
+    ("kk", lambda x: teleport_qudit(KET, ME, outcome=(0, x)), 0),
     ("dim", lambda x: depolarized_fidelity(0.5, x), 2),
     ("dim", lambda x: singlet_fraction_fidelity(0.5, x), 2),
     ("dim", lambda x: haar_random_ket(x, _rng()), 2),
@@ -191,16 +175,7 @@ def test_complex_argument_accepts_numbers(name, call, good):
         call(kind(good))
 
 
-@pytest.mark.parametrize("op", [z_op, x_op], ids=["z_op", "x_op"])
-@pytest.mark.parametrize("index", [2, 5, -1, -2, np.int64(2)])
-def test_system_index_must_name_a_system(op, index):
-    with pytest.raises(ValueError, match=f"^index must lie in 0..1, got {index}$"):
-        op(ME, index)
-    for valid in (0, 1, np.int8(1)):
-        op(ME, valid)
-
-
-# each of these once returned a value, measured the wrong system, or raised a TypeError
+# each of these once returned a value or raised a TypeError
 SEEN = {
     "scheme1_success(0.5, 2.5)": ("num_channels", lambda: scheme1_success(0.5, 2.5)),
     "scheme1_success(True, 2)": ("eta", lambda: scheme1_success(True, 2)),
@@ -211,11 +186,8 @@ SEEN = {
     "coherent_fock(1.0, 30.5)": ("cutoff", lambda: coherent_fock(1.0, 30.5)),
     "conventional_cv_fidelity(True)": ("r", lambda: conventional_cv_fidelity(True)),
     "restricted_weight(True, 1, 1)": ("n_modes", lambda: restricted_weight(True, 1, 1)),
-    "z_op(me, 1.5)": ("index", lambda: z_op(ME, 1.5)),
     "coherent_fock(True, 30)": ("alpha", lambda: coherent_fock(True, 30)),
     "coherent_fock('x', 3)": ("alpha", lambda: coherent_fock("x", 3)),
-    "xor_gate(me, 0.0, 1)": ("control", lambda: xor_gate(ME, 0.0, 1)),
-    "bell_measure(me, True, 0)": ("sys1", lambda: bell_measure(ME, True, 0, outcome=(0, 0))),
     "n_splitter(2.5)": ("num_modes", lambda: n_splitter(2.5)),
     "n_splitter(True)": ("num_modes", lambda: n_splitter(True)),
 }
@@ -247,7 +219,6 @@ def test_lower_bounds_name_the_argument(name, call, low):
     call(low)
 
 
-KET = QuditKet([1.0, 0.0])
 FOCK = FockVector([1.0])
 SQUEEZE = squeezing_from_chi(0.5)
 
@@ -273,6 +244,7 @@ PROTOCOL_ARGUMENTS = [
     ("det", "DetectorModel", lambda x: apd_povm(x, 3)),
     ("det", "DetectorModel", lambda x: povm_element(1, x, 3)),
     ("det", "DetectorModel", lambda x: povm_completeness_defect(x, 3)),
+    ("rng", "Generator", lambda x: haar_random_ket(2, x)),
 ]
 
 
@@ -285,17 +257,17 @@ def test_protocol_arguments_must_be_states(name, kind, call, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("dim", [0, -3, 1])
-def test_fourier_state_checks_dim_before_ell(dim):
-    with pytest.raises(ValueError, match=f"^dim must be an integer >= 2, got {dim}$"):
-        fourier_state(0, dim)
-
-
 @pytest.mark.parametrize("outcome", [(0,), (0, 0, 0), 5, "a", ()], ids=repr)
 def test_outcome_must_be_a_pair(outcome):
     with pytest.raises(ValueError, match=r"^outcome must be a pair \(ell, kk\), got "):
-        bell_measure(ME, 0, 1, outcome=outcome)
-    bell_measure(ME, 0, 1, outcome=[0, 1])  # any two-item sequence still serves
+        teleport_qudit(KET, ME, outcome=outcome)
+    teleport_qudit(KET, ME, outcome=[0, 1])  # any two-item sequence still serves
+
+
+@pytest.mark.parametrize("outcome", [(2, 0), (0, 2), (-1, 0), (0, np.int64(-1))], ids=repr)
+def test_outcome_indices_must_lie_below_the_dimension(outcome):
+    with pytest.raises(ValueError, match=r"^outcome indices must lie in 0\.\.1, got "):
+        teleport_qudit(KET, ME, outcome=outcome)
 
 
 # (field name, call with that field set to x, a valid value for it)
@@ -348,9 +320,10 @@ SEEN_STATES = {
         ("resource", lambda: list(teleport_qudit_branches(KET, "x"))),
     "teleport_qudit_branches([1, 0], me)":
         ("phi", lambda: list(teleport_qudit_branches([1, 0], ME))),
-    "fourier_state(0, 0)": ("dim", lambda: fourier_state(0, 0)),
-    "bell_measure(me, 0, 1, outcome=(0,))":
-        ("outcome", lambda: bell_measure(ME, 0, 1, outcome=(0,))),
+    "teleport_qudit(ket, me, outcome=(0,))":
+        ("outcome", lambda: teleport_qudit(KET, ME, outcome=(0,))),
+    "haar_random_ket(2, None)": ("rng", lambda: haar_random_ket(2, None)),
+    "teleport_qudit(ket, me, rng='x')": ("rng", lambda: teleport_qudit(KET, ME, rng="x")),
 }
 
 
