@@ -264,10 +264,25 @@ def test_outcome_must_be_a_pair(outcome):
     teleport_qudit(KET, ME, outcome=[0, 1])  # any two-item sequence still serves
 
 
-@pytest.mark.parametrize("outcome", [(2, 0), (0, 2), (-1, 0), (0, np.int64(-1))], ids=repr)
-def test_outcome_indices_must_lie_below_the_dimension(outcome):
+@pytest.mark.parametrize("position", ["ell", "kk"])
+@pytest.mark.parametrize("index", [2, 5, -1, -2, np.int64(2)], ids=repr)
+def test_outcome_indices_must_lie_below_the_dimension(position, index):
+    def at(x):
+        return (x, 0) if position == "ell" else (0, x)
+
     with pytest.raises(ValueError, match=r"^outcome indices must lie in 0\.\.1, got "):
-        teleport_qudit(KET, ME, outcome=outcome)
+        teleport_qudit(KET, ME, outcome=at(index))
+    for valid in (0, 1, np.int8(1)):
+        teleport_qudit(KET, ME, outcome=at(valid))
+
+
+# teleport_qudit reads rng only to draw an outcome; a requested outcome never consults it
+@pytest.mark.parametrize("bad", ["x", [1.0, 0.0], np.eye(2), (2, 1), np.random.RandomState(0)],
+                         ids=["str", "list", "ndarray", "tuple", "random-state"])
+def test_teleport_qudit_refuses_a_bad_rng(bad):
+    with pytest.raises(ValueError, match=f"^rng must be a Generator, got {type(bad).__name__}$"):
+        teleport_qudit(KET, ME, rng=bad)
+    teleport_qudit(KET, ME, rng=bad, outcome=(0, 1))
 
 
 # (field name, call with that field set to x, a valid value for it)

@@ -203,7 +203,7 @@ class TestOperators:
         twice = xor_reference(xor_reference(state, 0, 1), 0, 1)
         assert np.allclose(twice, state, atol=1e-14)
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
     def test_xor_is_unitary(self, dim):
         # columns of the induced matrix stay orthonormal
         cols = []
@@ -279,7 +279,7 @@ class TestBellMeasurement:
                 assert probs[ell, kk] == pytest.approx(np.vdot(explicit, explicit).real,
                                                        abs=1e-14)
 
-    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_uniform_outcomes_with_entangled_resource(self, dim):
         rng = np.random.default_rng(11)
         phi = haar_random_ket(dim, rng)
@@ -288,38 +288,46 @@ class TestBellMeasurement:
         assert np.allclose(probs, 1.0 / dim**2, atol=1e-12)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_probabilities_sum_to_one_generic(self):
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_probabilities_sum_to_one_generic(self, dim):
         rng = np.random.default_rng(4)
-        z = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        z = rng.standard_normal((dim, dim, dim)) + 1j * rng.standard_normal((dim, dim, dim))
         _, probs = qudit._projected(z / np.linalg.norm(z))
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_zero_probability_request_raises(self):
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_zero_probability_request_raises(self, dim):
         # |0> through |00> leaves |000> after the XOR: no support on k' = 1 branches
         with pytest.raises(ValueError, match="zero-probability"):
-            teleport_qudit(basis_ket(2, 0), product_resource(2, 0, 0), outcome=(0, 1))
+            teleport_qudit(basis_ket(dim, 0), product_resource(dim, 0, 0), outcome=(0, 1))
 
-    def test_product_resource_pins_k_and_spreads_l(self):
-        ket, outcome = teleport_qudit(basis_ket(2, 0), product_resource(2, 0, 0), outcome=(1, 0))
-        # k is pinned to 0 by |000>, the Fourier index is uniform over 2 values
-        assert outcome.probability == pytest.approx(0.5, abs=1e-15)
-        assert overlap(ket, basis_ket(2, 0)) == pytest.approx(1.0, abs=1e-15)
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_product_resource_pins_k_and_spreads_l(self, dim):
+        resource = product_resource(dim, 0, 0)
+        ket, outcome = teleport_qudit(basis_ket(dim, 0), resource, outcome=(dim - 1, 0))
+        # k is pinned to 0 by |000>, the Fourier index is uniform over D values
+        assert outcome.probability == pytest.approx(1.0 / dim, abs=1e-15)
+        assert overlap(ket, basis_ket(dim, 0)) == pytest.approx(1.0, abs=1e-15)
 
-    def test_requires_rng_or_outcome(self):
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_requires_rng_or_outcome(self, dim):
         with pytest.raises(ValueError, match="rng"):
-            teleport_qudit(basis_ket(2, 0), maximally_entangled(2))
+            teleport_qudit(basis_ket(dim, 0), maximally_entangled(dim))
 
-    def test_sampling_is_reproducible(self):
-        phi = haar_random_ket(3, np.random.default_rng(3))
-        ket_a, out_a = teleport_qudit(phi, maximally_entangled(3), rng=np.random.default_rng(42))
-        ket_b, out_b = teleport_qudit(phi, maximally_entangled(3), rng=np.random.default_rng(42))
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_sampling_is_reproducible(self, dim):
+        phi = haar_random_ket(dim, np.random.default_rng(3))
+        resource = maximally_entangled(dim)
+        ket_a, out_a = teleport_qudit(phi, resource, rng=np.random.default_rng(42))
+        ket_b, out_b = teleport_qudit(phi, resource, rng=np.random.default_rng(42))
         assert out_a == out_b
         assert ket_a.amplitudes.tobytes() == ket_b.amplitudes.tobytes()
 
-    def test_sampled_branch_matches_enumeration(self):
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_sampled_branch_matches_enumeration(self, dim):
         rng = np.random.default_rng(9)
-        phi = haar_random_ket(2, rng)
-        resource = random_joint(rng, (2, 2))
+        phi = haar_random_ket(dim, rng)
+        resource = random_joint(rng, (dim, dim))
         single, outcome = teleport_qudit(phi, resource, outcome=(1, 1))
         listed = {(out.ell, out.kk): (out.probability, ket)
                   for out, ket in teleport_qudit_branches(phi, resource)}
@@ -329,13 +337,14 @@ class TestBellMeasurement:
 
 
 class TestTeleportation:
-    def test_basis_state_every_outcome(self):
-        phi = basis_ket(3, 0)
-        resource = maximally_entangled(3)
+    @pytest.mark.parametrize("dim,m", [(3, 0), (2, 1), (5, 2), (8, 7)])
+    def test_basis_state_every_outcome(self, dim, m):
+        phi = basis_ket(dim, m)
+        resource = maximally_entangled(dim)
         branches = list(teleport_qudit_branches(phi, resource))
-        assert len(branches) == 9
+        assert len(branches) == dim * dim
         for outcome, ket in branches:
-            assert outcome.probability == pytest.approx(1.0 / 9.0, abs=1e-13)
+            assert outcome.probability == pytest.approx(1.0 / dim**2, abs=1e-13)
             assert overlap(ket, phi) == pytest.approx(1.0, abs=1e-13)
 
     @settings(max_examples=25, deadline=None)
@@ -350,12 +359,13 @@ class TestTeleportation:
             assert outcome.probability == pytest.approx(1.0 / dim**2, abs=1e-12)
             assert overlap(ket, phi) >= 1.0 - 1e-12
 
-    def test_sampled_run(self):
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+    def test_sampled_run(self, dim):
         rng = np.random.default_rng(0)
-        phi = haar_random_ket(4, rng)
-        ket, outcome = teleport_qudit(phi, maximally_entangled(4), rng=rng)
+        phi = haar_random_ket(dim, rng)
+        ket, outcome = teleport_qudit(phi, maximally_entangled(dim), rng=rng)
         assert overlap(ket, phi) == pytest.approx(1.0, abs=1e-12)
-        assert 0 <= outcome.ell < 4 and 0 <= outcome.kk < 4
+        assert 0 <= outcome.ell < dim and 0 <= outcome.kk < dim
 
     def test_product_resource_ignores_input_phases(self):
         # an unentangled resource cannot carry phase information across
@@ -387,10 +397,16 @@ class TestTeleportation:
         with pytest.raises(ValueError, match="joint amplitudes must be normalized"):
             teleport_qudit(basis_ket(2, 0), resource, outcome=(0, 1))
 
-    def test_resource_shape_validation(self):
-        phi = basis_ket(2, 0)
-        with pytest.raises(ValueError, match="resource"):
-            teleport_qudit(phi, maximally_entangled(3), outcome=(0, 0))
+    @pytest.mark.parametrize("dim,resource", [
+        (2, maximally_entangled(3)),
+        (3, maximally_entangled(2)),
+        (2, JointQuditState(np.ones((2, 3)) / math.sqrt(6.0))),
+        (2, JointQuditState(np.ones((2, 2, 2)) / math.sqrt(8.0))),
+    ], ids=["2-in-3x3", "3-in-2x2", "2-in-2x3", "2-in-2x2x2"])
+    def test_resource_shape_validation(self, dim, resource):
+        message = f"^resource must be a two-system state of dimension {dim} each, got systems "
+        with pytest.raises(ValueError, match=message):
+            teleport_qudit(basis_ket(dim, 0), resource, outcome=(0, 0))
 
 
 class TestCorrectionBytes:
@@ -471,14 +487,23 @@ class TestIntegerArguments:
         ("ell", lambda: teleport_qudit(basis_ket(2, 0), maximally_entangled(2), outcome=(True, 0))),
         ("ell", lambda: teleport_qudit(basis_ket(2, 0), maximally_entangled(2), outcome=(0.5, 0))),
         ("kk", lambda: teleport_qudit(basis_ket(2, 0), maximally_entangled(2), outcome=(0, 1.0))),
+        ("kk", lambda: teleport_qudit(basis_ket(2, 0), maximally_entangled(2), outcome=(0, True))),
+        ("kk", lambda: teleport_qudit(basis_ket(2, 0), maximally_entangled(2), outcome=(0, "1"))),
+        ("ell", lambda: teleport_qudit(basis_ket(2, 0), maximally_entangled(2),
+                                       outcome=(np.float64(1.0), 0))),
+        ("ell", lambda: teleport_qudit(basis_ket(2, 0), maximally_entangled(2),
+                                       outcome=(np.True_, 0))),
+        ("dim", lambda: haar_random_ket(True, np.random.default_rng(0))),
+        ("dim", lambda: maximally_entangled(np.float64(2.0))),
     ])
     def test_bools_and_non_integers_refused(self, name, bad_call):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             bad_call()
 
-    def test_numpy_integers_accepted(self):
+    @pytest.mark.parametrize("kind", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64])
+    def test_numpy_integers_accepted(self, kind):
         phi = haar_random_ket(3, np.random.default_rng(1))
-        _, out = teleport_qudit(phi, maximally_entangled(3), outcome=(np.int64(2), np.int8(1)))
+        _, out = teleport_qudit(phi, maximally_entangled(3), outcome=(kind(2), np.int8(1)))
         assert out.probability == pytest.approx(1.0 / 9.0, abs=1e-15)
         # the outcome holds plain ints, not the numpy scalars it was given
         assert type(out.ell) is int and type(out.kk) is int
