@@ -71,104 +71,110 @@ def _rng():
 
 
 # (argument name, call with that argument set to x, a valid value for it)
-INTEGERS = [
-    ("n_modes", lambda x: restricted_weight(x, 1, 1), 2),
-    ("total_photons", lambda x: restricted_weight(2, x, 1), 1),
-    ("per_mode_cutoff", lambda x: restricted_weight(2, 1, x), 1),
-    ("n_modes", lambda x: restricted_weight_log(x, 1, 1), 2),
-    ("total_photons", lambda x: restricted_weight_log(2, x, 1), 1),
-    ("per_mode_cutoff", lambda x: restricted_weight_log(2, 1, x), 1),
-    ("n_modes", lambda x: list(enumerate_compositions(x, 1, 1)), 2),
-    ("total_photons", lambda x: list(enumerate_compositions(2, x, 1)), 1),
-    ("per_mode_cutoff", lambda x: list(enumerate_compositions(2, 1, x)), 1),
-    ("num_modes", lambda x: SchemeParams(x, 1), 2),
-    ("photon_cutoff", lambda x: SchemeParams(2, x), 1),
-    ("k", lambda x: fock_gain(x, PARAMS), 1),
-    ("cutoff", lambda x: coherent_fock(0.0, x), 1),
-    ("dim", maximally_entangled, 2),
-    ("ell", lambda x: teleport_qudit(KET, ME, outcome=(x, 0)), 0),
-    ("kk", lambda x: teleport_qudit(KET, ME, outcome=(0, x)), 0),
-    ("dim", lambda x: depolarized_fidelity(0.5, x), 2),
-    ("dim", lambda x: singlet_fraction_fidelity(0.5, x), 2),
-    ("dim", lambda x: haar_random_ket(x, _rng()), 2),
-    ("num_modes", n_splitter, 2),
-    ("num_modes", lambda x: embed_input(FockVector([0, 1]), x), 2),
-    ("cap", lambda x: embed_input(FockVector([0, 1]), 2, x), 2),
-    ("mode_index", lambda x: truncate_mode(SPLIT, x, 0), 1),
-    ("max_photons", lambda x: truncate_mode(SPLIT, 0, x), 0),
-    ("kept_mode", lambda x: vacuum_postselect(SPLIT, x), 0),
-    ("clicks", lambda x: povm_element(x, DET, 3), 1),
-    ("cutoff", lambda x: povm_element(1, DET, x), 3),
-    ("max_resolved", lambda x: pnr_povm(DET, x, 3), 1),
-    ("cutoff", lambda x: pnr_povm(DET, 1, x), 3),
-    ("cutoff", lambda x: apd_povm(DET, x), 3),
-    ("cutoff", lambda x: povm_completeness_defect(DET, x), 3),
-    ("num_channels", lambda x: scheme1_success(0.5, x), 2),
-    ("num_channels", lambda x: scheme2_success(0.5, 0.5, x), 2),
-]
+INTEGERS = {
+    "restricted_weight(x, 1, 1)": ("n_modes", lambda x: restricted_weight(x, 1, 1), 2),
+    "restricted_weight(2, x, 1)": ("total_photons", lambda x: restricted_weight(2, x, 1), 1),
+    "restricted_weight(2, 1, x)": ("per_mode_cutoff", lambda x: restricted_weight(2, 1, x), 1),
+    "restricted_weight_log(x, 1, 1)": ("n_modes", lambda x: restricted_weight_log(x, 1, 1), 2),
+    "restricted_weight_log(2, x, 1)":
+        ("total_photons", lambda x: restricted_weight_log(2, x, 1), 1),
+    "restricted_weight_log(2, 1, x)":
+        ("per_mode_cutoff", lambda x: restricted_weight_log(2, 1, x), 1),
+    "enumerate_compositions(x, 1, 1)":
+        ("n_modes", lambda x: list(enumerate_compositions(x, 1, 1)), 2),
+    "enumerate_compositions(2, x, 1)":
+        ("total_photons", lambda x: list(enumerate_compositions(2, x, 1)), 1),
+    "enumerate_compositions(2, 1, x)":
+        ("per_mode_cutoff", lambda x: list(enumerate_compositions(2, 1, x)), 1),
+    "SchemeParams(x, 1)": ("num_modes", lambda x: SchemeParams(x, 1), 2),
+    "SchemeParams(2, x)": ("photon_cutoff", lambda x: SchemeParams(2, x), 1),
+    "fock_gain(x, PARAMS)": ("k", lambda x: fock_gain(x, PARAMS), 1),
+    "coherent_fock(0.0, x)": ("cutoff", lambda x: coherent_fock(0.0, x), 1),
+    "maximally_entangled(x)": ("dim", maximally_entangled, 2),
+    "teleport_qudit(KET, ME, outcome=(x, 0))":
+        ("ell", lambda x: teleport_qudit(KET, ME, outcome=(x, 0)), 0),
+    "teleport_qudit(KET, ME, outcome=(0, x))":
+        ("kk", lambda x: teleport_qudit(KET, ME, outcome=(0, x)), 0),
+    "depolarized_fidelity(0.5, x)": ("dim", lambda x: depolarized_fidelity(0.5, x), 2),
+    "singlet_fraction_fidelity(0.5, x)": ("dim", lambda x: singlet_fraction_fidelity(0.5, x), 2),
+    "haar_random_ket(x, _rng())": ("dim", lambda x: haar_random_ket(x, _rng()), 2),
+    "n_splitter(x)": ("num_modes", n_splitter, 2),
+    "embed_input(FockVector([0, 1]), x)":
+        ("num_modes", lambda x: embed_input(FockVector([0, 1]), x), 2),
+    "embed_input(FockVector([0, 1]), 2, x)":
+        ("cap", lambda x: embed_input(FockVector([0, 1]), 2, x), 2),
+    "truncate_mode(SPLIT, x, 0)": ("mode_index", lambda x: truncate_mode(SPLIT, x, 0), 1),
+    "truncate_mode(SPLIT, 0, x)": ("max_photons", lambda x: truncate_mode(SPLIT, 0, x), 0),
+    "vacuum_postselect(SPLIT, x)": ("kept_mode", lambda x: vacuum_postselect(SPLIT, x), 0),
+    "povm_element(x, DET, 3)": ("clicks", lambda x: povm_element(x, DET, 3), 1),
+    "povm_element(1, DET, x)": ("cutoff", lambda x: povm_element(1, DET, x), 3),
+    "pnr_povm(DET, x, 3)": ("max_resolved", lambda x: pnr_povm(DET, x, 3), 1),
+    "pnr_povm(DET, 1, x)": ("cutoff", lambda x: pnr_povm(DET, 1, x), 3),
+    "apd_povm(DET, x)": ("cutoff", lambda x: apd_povm(DET, x), 3),
+    "povm_completeness_defect(DET, x)": ("cutoff", lambda x: povm_completeness_defect(DET, x), 3),
+    "scheme1_success(0.5, x)": ("num_channels", lambda x: scheme1_success(0.5, x), 2),
+    "scheme2_success(0.5, 0.5, x)": ("num_channels", lambda x: scheme2_success(0.5, 0.5, x), 2),
+}
 
-REALS = [
-    ("chi", squeezing_from_chi, 0.5),
-    ("v_s", squeezing_from_vs, 3.0),
-    ("r", squeezing_from_r, 0.5),
-    ("r", lambda x: SqueezingParams(x, 0.0, 1.0), 0.0),
-    ("chi", lambda x: SqueezingParams(0.0, x, 1.0), 0.0),
-    ("v_s", lambda x: SqueezingParams(0.0, 0.0, x), 1.0),
-    ("r", conventional_cv_fidelity, 0.5),
-    ("p", lambda x: depolarized_fidelity(x, 2), 0.5),
-    ("singlet_fraction", lambda x: singlet_fraction_fidelity(x, 2), 0.5),
-    ("eta", DetectorModel, 0.5),
-    ("nu", lambda x: DetectorModel(0.5, x), 0.1),
-    ("eta", lambda x: scheme1_success(x, 2), 0.5),
-    ("xi", lambda x: scheme2_success(x, 0.5, 2), 0.5),
-    ("eta", lambda x: scheme2_success(0.5, x, 2), 0.5),
-]
-
-
-def _ids(table):
-    return [f"{name}-{i}" for i, (name, _, _) in enumerate(table)]
+REALS = {
+    "squeezing_from_chi(x)": ("chi", squeezing_from_chi, 0.5),
+    "squeezing_from_vs(x)": ("v_s", squeezing_from_vs, 3.0),
+    "squeezing_from_r(x)": ("r", squeezing_from_r, 0.5),
+    "SqueezingParams(x, 0.0, 1.0)": ("r", lambda x: SqueezingParams(x, 0.0, 1.0), 0.0),
+    "SqueezingParams(0.0, x, 1.0)": ("chi", lambda x: SqueezingParams(0.0, x, 1.0), 0.0),
+    "SqueezingParams(0.0, 0.0, x)": ("v_s", lambda x: SqueezingParams(0.0, 0.0, x), 1.0),
+    "conventional_cv_fidelity(x)": ("r", conventional_cv_fidelity, 0.5),
+    "depolarized_fidelity(x, 2)": ("p", lambda x: depolarized_fidelity(x, 2), 0.5),
+    "singlet_fraction_fidelity(x, 2)":
+        ("singlet_fraction", lambda x: singlet_fraction_fidelity(x, 2), 0.5),
+    "DetectorModel(x)": ("eta", DetectorModel, 0.5),
+    "DetectorModel(0.5, x)": ("nu", lambda x: DetectorModel(0.5, x), 0.1),
+    "scheme1_success(x, 2)": ("eta", lambda x: scheme1_success(x, 2), 0.5),
+    "scheme2_success(x, 0.5, 2)": ("xi", lambda x: scheme2_success(x, 0.5, 2), 0.5),
+    "scheme2_success(0.5, x, 2)": ("eta", lambda x: scheme2_success(0.5, x, 2), 0.5),
+}
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, "2"], ids=["bool", "float", "str"])
-@pytest.mark.parametrize("name, call, good", INTEGERS, ids=_ids(INTEGERS))
+@pytest.mark.parametrize("name, call, good", INTEGERS.values(), ids=INTEGERS.keys())
 def test_integer_argument_refuses_non_integers(name, call, good, bad):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
         call(bad)
 
 
-@pytest.mark.parametrize("name, call, good", INTEGERS, ids=_ids(INTEGERS))
+@pytest.mark.parametrize("name, call, good", INTEGERS.values(), ids=INTEGERS.keys())
 def test_integer_argument_accepts_numpy_integers(name, call, good):
     call(np.int64(good))
     call(np.int8(good))
 
 
 @pytest.mark.parametrize("bad", [True, "0.5", 0.5j], ids=["bool", "str", "complex"])
-@pytest.mark.parametrize("name, call, good", REALS, ids=_ids(REALS))
+@pytest.mark.parametrize("name, call, good", REALS.values(), ids=REALS.keys())
 def test_real_argument_refuses_non_reals(name, call, good, bad):
     with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
         call(bad)
 
 
-@pytest.mark.parametrize("name, call, good", REALS, ids=_ids(REALS))
+@pytest.mark.parametrize("name, call, good", REALS.values(), ids=REALS.keys())
 def test_real_argument_accepts_numpy_reals(name, call, good):
     call(np.float64(good))
     call(np.float32(good))
 
 
-COMPLEXES = [
-    ("alpha", lambda x: coherent_fock(x, 30), 1.0),
-    ("alpha", lambda x: teleport_coherent(x, PARAMS), 1.0),
-]
+COMPLEXES = {
+    "coherent_fock(x, 30)": ("alpha", lambda x: coherent_fock(x, 30), 1.0),
+    "teleport_coherent(x, PARAMS)": ("alpha", lambda x: teleport_coherent(x, PARAMS), 1.0),
+}
 
 
 @pytest.mark.parametrize("bad", [True, np.True_, "1", None], ids=["bool", "np-bool", "str", "none"])
-@pytest.mark.parametrize("name, call, good", COMPLEXES, ids=_ids(COMPLEXES))
+@pytest.mark.parametrize("name, call, good", COMPLEXES.values(), ids=COMPLEXES.keys())
 def test_complex_argument_refuses_non_numbers(name, call, good, bad):
     with pytest.raises(ValueError, match=f"^{name} must be a complex number, got "):
         call(bad)
 
 
-@pytest.mark.parametrize("name, call, good", COMPLEXES, ids=_ids(COMPLEXES))
+@pytest.mark.parametrize("name, call, good", COMPLEXES.values(), ids=COMPLEXES.keys())
 def test_complex_argument_accepts_numbers(name, call, good):
     for kind in (complex, float, int, np.complex128, np.complex64, np.float64, np.float32,
                  np.int64):
