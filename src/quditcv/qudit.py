@@ -79,14 +79,6 @@ class JointQuditState:
         if not abs(squared_norm(arr.ravel()) - 1.0) <= _NORM_TOL:
             raise ValueError("joint amplitudes must be normalized")
 
-    @property
-    def systems(self) -> tuple[int, ...]:
-        return self.amplitudes.shape
-
-    @property
-    def num_systems(self) -> int:
-        return self.amplitudes.ndim
-
 
 @dataclass(frozen=True)
 class BellOutcome:
@@ -119,15 +111,15 @@ def _projected(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return branch, (np.abs(branch) ** 2).sum(axis=2)
 
 
-def _entangled_with_resource(phi: QuditKet, resource: JointQuditState) -> JointQuditState:
+def _entangled_with_resource(phi: QuditKet, resource: JointQuditState) -> np.ndarray:
+    """The joint tensor after the sender's XOR, unchecked: the checked inputs fix its norm."""
     dim = instance("phi", phi, QuditKet).dim
-    instance("resource", resource, JointQuditState)
-    if resource.num_systems != 2 or resource.systems != (dim, dim):
+    shape = instance("resource", resource, JointQuditState).amplitudes.shape
+    if shape != (dim, dim):
         raise ValueError(f"resource must be a two-system state of dimension {dim} each, "
-                         f"got systems {resource.systems}")
-    joint = JointQuditState(np.multiply.outer(phi.amplitudes, resource.amplitudes))
+                         f"got systems {shape}")
     # the sender entangles the input (system 0, the target) with their half (system 1, the control)
-    return JointQuditState(_xor(joint.amplitudes))
+    return _xor(np.multiply.outer(phi.amplitudes, resource.amplitudes))
 
 
 def _corrected(remainders: np.ndarray, ells, kks) -> np.ndarray:
@@ -159,7 +151,7 @@ def teleport_qudit(phi: QuditKet, resource: JointQuditState, *,
             zero probability, or if no outcome is given and ``rng`` is not a
             numpy Generator.
     """
-    branch, probs = _projected(_entangled_with_resource(phi, resource).amplitudes)
+    branch, probs = _projected(_entangled_with_resource(phi, resource))
     dim = len(probs)
     if outcome is not None:
         try:
@@ -184,7 +176,7 @@ def teleport_qudit(phi: QuditKet, resource: JointQuditState, *,
 def teleport_qudit_branches(phi: QuditKet, resource: JointQuditState
                             ) -> Iterator[tuple[BellOutcome, QuditKet | None]]:
     """Enumerate every outcome branch with its corrected output state, all corrected in one pass."""
-    branch, probs = _projected(_entangled_with_resource(phi, resource).amplitudes)
+    branch, probs = _projected(_entangled_with_resource(phi, resource))
     kets = iter(_branch_kets(branch, probs, *np.nonzero(probs > 0.0)))
     for ell, row in enumerate(probs.tolist()):
         for kk, p in enumerate(row):

@@ -108,31 +108,25 @@ class TeleportOutcome:
 
 @dataclass(frozen=True)
 class SqueezingParams:
-    """Two-mode squeezing strength in its three equivalent parameterizations.
+    """Two-mode squeezing strength chi = tanh(r), with r and the variance ratio v_s derived."""
 
-    r is the squeezing parameter, chi = tanh(r), and v_s = (1+chi)/(1-chi)
-    is the variance ratio.  The trio must be mutually consistent; use the
-    squeezing_from_* constructors rather than filling fields by hand.
-    """
-
-    r: float
     chi: float
-    v_s: float
 
     def __post_init__(self) -> None:
-        if not (real("r", self.r) >= 0.0 and 0.0 <= real("chi", self.chi) < 1.0
-                and real("v_s", self.v_s) >= 1.0):
-            raise ValueError(f"squeezing parameters out of range: {self}")
-        if abs(math.tanh(self.r) - self.chi) > 1e-12:
-            raise ValueError(f"chi is inconsistent with r: {self}")
-        if abs((1.0 + self.chi) / (1.0 - self.chi) - self.v_s) > 1e-12 * max(1.0, self.v_s):
-            raise ValueError(f"v_s is inconsistent with chi: {self}")
+        if not 0.0 <= real("chi", self.chi) < 1.0:
+            raise ValueError(f"chi must lie in [0, 1), got {self.chi}")
+
+    @property
+    def r(self) -> float:
+        return math.atanh(self.chi)
+
+    @property
+    def v_s(self) -> float:
+        return (1.0 + self.chi) / (1.0 - self.chi)
 
 
 def squeezing_from_chi(chi: float) -> SqueezingParams:
-    if not 0.0 <= real("chi", chi) < 1.0:
-        raise ValueError(f"chi must lie in [0, 1), got {chi}")
-    return SqueezingParams(r=math.atanh(chi), chi=chi, v_s=(1.0 + chi) / (1.0 - chi))
+    return SqueezingParams(chi)
 
 
 def squeezing_from_vs(v_s: float) -> SqueezingParams:

@@ -120,9 +120,7 @@ REALS = {
     "squeezing_from_chi(x)": ("chi", squeezing_from_chi, 0.5),
     "squeezing_from_vs(x)": ("v_s", squeezing_from_vs, 3.0),
     "squeezing_from_r(x)": ("r", squeezing_from_r, 0.5),
-    "SqueezingParams(x, 0.0, 1.0)": ("r", lambda x: SqueezingParams(x, 0.0, 1.0), 0.0),
-    "SqueezingParams(0.0, x, 1.0)": ("chi", lambda x: SqueezingParams(0.0, x, 1.0), 0.0),
-    "SqueezingParams(0.0, 0.0, x)": ("v_s", lambda x: SqueezingParams(0.0, 0.0, x), 1.0),
+    "SqueezingParams(x)": ("chi", SqueezingParams, 0.0),
     "conventional_cv_fidelity(x)": ("r", conventional_cv_fidelity, 0.5),
     "depolarized_fidelity(x, 2)": ("p", lambda x: depolarized_fidelity(x, 2), 0.5),
     "singlet_fraction_fidelity(x, 2)":

@@ -397,6 +397,20 @@ class TestTeleportation:
         with pytest.raises(ValueError, match="joint amplitudes must be normalized"):
             teleport_qudit(basis_ket(2, 0), resource, outcome=(0, 1))
 
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_inputs_within_their_norm_tolerance_are_accepted(self, dim):
+        # |phi|^2 = |R|^2 = 1 + 0.8e-9 each pass the 1e-9 check; the joint tensor, at about
+        # 1 + 1.6e-9, takes its norm from them and is not checked again
+        scale = math.sqrt(1.0 + 0.8e-9)
+        unit = haar_random_ket(dim, np.random.default_rng(dim))
+        phi = QuditKet(unit.amplitudes * scale)
+        resource = JointQuditState(maximally_entangled(dim).amplitudes * scale)
+        for outcome, ket in teleport_qudit_branches(phi, resource):
+            assert outcome.probability == pytest.approx(1.0 / dim**2, abs=1e-8)
+            assert overlap(ket, unit) == pytest.approx(1.0, abs=1e-12)
+        ket, outcome = teleport_qudit(phi, resource, outcome=(1, dim - 1))
+        assert overlap(ket, unit) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("dim,resource", [
         (2, maximally_entangled(3)),
         (3, maximally_entangled(2)),

@@ -85,6 +85,11 @@ REQUEST_SHA256 = {
               "0cbd0ebf761d44ecbab8e82be820ea44e874724f624798b139b3eb3450b91c63"),
 }
 
+# sha256 of the little-endian float64 (r, chi, v_s) of 5,815 squeezing_from_* results, captured
+# when SqueezingParams stored all three: v_s = 1 + k/8 (k < 2000) and 10^1..10^15, r = k/100
+# (k < 1800), chi = k/2000 (k < 2000)
+SQUEEZING_SHA256 = "49e6094eb458bb49713da8a6eb04d0169cd6a7894e7cd08deb9b840b0d81fde4"
+
 
 def fock_basis(k: int, cutoff: int) -> FockVector:
     amps = np.zeros(cutoff + 1, dtype=complex)
@@ -542,14 +547,28 @@ class TestSqueezing:
         (squeezing_from_r, "r", math.inf),
         (squeezing_from_r, "r", math.nan),
         (squeezing_from_chi, "chi", math.nan),
+        (SqueezingParams, "chi", math.nan),
+        (SqueezingParams, "chi", 1.0),
     ])
     def test_non_finite_input_names_its_argument(self, make, arg, value):
         with pytest.raises(ValueError, match=f"^{arg} must"):
             make(value)
 
-    def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError):
-            SqueezingParams(r=0.1, chi=0.9, v_s=19.0)
+    def test_r_and_v_s_derive_from_chi(self):
+        # a tiny chi cannot be paired with an r or v_s that disagrees with it
+        params = SqueezingParams(4e-13)
+        assert params == squeezing_from_chi(4e-13)
+        assert (params.r, params.v_s) == (math.atanh(4e-13), (1.0 + 4e-13) / (1.0 - 4e-13))
+
+    def test_constructor_bytes_are_pinned(self):
+        calls = ([(squeezing_from_vs, 1.0 + k / 8) for k in range(2000)]
+                 + [(squeezing_from_vs, 10.0**e) for e in range(1, 16)]
+                 + [(squeezing_from_r, k / 100) for k in range(1800)]
+                 + [(squeezing_from_chi, k / 2000) for k in range(2000)])
+        results = [make(x) for make, x in calls]
+        assert all(SqueezingParams(p.chi) == p for p in results)
+        rows = np.array([(p.r, p.chi, p.v_s) for p in results], "<f8")
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == SQUEEZING_SHA256
 
     @pytest.mark.parametrize("make, arg", [
         (squeezing_from_vs, "v_s"), (squeezing_from_r, "r"), (squeezing_from_chi, "chi"),
