@@ -30,9 +30,11 @@ from quditcv.teleport import (
 # sha256 of oracle_teleport's little-endian amplitudes and P_suc for five seeded
 # states at each oracle_check configuration (N, cap, d).  A change to how the
 # oracle builds its splitter or sectors that moves any last digit changes these.
+# (2, 8, 1) and (3, 8, 2), whose cap passes N*d, were re-captured when the output
+# was cut to teleport_state's min(cap, N*d) + 1 entries.
 ORACLE_SHA256 = {
-    (2, 8, 1): "0c568168cb3d7c0686e23a8a5cf279c2820b5a26c7768986a462e8eb457b21ad",
-    (3, 8, 2): "4f2e1db3b240184f71d2b148cbb865fa965503f7f883ecc93613a4e8326393d6",
+    (2, 8, 1): "d384796e18187c5439ce5778d628759b3d00c7e734c1b539d0d27c5276365f6f",
+    (3, 8, 2): "019d9e50eb8b5d1f5961207db20679e0d4b6657bc908801ffd1ebc8581ac678b",
     (4, 6, 2): "95d49b95aee86be67f8234b4bdba8a554ba76d3de083411fdcfeabb6bf406f7a",
     (4, 8, 3): "59ecc453b1a4c4b98ae6e1fc101dd61f5f74d067a13b42a9722d8c51b64acda8",
     (5, 5, 2): "108e19f98af44e1aa997e945d7740285dc9dea55f2b9bc92ecfd5518936155c5",
@@ -207,6 +209,25 @@ class TestOracleTeleport:
         out = oracle_teleport(fock_basis(0, 0), SchemeParams(2, 1))
         assert out.success_probability == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_output_window_equals_the_closed_form(self, n, d):
+        rng = np.random.default_rng(10 * n + d)
+        params = SchemeParams(n, d)
+        for cutoff in (0, 1, 2, 5, 9):
+            z = rng.standard_normal(cutoff + 1) + 1j * rng.standard_normal(cutoff + 1)
+            state = FockVector(z / np.linalg.norm(z))
+            brute, closed = oracle_teleport(state, params), teleport_state(state, params)
+            assert len(brute.state.amplitudes) == len(closed.state.amplitudes) \
+                == min(cutoff, n * d) + 1
+
+    def test_photons_past_the_window_are_dropped(self):
+        state = FockVector([0.6, 0.0, 0.8])
+        for run in (oracle_teleport, teleport_state):
+            out = run(state, SchemeParams(1, 1))
+            assert out.state.amplitudes.tolist() == [1.0, 0.0]
+            assert out.success_probability == pytest.approx(0.36, abs=1e-15)
+
     def test_reference_superposition(self):
         # (|0> + |2>)/sqrt(2) with N=2, d=1: the |2> amplitude halves
         state = FockVector(np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0))
@@ -299,7 +320,11 @@ class TestOracleTeleport:
             assert read_off.success_probability == pytest.approx(
                 stepwise.success_probability, abs=1e-12
             )
-            assert np.max(np.abs(read_off.state.amplitudes - stepwise.state.amplitudes)) <= 1e-12
+            # the oracle keeps teleport_state's window; past N*d photons the dense output is 0
+            top = min(cap, n * d)
+            kept, tail = np.split(stepwise.state.amplitudes, [top + 1])
+            assert np.max(np.abs(read_off.state.amplitudes - kept)) <= 1e-12
+            assert not np.any(tail)
 
     @pytest.mark.parametrize("n,cap,d", sorted(ORACLE_SHA256))
     def test_oracle_keeps_its_bytes(self, n, cap, d):
