@@ -124,6 +124,11 @@ def cmd_epr_sweep(args: argparse.Namespace) -> int:
     if args.vs < 1.0:
         raise ValueError(f"--vs must be >= 1, got {args.vs}")
     squeeze = teleport.squeezing_from_vs(args.vs)
+    rows = len(args.d) * len(args.n)
+    if rows > _GRID_LIMIT:
+        raise ValueError(f"budget exceeded: the (d, N) grid gives {rows} rows, "
+                         f"past the {_GRID_LIMIT} row limit")
+    teleport.SchemeParams(max(args.n), max(args.d))  # if the largest pair fits, all do
     # all pass the budget check before any runs; in (d, N) order each d's table grows with N
     cells = sorted((d, n) for d in args.d for n in args.n)
     grid = [teleport.SchemeParams(n, d) for d, n in cells]

@@ -595,6 +595,38 @@ class TestErrorPath:
         assert err == "error: budget exceeded: the (d, N) pairs give 1000200 rows, " \
                       "past the 1000000 row limit\n"
 
+    @pytest.mark.parametrize("argv, built, message", [
+        # 1,001 repeated d times 1,000 N: every pair fits the photon budget, not the row limit
+        (["--d", ",".join(["1"] * 1001), "--n", "1:1000"], [],
+         "the (d, N) grid gives 1001000 rows, past the 1000000 row limit"),
+        (["--d", "1:3000", "--n", "1:3000"], [],
+         "the (d, N) grid gives 9000000 rows, past the 1000000 row limit"),
+        (["--d", "1:3", "--n", "1:5000"], [(5000, 3)],
+         "N*d = 15000 passes the 10000 photon-number budget"),
+    ], ids=["repeated-d", "3000-by-3000", "largest-pair"])
+    def test_epr_sweep_refusals_come_before_any_cell(self, argv, built, message, capsys,
+                                                     monkeypatch):
+        def no_cells(squeeze, params):
+            raise AssertionError("a cell was evaluated")
+
+        made, build = [], teleport.SchemeParams
+
+        def recorded(n, d):
+            made.append((n, d))
+            return build(n, d)
+
+        monkeypatch.setattr(teleport, "teleport_epr", no_cells)
+        monkeypatch.setattr(teleport, "SchemeParams", recorded)
+        code, out, err = run_cli(["epr-sweep", *argv], capsys)
+        assert code == 2 and out == "" and made == built
+        assert err == f"error: budget exceeded: {message}\n"
+
+    @pytest.mark.parametrize("limit, code", [(9, 2), (10, 0)])
+    def test_epr_sweep_row_limit_boundary(self, limit, code, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_GRID_LIMIT", limit)
+        got, out, err = run_cli(["epr-sweep", "--d", "1,2", "--n", "1:5"], capsys)
+        assert got == code and (err.startswith("error: budget exceeded") or out.count("\n") == 11)
+
     @pytest.mark.parametrize("limit, code", [(9, 2), (10, 0)])
     def test_gains_row_limit_boundary(self, limit, code, capsys, monkeypatch):
         # two pairs at d*N = 4 print 2 * 5 = 10 rows
