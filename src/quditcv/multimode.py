@@ -39,11 +39,10 @@ __all__ = [
     "oracle_teleport", "truncate_mode", "vacuum_postselect",
 ]
 
-# cost one oracle call may reach: its index-map entries plus _STEP_COST per scatter-add step.
-# Cold, a step at N = 1 cost 50-88 entries' worth (rounded up here).  Only the occupations P
-# keeps are built, so this bounds the work loosely: at a cost of 932,780, (N, cap, d) =
-# (10, 9, 9), which keeps every occupation, took 0.3-0.5 s cold on a 2-core Xeon host, and
-# (10, 9, 1) 4-8 ms
+# cost one oracle call may reach: its index-map entries plus _STEP_COST per scatter-add step,
+# a step's fixed numpy overhead counted in entries.  Whole sectors are charged, a loose bound on
+# the kept occupations built.  10^6 caps one sector's index map at 8 MB of int64 and admits
+# (N, cap, d) = (10, 9, 9), where P keeps every occupation
 _INDEX_BUDGET = 10**6
 _STEP_COST = 100
 
