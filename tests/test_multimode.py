@@ -209,8 +209,7 @@ class TestOracleTeleport:
         out = oracle_teleport(fock_basis(0, 0), SchemeParams(2, 1))
         assert out.success_probability == pytest.approx(1.0, abs=1e-14)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 5) for d in range(1, 4)])
     def test_output_window_equals_the_closed_form(self, n, d):
         rng = np.random.default_rng(10 * n + d)
         params = SchemeParams(n, d)
