@@ -6,6 +6,7 @@ import numpy as np
 
 
 _NOT_NUMBERS = (bool, np.bool_, str, bytes)
+_LARGEST = float(np.finfo(float).max)  # `real`'s default top: a range up to it refuses inf and NaN
 
 
 def freeze_field(obj, name: str, dtype) -> np.ndarray:
@@ -43,17 +44,30 @@ def integer(name: str, value, low: int | None = None) -> int:
     return int(value)
 
 
-def real(name: str, value):
-    """`value`, refused if a bool or not a real number; a float skips the ABC checks."""
-    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+def real(name: str, value, low: float | None = None, high: float = _LARGEST) -> float:
+    """`float(value)`, refused if a bool, not a real number or past the float range; given `low`,
+    refused outside [low, high] too, so NaN and inf are.  A float skips the ABC checks."""
+    if type(value) is not float:
+        value = _number(name, value, numbers.Real)
+    if low is not None and not low <= value <= high:
+        bounds = f"be finite and >= {low:g}" if high == _LARGEST else f"lie in [{low:g}, {high:g}]"
+        raise ValueError(f"{name} must {bounds}, got {value}")
     return value
 
 
-def complex_number(name: str, value):
-    """`value`, refused if a bool or not a complex number; a complex or float skips the ABCs."""
-    kind = type(value)
-    if kind is not complex and kind is not float and (
-            kind is bool or not isinstance(value, numbers.Complex)):
-        raise ValueError(f"{name} must be a complex number, got {value!r}")
-    return value
+def complex_number(name: str, value) -> float | complex:
+    """`value` as a float if real, else as a complex, refused as `real` refuses."""
+    if (kind := type(value)) is complex or kind is float:  # skips the ABC checks
+        return value
+    return _number(name, value, numbers.Complex)
+
+
+def _number(name: str, value, kind: type):
+    """A float if `value` is real, else a complex; refused if a bool, not a `kind` or too large."""
+    if type(value) is bool or not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__.lower()} number, got {value!r}")
+    try:
+        return float(value) if isinstance(value, numbers.Real) else complex(value)
+    except OverflowError:  # no digits: an int can have more than its repr will print
+        given = type(value).__name__
+        raise ValueError(f"{name} must fit a float, got {given} past {_LARGEST:.2g}") from None

@@ -75,6 +75,12 @@ def _parse_alpha(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected re or re,im for a coherent amplitude, got {text!r}")
 
 
+def _check_rows(rows: int, what: str) -> None:
+    """Refuse, before anything is built, a request that would print more than _GRID_LIMIT rows."""
+    if rows > _GRID_LIMIT:
+        raise ValueError(f"budget exceeded: {what} {rows} rows, past the {_GRID_LIMIT} row limit")
+
+
 def _spliced(*columns: list[str]) -> str:
     """Rows from equal-length columns of preformatted cells, each ending in a comma or newline."""
     pieces = [""] * (len(columns) * len(columns[0]))
@@ -102,10 +108,7 @@ def cmd_gains(args: argparse.Namespace) -> int:
     budgets = {d * n for d, n in zip(d_list, n_list)}
     if len(budgets) != 1:
         raise ValueError(f"all (d, N) pairs must share one d*N budget, got {sorted(budgets)}")
-    rows = len(d_list) * (budgets.pop() + 1)  # each listed pair prints d*N + 1 rows
-    if rows > _GRID_LIMIT:
-        raise ValueError(f"budget exceeded: the (d, N) pairs give {rows} rows, "
-                         f"past the {_GRID_LIMIT} row limit")
+    _check_rows(len(d_list) * (budgets.pop() + 1), "the (d, N) pairs give")  # d*N + 1 rows each
     # all pass the budget check before any runs; a pair listed r times prints each row r times
     pairs = collections.Counter(zip(d_list, n_list))
     grid = [(d, n, r, teleport.SchemeParams(n, d)) for (d, n), r in sorted(pairs.items())]
@@ -121,13 +124,8 @@ def cmd_gains(args: argparse.Namespace) -> int:
 
 def cmd_epr_sweep(args: argparse.Namespace) -> int:
     """Fidelity and success probability of the EPR arm over (d, N) grids."""
-    if args.vs < 1.0:
-        raise ValueError(f"--vs must be >= 1, got {args.vs}")
     squeeze = teleport.squeezing_from_vs(args.vs)
-    rows = len(args.d) * len(args.n)
-    if rows > _GRID_LIMIT:
-        raise ValueError(f"budget exceeded: the (d, N) grid gives {rows} rows, "
-                         f"past the {_GRID_LIMIT} row limit")
+    _check_rows(len(args.d) * len(args.n), "the (d, N) grid gives")
     teleport.SchemeParams(max(args.n), max(args.d))  # if the largest pair fits, all do
     # all pass the budget check before any runs; in (d, N) order each d's table grows with N
     cells = sorted((d, n) for d in args.d for n in args.n)
@@ -158,6 +156,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows stream out one run of equal eta at a time, in the order a stable
     sort by (eta, xi) gives the eta-major grid (duplicates and -0 included).
     """
+    _check_rows(len(args.eta) * len(args.xi), "the (eta, xi) grid gives")
     eta = np.array(args.eta, dtype=float)
     xi = np.array(args.xi, dtype=float)
     p1, eta_part, xi_part = detectors.comparison_axes(eta, xi, args.model)
@@ -233,10 +232,8 @@ def cmd_teleport(args: argparse.Namespace) -> int:
 
 def cmd_povm(args: argparse.Namespace) -> int:
     """Detector POVM weights per Fock level."""
-    rows = (args.max_resolved + 2) * (args.cutoff + 1)  # elements 0..K and the closure
-    if rows > _GRID_LIMIT:
-        raise ValueError(f"budget exceeded: --max-resolved {args.max_resolved} and --cutoff "
-                         f"{args.cutoff} give {rows} rows, past the {_GRID_LIMIT} row limit")
+    _check_rows((args.max_resolved + 2) * (args.cutoff + 1),  # elements 0..K and the closure
+                f"--max-resolved {args.max_resolved} and --cutoff {args.cutoff} give")
     det = detectors.DetectorModel(eta=args.eta, nu=args.nu)
     family = detectors.pnr_povm(det, max_resolved=args.max_resolved, cutoff=args.cutoff)
     # pnr_povm lists 0..K then the closure, already in (element, m) order

@@ -61,9 +61,8 @@ class DetectorModel:
     nu: float = 0.0
 
     def __post_init__(self) -> None:
-        _validate_unit("eta", self.eta)
-        if not 0.0 <= real("nu", self.nu) < math.inf:
-            raise ValueError(f"dark-count rate must be finite and >= 0, got {self.nu}")
+        object.__setattr__(self, "eta", real("eta", self.eta, 0.0, 1.0))
+        object.__setattr__(self, "nu", real("nu", self.nu, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +167,7 @@ def scheme1_success(eta: float, num_channels: int, model: str = "deterministic")
     giving eta^(2N); "linear-optics" folds in the 1/2 success ceiling of a
     linear-optics Bell measurement, giving (1/2)^N eta^N.
     """
-    _validate_unit("eta", eta)
+    eta = real("eta", eta, 0.0, 1.0)
     num_channels = integer("num_channels", num_channels, 1)
     if model == "deterministic":
         return eta ** (2 * num_channels)
@@ -185,8 +184,7 @@ def scheme2_success(xi: float, eta: float, num_channels: int, model: str = "gene
     module, 0.18 success and three PNR detections per module, so eta is not
     consumed there.
     """
-    _validate_unit("xi", xi)
-    _validate_unit("eta", eta)
+    xi, eta = real("xi", xi, 0.0, 1.0), real("eta", eta, 0.0, 1.0)
     num_channels = integer("num_channels", num_channels, 1)
     if model == "generic":
         return xi**num_channels * eta**num_channels
@@ -224,8 +222,3 @@ def advantage_region(eta_grid, xi_grid) -> np.ndarray:
     """
     qubit, _, quartit = comparison_axes(eta_grid, xi_grid)
     return quartit[None, :] > qubit[:, None]
-
-
-def _validate_unit(name: str, value: float) -> None:
-    if not 0.0 <= real(name, value) <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")

@@ -185,8 +185,7 @@ def teleport_qudit_branches(phi: QuditKet, resource: JointQuditState
 
 def depolarized_fidelity(p: float, dim: int) -> float:
     """Channel fidelity p + (1 - p)/D over the resource p |phi><phi| + (1 - p) I / D^2."""
-    if not 0.0 <= real("p", p) <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
+    p = real("p", p, 0.0, 1.0)
     return p + (1.0 - p) / integer("dim", dim, 2)
 
 
@@ -198,8 +197,7 @@ def singlet_fraction_fidelity(singlet_fraction: float, dim: int) -> float:
     F(p) = p + (1 - p)/D^2 can be evaluated down to p = 0.
     """
     dim = integer("dim", dim, 2)
-    if not 0.0 <= real("singlet_fraction", singlet_fraction) <= 1.0:
-        raise ValueError(f"singlet fraction must lie in [0, 1], got {singlet_fraction}")
+    singlet_fraction = real("singlet_fraction", singlet_fraction, 0.0, 1.0)
     return (singlet_fraction * dim + 1.0) / (dim + 1.0)
 
 

@@ -113,7 +113,8 @@ class SqueezingParams:
     chi: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= real("chi", self.chi) < 1.0:
+        object.__setattr__(self, "chi", real("chi", self.chi))
+        if not 0.0 <= self.chi < 1.0:
             raise ValueError(f"chi must lie in [0, 1), got {self.chi}")
 
     @property
@@ -130,15 +131,12 @@ def squeezing_from_chi(chi: float) -> SqueezingParams:
 
 
 def squeezing_from_vs(v_s: float) -> SqueezingParams:
-    if not 1.0 <= real("v_s", v_s) < math.inf:
-        raise ValueError(f"v_s must be finite and >= 1, got {v_s}")
+    v_s = real("v_s", v_s, 1.0)
     return squeezing_from_chi((v_s - 1.0) / (v_s + 1.0))
 
 
 def squeezing_from_r(r: float) -> SqueezingParams:
-    if not 0.0 <= real("r", r) < math.inf:
-        raise ValueError(f"r must be finite and >= 0, got {r}")
-    return squeezing_from_chi(math.tanh(r))
+    return squeezing_from_chi(math.tanh(real("r", r, 0.0)))
 
 
 def _regrown(rows: np.ndarray, count: int, build) -> np.ndarray:
@@ -286,14 +284,15 @@ def _poisson_tail_bound(mean: float, cutoff: int) -> float:
     return math.exp(log_term) / (1.0 - mean / (cutoff + 2))
 
 
-def _mean_photons(alpha: complex) -> float:
+def _mean_photons(alpha: complex) -> tuple[float | complex, float]:
+    alpha = complex_number("alpha", alpha)
     try:
-        magnitude = abs(complex_number("alpha", alpha))
+        magnitude = abs(alpha)
     except OverflowError:  # a complex whose modulus passes the float range
         magnitude = math.inf
     if not magnitude <= _ALPHA_LIMIT:
         raise ValueError(f"alpha must be finite with |alpha| <= {_ALPHA_LIMIT:g}, got {alpha}")
-    return magnitude**2
+    return alpha, magnitude**2
 
 
 def _coherent_amplitudes(alpha: complex, mean: float, size: int) -> np.ndarray:
@@ -314,7 +313,7 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
             |alpha| > 100.
     """
     cutoff = integer("cutoff", cutoff, 0)
-    mean = _mean_photons(alpha)
+    alpha, mean = _mean_photons(alpha)
     if _poisson_tail_bound(mean, cutoff) >= _COHERENT_TAIL:
         raise ValueError(
             f"cutoff too small: the photon-number tail beyond {cutoff} is not "
@@ -329,7 +328,7 @@ def teleport_coherent(alpha: complex, params: SchemeParams) -> TeleportOutcome:
     Raises:
         ValueError: "vanishing state", giving log P_suc, when P_suc underflows.
     """
-    mean = _mean_photons(alpha)
+    alpha, mean = _mean_photons(alpha)
     n, d = instance("params", params, SchemeParams).num_modes, params.photon_cutoff
 
     def log_p_suc() -> float:
@@ -387,9 +386,7 @@ def teleport_epr(squeeze: SqueezingParams, params: SchemeParams) -> EprOutcome:
 
 def conventional_cv_fidelity(r: float) -> float:
     """Coherent-state fidelity 1/(1 + e^{-2r}) of gain-matched CV teleportation."""
-    if not real("r", r) >= 0.0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    return 1.0 / (1.0 + math.exp(-2.0 * r))
+    return 1.0 / (1.0 + math.exp(-2.0 * real("r", r, 0.0)))
 
 
 def state_fidelity(a: FockVector, b: FockVector) -> float:

@@ -3,8 +3,11 @@
 An integer argument refuses a bool, a float and a string; a real argument refuses
 a bool, a string and a complex number; a complex argument refuses a bool, a string
 and None.  Each refusal is a ValueError whose message starts with the argument's
-name, and a numpy scalar of a valid value is accepted.  A requested qudit Bell
-outcome must be a pair of integers.  The state, parameter and random-generator
+name, and a numpy scalar of a valid value is accepted.  A real or complex argument
+reaches the core as a plain float or complex, so a numpy scalar or a Fraction gives
+the bytes its float or complex gives; a value past the float range is refused, as a
+range check refuses NaN and the infinities, each naming the argument.  A requested
+qudit Bell outcome must be a pair of integers.  The state, parameter and random-generator
 arguments of the protocols, the oracle and the detector functions must be objects
 of their classes, and the array fields of the frozen classes refuse bool, bytes and
 str input, as an array or entry by entry, each with a message that names the
@@ -12,6 +15,8 @@ argument or field.
 Range checks on those fields refuse NaN, and a mode matrix refuses an infinite entry.
 """
 
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +31,7 @@ from quditcv import (
     QuditKet,
     SchemeParams,
     SqueezingParams,
+    TeleportOutcome,
     apd_povm,
     coherent_fock,
     conventional_cv_fidelity,
@@ -177,6 +183,112 @@ def test_complex_argument_accepts_numbers(name, call, good):
     for kind in (complex, float, int, np.complex128, np.complex64, np.float64, np.float32,
                  np.int64):
         call(kind(good))
+
+
+EPR_PARAMS = SchemeParams(20, 3)
+
+
+def _downstream(result):
+    """What `result` carries into the core, as types and bytes: equal only if exactly equal."""
+    if isinstance(result, SqueezingParams):
+        epr = teleport_epr(result, EPR_PARAMS)
+        return (*map(_downstream, (result.chi, epr.success_probability, epr.fidelity)),
+                epr.schmidt.tobytes())
+    if isinstance(result, DetectorModel):
+        return (_downstream(result.eta), _downstream(result.nu),
+                *(element.weights.tobytes() for element in pnr_povm(result, 3, 5)))
+    if isinstance(result, TeleportOutcome):
+        return _downstream(result.success_probability), _downstream(result.state)
+    if isinstance(result, FockVector):
+        return result.amplitudes.tobytes()
+    return type(result), repr(result)
+
+
+# a numpy scalar or Fraction of a value a float32 cannot hold gives what its float gives
+NARROW_REALS = {"float16": np.float16, "float32": np.float32, "float64": np.float64,
+                "fraction": lambda x: Fraction(str(x))}
+
+
+@pytest.mark.parametrize("kind", NARROW_REALS.values(), ids=NARROW_REALS.keys())
+@pytest.mark.parametrize("name, call, good", REALS.values(), ids=REALS.keys())
+def test_real_argument_reaches_the_core_as_a_float(name, call, good, kind):
+    value = kind(good + 0.3)
+    want = _downstream(call(float(value)))
+    assert _downstream(call(value)) == want
+
+
+@pytest.mark.parametrize("kind", [*NARROW_REALS.values(), np.complex64, np.complex128],
+                         ids=[*NARROW_REALS.keys(), "complex64", "complex128"])
+@pytest.mark.parametrize("name, call, good", COMPLEXES.values(), ids=COMPLEXES.keys())
+def test_complex_argument_reaches_the_core_as_a_float_or_complex(name, call, good, kind):
+    value = kind(good + 0.3) if kind in NARROW_REALS.values() else kind(good + 0.3 + 0.4j)
+    plain = complex(value) if isinstance(value, np.complexfloating) else float(value)
+    want = _downstream(call(plain))
+    assert _downstream(call(value)) == want
+
+
+def _evict_chi_rows():
+    teleport_epr(squeezing_from_chi(0.9), EPR_PARAMS)  # the EPR row cache keeps the last chi
+
+
+# each narrow chi once left its rows in the cache for the plain chi it compares equal to,
+# giving a wrong fidelity or a refused P_suc
+@pytest.mark.parametrize("narrow, plain", [
+    (lambda: squeezing_from_vs(np.float32(10.0)), lambda: squeezing_from_vs(10.0)),
+    (lambda: squeezing_from_chi(np.float16(0.3)), lambda: squeezing_from_chi(0.3)),
+    (lambda: squeezing_from_chi(np.float32(0.3)), lambda: squeezing_from_chi(0.3)),
+], ids=["vs-float32", "chi-float16", "chi-float32"])
+def test_narrow_chi_then_plain_chi_gives_fresh_bytes(narrow, plain):
+    _evict_chi_rows()
+    fresh = _downstream(plain())
+    _evict_chi_rows()
+    _downstream(narrow())
+    assert _downstream(plain()) == fresh
+
+
+@pytest.mark.parametrize("name, call, good", [*REALS.values(), *COMPLEXES.values()],
+                         ids=[*REALS.keys(), *COMPLEXES.keys()])
+@pytest.mark.parametrize("huge", [10**400, -10**5000, Fraction(10**400, 3)],
+                         ids=["int", "int-past-repr", "fraction"])
+def test_value_past_the_float_range_is_refused(name, call, good, huge):
+    # 10**5000 has more digits than int's repr will print
+    message = f"^{name} must fit a float, got {type(huge).__name__} past 1.8e\\+308$"
+    with pytest.raises(ValueError, match=message):
+        call(huge)
+
+
+@pytest.mark.parametrize("nu", [1e10, np.float64(1e10)], ids=["float", "float64"])
+def test_dark_counts_overflow_alike_for_every_float(nu):
+    # a numpy nu once reached the power check as a numpy scalar, which warns, not raises
+    message = r"^40 clicks over Fock levels 0\.\.10 \(nu=10000000000\.0\) overflow a float"
+    with pytest.raises(ValueError, match=message):
+        pnr_povm(DetectorModel(0.5, nu), 40, 10)
+
+
+# each real argument's range and a value just outside it; NaN and the infinities are outside too
+OUT_OF_RANGE = {
+    "squeezing_from_chi(x)": ("lie in [0, 1)", 1.0),
+    "squeezing_from_vs(x)": ("be finite and >= 1", 0.5),
+    "squeezing_from_r(x)": ("be finite and >= 0", -0.5),
+    "SqueezingParams(x)": ("lie in [0, 1)", -0.5),
+    "conventional_cv_fidelity(x)": ("be finite and >= 0", -0.5),
+    "depolarized_fidelity(x, 2)": ("lie in [0, 1]", 1.5),
+    "singlet_fraction_fidelity(x, 2)": ("lie in [0, 1]", -0.5),
+    "DetectorModel(x)": ("lie in [0, 1]", 1.5),
+    "DetectorModel(0.5, x)": ("be finite and >= 0", -0.5),
+    "scheme1_success(x, 2)": ("lie in [0, 1]", 1.5),
+    "scheme2_success(x, 0.5, 2)": ("lie in [0, 1]", -0.5),
+    "scheme2_success(0.5, x, 2)": ("lie in [0, 1]", 1.5),
+}
+
+
+@pytest.mark.parametrize("bad", ["outside", math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", OUT_OF_RANGE)
+def test_real_argument_out_of_range_names_it(key, bad):
+    (name, call, _), (bounds, outside) = REALS[key], OUT_OF_RANGE[key]
+    bad = outside if bad == "outside" else bad
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must {bounds}, got {bad}')}$"):
+        call(bad)
 
 
 # each of these once returned a value or raised a TypeError

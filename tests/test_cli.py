@@ -113,9 +113,9 @@ class TestEprSweep:
             assert (n_log, len(log_weights)) == (200, 200 * d + 1)
 
     def test_vs_below_one_rejected(self, capsys):
-        code, _, err = run_cli(["epr-sweep", "--vs", "0.5"], capsys)
-        assert code == 2
-        assert "--vs" in err
+        code, out, err = run_cli(["epr-sweep", "--vs", "0.5"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: v_s must be finite and >= 1, got 0.5\n"
 
 
 class TestCompare:
@@ -291,7 +291,7 @@ class TestPovmCommand:
     @pytest.mark.parametrize("nu", ["nan", "inf"])
     def test_non_finite_dark_rate_is_config_error(self, nu, capsys):
         code, out, err = run_cli(["povm", "--eta", "0.5", "--nu", nu], capsys)
-        assert code == 2 and out == "" and "dark-count rate" in err
+        assert code == 2 and out == "" and err == f"error: nu must be finite and >= 0, got {nu}\n"
 
     def test_perfect_detector_is_projector(self, capsys):
         _, out, _ = run_cli(["povm", "--eta", "1", "--cutoff", "3"], capsys)
@@ -633,6 +633,23 @@ class TestErrorPath:
         monkeypatch.setattr(cli, "_GRID_LIMIT", limit)
         got, out, err = run_cli(["gains", "--d", "1,2", "--n", "4,2"], capsys)
         assert got == code and (err.startswith("error: budget exceeded") or out.count("\n") == 11)
+
+    def test_compare_past_row_limit_is_refused_before_any_axis(self, capsys, monkeypatch):
+        # 3 eta by 4 xi print 12 rows
+        def no_axes(*args):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(cli, "_GRID_LIMIT", 11)
+        monkeypatch.setattr(detectors, "comparison_axes", no_axes)
+        code, out, err = run_cli(["compare", "--eta", "0:1:3", "--xi", "0:1:4"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: budget exceeded: the (eta, xi) grid gives 12 rows, " \
+                      "past the 11 row limit\n"
+
+    def test_compare_at_row_limit_prints(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_GRID_LIMIT", 12)
+        code, out, _ = run_cli(["compare", "--eta", "0:1:3", "--xi", "0:1:4"], capsys)
+        assert code == 0 and out.count("\n") == 13
 
     @pytest.mark.parametrize("argv, log_p", [
         (["teleport", "--alpha", "30", "--n", "3", "--d", "2"], "-869.889"),
