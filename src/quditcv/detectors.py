@@ -61,8 +61,10 @@ class DetectorModel:
     nu: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eta", real("eta", self.eta, 0.0, 1.0))
-        object.__setattr__(self, "nu", real("nu", self.nu, 0.0))
+        if (eta := real("eta", self.eta, 0.0, 1.0)) is not self.eta:  # a float is stored as given
+            object.__setattr__(self, "eta", eta)
+        if (nu := real("nu", self.nu, 0.0)) is not self.nu:
+            object.__setattr__(self, "nu", nu)
 
 
 @dataclass(frozen=True, eq=False)

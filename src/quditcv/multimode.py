@@ -218,14 +218,19 @@ def vacuum_postselect(state: MultimodeState, kept_mode: int) -> tuple[FockVector
 _NORMS: dict[tuple[int, int], list[np.float64]] = {}
 
 
-def _next_sector(below: list[tuple[int, ...]], cutoff: int
-                 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """``raised[j, r]``, the rank of occupation r of ``below`` plus a photon in mode j (-1 if a
-    mode passes `cutoff`), and those kept occupations in rank order: the order of first creation."""
-    rank: dict[tuple[int, ...], int] = {}
-    raised = [[rank.setdefault(occ[:j] + (occ[j] + 1,) + occ[j + 1:], len(rank))
-               if occ[j] < cutoff else -1 for occ in below] for j in range(len(below[0]))]
-    return np.array(raised), list(rank)
+def _next_sector(below: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """``raised[j, r]``, the rank of occupation row r of ``below`` plus a photon in mode j (-1 if a
+    mode passes `cutoff`), and those kept occupations in rank order: first creation, j-major."""
+    rows, n = below.shape
+    candidates = below + np.eye(n, dtype=below.dtype)[:, None]  # [j, r, mode]
+    kept = (below < cutoff).T.ravel()  # candidate j*rows + r passes `cutoff` nowhere
+    flat = candidates.reshape(n * rows, n)[kept]
+    keys = flat.view(np.dtype((np.void, n * flat.itemsize))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the unique rows in order of their first candidate
+    raised = np.full(n * rows, -1)
+    raised[kept] = np.argsort(order)[inverse]
+    return raised.reshape(n, rows), flat[first[order]]
 
 
 def _kept_norms(num_modes: int, cutoff: int, top: int) -> list[np.float64]:
@@ -234,10 +239,12 @@ def _kept_norms(num_modes: int, cutoff: int, top: int) -> list[np.float64]:
     if len(norms) < top:
         # n_splitter's first column
         spread = np.full(num_modes, 1 / math.sqrt(num_modes), dtype=complex)
-        below, column, norms = [(0,) * num_modes], np.ones(1, dtype=complex), []
+        # occupation rows in the narrowest unsigned type that holds top: the rank sort's keys
+        below = np.zeros((1, num_modes), np.min_scalar_type(top))
+        column, norms = np.ones(1, dtype=complex), []
         for k in range(1, top + 1):
             raised, above = _next_sector(below, cutoff)
-            scaled = (spread / math.sqrt(k))[:, None] * np.sqrt(np.array(below, float).T + 1.0)
+            scaled = (spread / math.sqrt(k))[:, None] * np.sqrt(below.T + 1.0)
             lifted = np.zeros(len(above) + 1, dtype=complex)  # the last slot takes P's drops
             for j in range(num_modes):
                 lifted[raised[j]] += scaled[j] * column

@@ -16,9 +16,11 @@ Conventions, fixed once here:
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-9
+_Tables = collections.namedtuple("_Tables", "conj_fourier phases shift xor resource")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +83,7 @@ class JointQuditState:
             raise ValueError("joint amplitudes must be normalized")
 
 
-@dataclass(frozen=True)
-class BellOutcome:
+class BellOutcome(NamedTuple):
     """One generalized-Bell result: Fourier index l', basis index k'."""
 
     ell: int
@@ -89,25 +91,35 @@ class BellOutcome:
     probability: float
 
 
+@functools.lru_cache(maxsize=8)  # D^2 entries each: one call already holds a D^3 tensor
+def _tables(dim: int) -> _Tables:
+    """D's operators, read-only: <nu_l| rows [l, i], Z^l's phase rows [l, m], X^-k's gather [k, m]
+    = m + k mod D, the XOR's target index [t, c] = c - t mod D, and maximally_entangled(D)."""
+    m = np.arange(dim)
+    tables = _Tables(np.exp(-2j * np.pi * np.outer(m, m) / dim) / math.sqrt(dim),
+                     np.exp(2j * np.pi * m[:, None] * m / dim), (m[:, None] + m) % dim,
+                     (m - m[:, None]) % dim, JointQuditState(np.eye(dim) / math.sqrt(dim)))
+    for table in tables[:-1]:
+        table.setflags(write=False)
+    return tables
+
+
 def maximally_entangled(dim: int) -> JointQuditState:
-    """(1/sqrt(D)) sum_m |m>|m>."""
-    dim = integer("dim", dim, 2)
-    return JointQuditState(np.eye(dim) / math.sqrt(dim))
+    """(1/sqrt(D)) sum_m |m>|m>: one immutable state per D, held with the D's tables."""
+    return _tables(integer("dim", dim, 2)).resource
 
 
 def _xor(amps: np.ndarray) -> np.ndarray:
     """The XOR gate on an amplitude tensor whose axes 0 and 1 are the target and the control."""
-    m = np.arange(len(amps))
-    # new amplitude at (target=t, control=c) comes from target index c - t
-    return amps[(m - m[:, None]) % len(amps), m]
+    return amps[_tables(len(amps)).xor, np.arange(len(amps))]
 
 
 def _projected(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measuring axes 0, 1 of a 3-axis tensor: the residual rows branch[l, k] and probs[l, k]."""
     dim = len(amps)
-    grid = np.outer(np.arange(dim), np.arange(dim))
-    conj_fourier = np.exp(-2j * np.pi * grid / dim) / math.sqrt(dim)  # [l, i]
-    branch = np.tensordot(conj_fourier, amps, axes=([1], [1]))  # [l, k, receiver]
+    # np.tensordot(conj_fourier, amps, axes=([1], [1]))'s own dot, without its wrapper
+    branch = np.dot(_tables(dim).conj_fourier, amps.transpose(1, 0, 2).reshape(dim, -1))
+    branch = branch.reshape(dim, dim, -1)  # [l, k, receiver]
     return branch, (np.abs(branch) ** 2).sum(axis=2)
 
 
@@ -124,10 +136,8 @@ def _entangled_with_resource(phi: QuditKet, resource: JointQuditState) -> np.nda
 
 def _corrected(remainders: np.ndarray, ells, kks) -> np.ndarray:
     """Z^l then X^-k on each collapsed remainder row, as the textbook operators give it."""
-    dim = remainders.shape[1]
-    m = np.arange(dim)
-    phases = np.exp(2j * np.pi * np.asarray(ells)[:, None] * m / dim)  # Z^l's phase row per l
-    return np.take_along_axis(remainders * phases, (np.asarray(kks)[:, None] + m) % dim, axis=1)
+    tables, rows = _tables(remainders.shape[1]), np.arange(len(remainders))[:, None]
+    return (remainders * tables.phases[ells])[rows, tables.shift[kks]]
 
 
 def _branch_kets(branch: np.ndarray, probs: np.ndarray, ells, kks) -> list[QuditKet]:

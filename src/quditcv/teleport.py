@@ -113,9 +113,10 @@ class SqueezingParams:
     chi: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chi", real("chi", self.chi))
-        if not 0.0 <= self.chi < 1.0:
-            raise ValueError(f"chi must lie in [0, 1), got {self.chi}")
+        if (chi := real("chi", self.chi)) is not self.chi:  # a float is stored as given
+            object.__setattr__(self, "chi", chi)
+        if not 0.0 <= chi < 1.0:
+            raise ValueError(f"chi must lie in [0, 1), got {chi}")
 
     @property
     def r(self) -> float:

@@ -415,6 +415,14 @@ class TestKeptNorms:
             kept = multimode._kept_norms(n, d, top)
             assert np.array(kept).tobytes() == np.array(reference[d][:top]).tobytes(), (n, d)
 
+    @pytest.mark.parametrize("d, top", [(300, 200), (260, 520)])
+    def test_kept_norms_past_a_byte_of_photons(self, d, top):
+        # occupations are held in the narrowest unsigned type that holds top: uint8 with a
+        # cutoff past 255, and uint16 once a mode holds more than 255 photons
+        kept = multimode._kept_norms(2, d, top)
+        reference = full_sector_norms(2, top, [d])[d]
+        assert np.array(kept).tobytes() == np.array(reference).tobytes()
+
     def test_only_kept_occupations_are_built(self, monkeypatch):
         # at d = 1, P keeps the C(10, k) occupations with k single photons, of C(k+9, k)
         sizes, build = [], multimode._next_sector

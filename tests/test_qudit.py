@@ -184,6 +184,60 @@ class TestStates:
             JointQuditState(mixed)  # so no Bell branch can carry a NaN probability
 
 
+class TestTables:
+    """The D-dependent operators and maximally_entangled(D) are built once per D and kept."""
+
+    def test_cold_and_warm_tables_give_the_same_bytes(self):
+        order = [5, 2, 5, 3, 2]
+        cold = []
+        for dim in order:
+            qudit._tables.cache_clear()
+            cold.append(branches_digest(dim, "entangled"))
+            qudit._tables.cache_clear()
+            cold.append(branches_digest(dim, "random") + teleport_digest(dim))
+        qudit._tables.cache_clear()
+        warm = []
+        for dim in order:
+            warm.append(branches_digest(dim, "entangled"))
+            warm.append(branches_digest(dim, "random") + teleport_digest(dim))
+        assert warm == cold
+        assert cold[0] == BRANCHES_SHA256[5, "entangled"]
+
+    def test_the_cache_stays_bounded_and_read_only(self):
+        qudit._tables.cache_clear()
+        rng = np.random.default_rng(41)
+        for dim in range(2, 41):
+            branches = list(teleport_qudit_branches(haar_random_ket(dim, rng),
+                                                    maximally_entangled(dim)))
+            assert len(branches) == dim * dim
+        info = qudit._tables.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
+        for dim in range(41 - info.currsize, 41):  # the most recent D's are the ones kept
+            *arrays, resource = qudit._tables(dim)
+            for table in [*arrays, resource.amplitudes]:
+                assert table.shape == (dim, dim)
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0, 0] = 0
+        assert qudit._tables.cache_info().misses == info.misses
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 16, 40])
+    def test_maximally_entangled_is_the_fresh_state(self, dim):
+        fresh = JointQuditState(np.eye(dim) / math.sqrt(dim))
+        qudit._tables.cache_clear()
+        for state in (maximally_entangled(dim), maximally_entangled(dim)):  # cold, then warm
+            assert state.amplitudes.dtype == fresh.amplitudes.dtype
+            assert state.amplitudes.shape == fresh.amplitudes.shape
+            assert state.amplitudes.tobytes() == fresh.amplitudes.tobytes()
+        assert maximally_entangled(np.int64(dim)) is maximally_entangled(dim)
+
+    @pytest.mark.parametrize("bad", [2.0, True, 1, "2"])
+    def test_a_warm_cache_still_refuses_a_bad_dimension(self, bad):
+        maximally_entangled(2)
+        with pytest.raises(ValueError, match="^dim must be an integer"):
+            maximally_entangled(bad)
+
+
 class TestOperators:
     """The textbook operators the protocol is held to, and the protocol's own XOR."""
 
@@ -265,6 +319,14 @@ class TestFourierStates:
 
 
 class TestBellMeasurement:
+    def test_bell_outcome_is_an_immutable_tuple(self):
+        _, outcome = teleport_qudit(basis_ket(3, 1), maximally_entangled(3), outcome=(2, 1))
+        assert outcome == (2, 1, outcome.probability) and tuple(outcome) == outcome
+        ell, kk, p = outcome
+        assert (ell, kk, p) == (outcome.ell, outcome.kk, outcome.probability)
+        with pytest.raises(AttributeError):
+            outcome.ell = 0
+
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_projection_equals_the_explicit_one(self, dim):
         # branch[l, k] = (<k| (x) <nu_l|) on systems 0 and 1, the receiver's axis left open
