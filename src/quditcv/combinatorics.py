@@ -15,8 +15,8 @@ length k over N letters that use each letter at most d times.
 `fractions.Fraction` appears only where :func:`restricted_weight` returns
 C_N(k) / k!, and floating point only in the explicit log-domain view.
 
-Each d keeps only its last table of counts and of log weights: a larger N grows it
-mode by mode, a smaller N starts from N = 0, so an ascending sweep never redoes a mode.
+Only the last table of counts and of log weights is kept: the same d at a larger N grows it
+mode by mode, anything else starts from N = 0, so a sweep up N at each d never redoes a mode.
 
 Two exact identities pin the implementation down:
 
@@ -69,19 +69,18 @@ def _within(budget: int, n_modes: int, per_mode_cutoff: int) -> None:
                          f"{budget} photon-number budget")
 
 
-# d -> (N, table) for the table _grown built last
-_EXACT_TABLES: dict[int, tuple[int, tuple[int, ...]]] = {}
-_LOG_TABLES: dict[int, tuple[int, np.ndarray]] = {}
+# add_mode -> (d, N, table) for the one table of that kind _grown built last
+_TABLES: dict = {}
 
 
-def _grown(tables: dict, n_modes: int, per_mode_cutoff: int, empty, add_mode):
-    # grow from the last table when the request is at or above its N, else from N = 0
-    start, table = tables.get(per_mode_cutoff, (0, empty))
-    if start > n_modes:
+def _grown(n_modes: int, per_mode_cutoff: int, empty, add_mode):
+    # grow the last table when the request shares its d and is at or above its N, else N = 0
+    d, start, table = _TABLES.get(add_mode, (per_mode_cutoff, 0, empty))
+    if d != per_mode_cutoff or start > n_modes:
         start, table = 0, empty
     for _ in range(start, n_modes):
         table = add_mode(table, per_mode_cutoff)
-    tables[per_mode_cutoff] = (n_modes, table)
+    _TABLES[add_mode] = (per_mode_cutoff, n_modes, table)
     return table
 
 
@@ -108,14 +107,14 @@ def _add_mode_log(table: np.ndarray, per_mode_cutoff: int) -> np.ndarray:
 
 
 def _count_table(n_modes: int, per_mode_cutoff: int) -> tuple[int, ...]:
-    """Word counts C_N(k) = k! W(N, k, d), k = 0..N*d, as Python ints; the last per d is kept."""
-    return _grown(_EXACT_TABLES, n_modes, per_mode_cutoff, (1,), _add_mode_count)
+    """Word counts C_N(k) = k! W(N, k, d), k = 0..N*d, as Python ints; the last one is kept."""
+    return _grown(n_modes, per_mode_cutoff, (1,), _add_mode_count)
 
 
 def _log_weight_table(n_modes: int, per_mode_cutoff: int) -> np.ndarray:
     # W itself, grown by convolving with (1/r!)_{r<=d} in log space (logaddexp)
-    # so entries stay finite for hundreds of photons; read-only, the last per d is kept.
-    return _grown(_LOG_TABLES, n_modes, per_mode_cutoff, np.zeros(1), _add_mode_log)
+    # so entries stay finite for hundreds of photons; read-only, the last one is kept.
+    return _grown(n_modes, per_mode_cutoff, np.zeros(1), _add_mode_log)
 
 
 def restricted_weight(n_modes: int, total_photons: int, per_mode_cutoff: int) -> Fraction:

@@ -106,14 +106,11 @@ def n_splitter(num_modes: int) -> ModeMatrix:
     return ModeMatrix(np.exp(2j * np.pi * np.outer(j, j) / num_modes) / math.sqrt(num_modes))
 
 
-def embed_input(state: FockVector, num_modes: int, cap: int | None = None) -> MultimodeState:
-    """Place a single-mode state in mode 0 with vacuum everywhere else."""
+def embed_input(state: FockVector, num_modes: int) -> MultimodeState:
+    """Place a single-mode state in mode 0, vacuum elsewhere; every mode is capped at its cutoff."""
     num_modes = integer("num_modes", num_modes, 1)
-    cap = instance("state", state, FockVector).cutoff if cap is None else integer("cap", cap)
-    if cap < state.cutoff:
-        raise ValueError(f"cap {cap} cannot hold the input cutoff {state.cutoff}")
-    amps = np.zeros((cap + 1,) * num_modes, dtype=complex)
-    amps[(slice(None),) + (0,) * (num_modes - 1)][: state.cutoff + 1] = state.amplitudes
+    amps = np.zeros((instance("state", state, FockVector).cutoff + 1,) * num_modes, dtype=complex)
+    amps[(slice(None),) + (0,) * (num_modes - 1)] = state.amplitudes
     return MultimodeState(amps)
 
 
@@ -218,32 +215,34 @@ def vacuum_postselect(state: MultimodeState, kept_mode: int) -> tuple[FockVector
 _NORMS: dict[tuple[int, int], list[np.float64]] = {}
 
 
-def _next_sector(below: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """``raised[j, r]``, the rank of occupation row r of ``below`` plus a photon in mode j (-1 if a
-    mode passes `cutoff`), and those kept occupations in rank order: first creation, j-major."""
-    rows, n = below.shape
-    candidates = below + np.eye(n, dtype=below.dtype)[:, None]  # [j, r, mode]
-    kept = (below < cutoff).T.ravel()  # candidate j*rows + r passes `cutoff` nowhere
-    flat = candidates.reshape(n * rows, n)[kept]
-    keys = flat.view(np.dtype((np.void, n * flat.itemsize))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # the unique rows in order of their first candidate
-    raised = np.full(n * rows, -1)
-    raised[kept] = np.argsort(order)[inverse]
-    return raised.reshape(n, rows), flat[first[order]]
+def _next_sector(below, first, parent, prev, cutoff):
+    """raised[j, r], the rank of row r of sector k plus a photon in mode j (-1 past `cutoff`), and
+    sector k+1's rows, first occupied modes and parents (ranks less that photon) in
+    enumerate_compositions' order: the raises j <= first[r] make the new rows, ranked j-major,
+    and any other is the raise in first[r] of row parent[r]'s raise `prev` in j."""
+    modes = np.arange(below.shape[1])
+    kept = below.T < cutoff  # [j, r]
+    creators = kept & (modes[:, None] <= first)
+    raised = np.full(kept.shape, -1)
+    raised[creators] = np.arange(np.count_nonzero(creators))
+    j, r = np.nonzero(kept & ~creators)
+    raised[j, r] = raised[first[r], prev[j, parent[r]]]
+    first, parent = np.nonzero(creators)
+    return raised, below[parent] + (modes == first[:, None]), first, parent
 
 
 def _kept_norms(num_modes: int, cutoff: int, top: int) -> list[np.float64]:
-    """||P s_k||^2 for k = 1..top (or more), P cutting every mode at `cutoff` photons."""
+    """||P s_k||^2, k = 1..top (or more), P at `cutoff`; rows in enumerate_compositions' order."""
     norms = _NORMS.get((num_modes, cutoff), [])
     if len(norms) < top:
         # n_splitter's first column
         spread = np.full(num_modes, 1 / math.sqrt(num_modes), dtype=complex)
-        # occupation rows in the narrowest unsigned type that holds top: the rank sort's keys
-        below = np.zeros((1, num_modes), np.min_scalar_type(top))
+        # vacuum: its first mode N is past every j, so no raise reads its parent or prev
+        below, first = np.zeros((1, num_modes), int), np.array([num_modes])
+        parent, raised = np.zeros(1, int), np.zeros((num_modes, 1), int)
         column, norms = np.ones(1, dtype=complex), []
         for k in range(1, top + 1):
-            raised, above = _next_sector(below, cutoff)
+            raised, above, first, parent = _next_sector(below, first, parent, raised, cutoff)
             scaled = (spread / math.sqrt(k))[:, None] * np.sqrt(below.T + 1.0)
             lifted = np.zeros(len(above) + 1, dtype=complex)  # the last slot takes P's drops
             for j in range(num_modes):

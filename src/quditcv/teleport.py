@@ -141,9 +141,9 @@ def squeezing_from_r(r: float) -> SqueezingParams:
 
 
 def _regrown(rows: np.ndarray, count: int, build) -> np.ndarray:
-    """`rows`, or `build(2 * count)` made read-only if `rows` has fewer than `count` columns."""
+    """`rows` if count fit, else read-only build(max(count, min(2 * count, PHOTON_BUDGET + 1)))."""
     if rows.shape[1] < count:
-        rows = build(2 * count)
+        rows = build(max(count, min(2 * count, PHOTON_BUDGET + 1)))
         rows.setflags(write=False)
     return rows
 
@@ -157,10 +157,12 @@ _CHI_ROWS = (None, np.zeros((2, 0)))
 
 def _grid(count: int) -> np.ndarray:
     global _GRID
-    _GRID = _regrown(_GRID, count, lambda size: np.array([
+    rows = _regrown(_GRID, count, lambda size: np.array([
         np.arange(size), [math.lgamma(j + 1) for j in range(size)],
         np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))]))
-    return _GRID[:, :count]
+    if count <= PHOTON_BUDGET + 1:  # the closed forms' window; only coherent_fock reads past it
+        _GRID = rows
+    return rows[:, :count]
 
 
 def _chi_rows(chi: float, count: int) -> np.ndarray:

@@ -107,8 +107,6 @@ INTEGERS = {
     "n_splitter(x)": ("num_modes", n_splitter, 2),
     "embed_input(FockVector([0, 1]), x)":
         ("num_modes", lambda x: embed_input(FockVector([0, 1]), x), 2),
-    "embed_input(FockVector([0, 1]), 2, x)":
-        ("cap", lambda x: embed_input(FockVector([0, 1]), 2, x), 2),
     "truncate_mode(SPLIT, x, 0)": ("mode_index", lambda x: truncate_mode(SPLIT, x, 0), 1),
     "truncate_mode(SPLIT, 0, x)": ("max_photons", lambda x: truncate_mode(SPLIT, 0, x), 0),
     "vacuum_postselect(SPLIT, x)": ("kept_mode", lambda x: vacuum_postselect(SPLIT, x), 0),

@@ -97,20 +97,20 @@ class TestEprSweep:
         _, expected, _ = run_cli(["epr-sweep", "--d", sorted_d, "--n", sorted_n], capsys)
         assert out == expected
 
-    def test_a_sweep_keeps_one_table_per_d(self, monkeypatch, capsys):
-        monkeypatch.setattr(combinatorics, "_EXACT_TABLES", {})
-        monkeypatch.setattr(combinatorics, "_LOG_TABLES", {})
+    def test_a_sweep_keeps_one_table_of_each_kind(self, monkeypatch, capsys):
+        monkeypatch.setattr(combinatorics, "_TABLES", {})
         fresh_gains = functools.cache(teleport.gain_vector.__wrapped__)
         monkeypatch.setattr(teleport, "gain_vector", fresh_gains)
         code, _, _ = run_cli(["epr-sweep", "--d", "1:3", "--n", "1:200"], capsys)
         assert code == 0
-        # counts serve N*d <= 60 and log weights the rest; each store holds the last N per d
-        assert set(combinatorics._EXACT_TABLES) == set(combinatorics._LOG_TABLES) == {1, 2, 3}
-        for d in (1, 2, 3):
-            n_exact, counts = combinatorics._EXACT_TABLES[d]
-            n_log, log_weights = combinatorics._LOG_TABLES[d]
-            assert (n_exact, len(counts)) == (60 // d, 60 + 1)
-            assert (n_log, len(log_weights)) == (200, 200 * d + 1)
+        # counts serve N*d <= 60 and log weights the rest; each kind keeps only its last table,
+        # built at the last d for its last N
+        tables = combinatorics._TABLES
+        assert set(tables) == {combinatorics._add_mode_count, combinatorics._add_mode_log}
+        d, n_exact, counts = tables[combinatorics._add_mode_count]
+        assert (d, n_exact, len(counts)) == (3, 20, 60 + 1)
+        d, n_log, log_weights = tables[combinatorics._add_mode_log]
+        assert (d, n_log, len(log_weights)) == (3, 200, 3 * 200 + 1)
 
     def test_vs_below_one_rejected(self, capsys):
         code, out, err = run_cli(["epr-sweep", "--vs", "0.5"], capsys)

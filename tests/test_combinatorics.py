@@ -189,8 +189,7 @@ def scratch_exact_table(n_modes: int, cutoff: int) -> list[Fraction]:
 
 @pytest.fixture
 def empty_table_caches(monkeypatch):
-    monkeypatch.setattr(combinatorics, "_EXACT_TABLES", {})
-    monkeypatch.setattr(combinatorics, "_LOG_TABLES", {})
+    monkeypatch.setattr(combinatorics, "_TABLES", {})
 
 
 @pytest.mark.parametrize("order", [(7, 3, 12), (12, 7, 3), (3, 7, 12), (5, 5, 1)])
@@ -200,12 +199,21 @@ def test_grown_tables_equal_tables_built_from_scratch(empty_table_caches, order,
         assert count_fractions(n, d) == scratch_exact_table(n, d)
         grown = _log_weight_table(n, d)
         assert grown.tobytes() == scratch_log_table(n, d).tobytes()
-    # each store keeps one table per d, the last one requested, and a repeat returns it
-    last = order[-1]
-    for store, build in ((combinatorics._EXACT_TABLES, _count_table),
-                         (combinatorics._LOG_TABLES, _log_weight_table)):
-        assert set(store) == {d} and store[d][0] == last
-        assert build(last, d) is store[d][1]
+    # one table of each kind is kept, the last one requested, and a repeat returns it
+    last, tables = order[-1], combinatorics._TABLES
+    assert set(tables) == {combinatorics._add_mode_count, combinatorics._add_mode_log}
+    for add_mode, build in ((combinatorics._add_mode_count, _count_table),
+                            (combinatorics._add_mode_log, _log_weight_table)):
+        assert tables[add_mode][:2] == (d, last)
+        assert build(last, d) is tables[add_mode][2]
+
+
+def test_a_new_d_replaces_the_kept_tables(empty_table_caches):
+    # one table of each kind is kept: a request at another d starts from N = 0, same bytes
+    for n, d in ((7, 4), (12, 1), (5, 4), (30, 4), (3, 2)):
+        assert count_fractions(n, d) == scratch_exact_table(n, d)
+        assert _log_weight_table(n, d).tobytes() == scratch_log_table(n, d).tobytes()
+        assert [value[:2] for value in combinatorics._TABLES.values()] == [(d, n)] * 2
 
 
 @pytest.mark.parametrize("n, d", [(60, 1), (20, 3), (6, 10), (1, 40), (2, 30)])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import dense_pipeline_reference, full_sector_norms
 
 from quditcv import multimode
+from quditcv.combinatorics import enumerate_compositions
 from quditcv.multimode import (
     ModeMatrix,
     MultimodeState,
@@ -277,10 +278,7 @@ class TestOracleTeleport:
     @pytest.mark.parametrize("n,cap,d", [(1, 10**4, 10**4), (2, 998, 499)])
     def test_budget_counts_scatter_add_steps(self, n, cap, d, monkeypatch):
         # 10,001 and 999,000 index-map entries, but 10^4 and 1,996 steps at 100 each
-        def no_sectors(below, cutoff):
-            raise AssertionError("a sector was built")
-
-        monkeypatch.setattr(multimode, "_next_sector", no_sectors)
+        monkeypatch.setattr(multimode, "_next_sector", fail_if_called)
         with pytest.raises(ValueError, match="^budget exceeded: "):
             oracle_teleport(fock_basis(0, cap), SchemeParams(n, d))
 
@@ -417,20 +415,44 @@ class TestKeptNorms:
 
     @pytest.mark.parametrize("d, top", [(300, 200), (260, 520)])
     def test_kept_norms_past_a_byte_of_photons(self, d, top):
-        # occupations are held in the narrowest unsigned type that holds top: uint8 with a
-        # cutoff past 255, and uint16 once a mode holds more than 255 photons
+        # a cutoff past 255, then a mode holding more than 255 photons: occupations are plain
+        # ints, so nothing wraps at a byte
         kept = multimode._kept_norms(2, d, top)
         reference = full_sector_norms(2, top, [d])[d]
         assert np.array(kept).tobytes() == np.array(reference).tobytes()
+
+    @pytest.mark.parametrize("n, d, top", [(1, 4, 4), (2, 1, 2), (3, 2, 6), (4, 1, 4), (5, 3, 9),
+                                           (6, 2, 10), (8, 4, 11), (2, 300, 300)])
+    def test_sectors_are_ranked_in_composition_order(self, n, d, top, monkeypatch):
+        # the rank recurrence relies on each sector's kept rows coming in enumerate_compositions'
+        # order, and every kept raise of row r in mode j must land on row r plus e_j
+        sectors, build = [], multimode._next_sector
+
+        def recorded(below, *args):
+            sector = build(below, *args)
+            sectors.append((below, *sector[:2]))
+            return sector
+
+        monkeypatch.setattr(multimode, "_next_sector", recorded)
+        multimode._kept_norms(n, d, top)
+        assert len(sectors) == top
+        for k, (below, raised, above) in enumerate(sectors, start=1):
+            assert above.tolist() == [list(c) for c in enumerate_compositions(n, k, d)]
+            j, r = np.indices(raised.shape).reshape(2, -1)
+            kept = below[r, j] < d
+            assert np.all(raised[j[~kept], r[~kept]] == -1)
+            ranks = raised[j[kept], r[kept]]
+            assert np.all(ranks >= 0)
+            assert np.array_equal(above[ranks], below[r[kept]] + np.eye(n, dtype=int)[j[kept]])
 
     def test_only_kept_occupations_are_built(self, monkeypatch):
         # at d = 1, P keeps the C(10, k) occupations with k single photons, of C(k+9, k)
         sizes, build = [], multimode._next_sector
 
-        def recorded(below, cutoff):
-            raised, above = build(below, cutoff)
-            sizes.append(len(above))
-            return raised, above
+        def recorded(*args):
+            sector = build(*args)
+            sizes.append(len(sector[1]))
+            return sector
 
         monkeypatch.setattr(multimode, "_next_sector", recorded)
         oracle_bytes(10, 9, 1)

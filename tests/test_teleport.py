@@ -501,15 +501,19 @@ class TestRequestBytes:
         def outputs():
             return [teleport_coherent(alpha, params) for alpha, params in requests]
 
-        cold = outputs()
-        big = coherent_fock(100.0, 11_000)  # grows the cached grid far past every window
+        cold, before = outputs(), teleport._GRID
+        # past every closed form's window: built for the call alone, the cached grid unchanged
+        big = coherent_fock(100.0, 11_000)
+        assert teleport._GRID is before and before.shape[1] == 2 * 81
+        teleport._grid(6_000)  # grows the cached grid to its cap, not to 12,000 columns
         grown, warm = outputs(), outputs()
         for a, b, c in zip(cold, grown, warm):
             assert a.state.amplitudes.tobytes() == b.state.amplitudes.tobytes() \
                 == c.state.amplitudes.tobytes()
             assert a.success_probability == b.success_probability == c.success_probability
-        grid = teleport._GRID
-        assert grid.shape[1] >= 11_001 and not grid.flags.writeable
+        grid, cap = teleport._GRID, combinatorics.PHOTON_BUDGET + 1
+        assert grid.shape[1] == cap and not grid.flags.writeable
+        assert teleport._grid(11_001)[:, :cap].tobytes() == grid.tobytes()
         for out in [big, *(o.state for o in cold + grown + warm)]:
             assert not np.shares_memory(out.amplitudes, grid)
 
