@@ -23,6 +23,18 @@ def freeze_field(obj, name: str, dtype) -> np.ndarray:
     return arr
 
 
+def adopt(cls, name: str, fresh: np.ndarray, values) -> list:
+    """A `cls` per array of `values`, each `fresh` or a view of it, as field `name`, not copied:
+    `fresh`, a new array nothing else holds, is frozen in place.  `cls`' own checks do not run."""
+    fresh.setflags(write=False)
+    objs = []
+    for value in values:
+        obj = object.__new__(cls)
+        object.__setattr__(obj, name, value)
+        objs.append(obj)
+    return objs
+
+
 def squared_norm(x: np.ndarray) -> float:
     """Sum of |x_i|^2 over a complex vector: np.linalg.norm's own sum, without its wrapper."""
     return x.real.dot(x.real) + x.imag.dot(x.imag)

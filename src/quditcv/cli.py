@@ -142,6 +142,7 @@ def cmd_epr_sweep(args: argparse.Namespace) -> int:
 
 
 _FLAG_ENDS = np.array(["0\n", "1\n"], dtype=object)
+_BLOCK = 4096  # most compare cells formatted and written as one chunk
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -152,9 +153,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ``detectors.comparison_axes``).  Python scalar pow per axis; numpy only
     multiplies and compares: numpy's SIMD ``**`` differs from libm ``pow``
     in about 5% of entries (x**11 over 10^6 uniform x: 52,823 entries on an
-    AVX-512 host, numpy 2.4).  Each distinct value is formatted once, and
-    rows stream out one run of equal eta at a time, in the order a stable
-    sort by (eta, xi) gives the eta-major grid (duplicates and -0 included).
+    AVX-512 host, numpy 2.4).  Each distinct value is formatted once.
+    Rows come in the order a stable sort by (eta, xi) gives the eta-major
+    grid: a lone eta value's row in the stable xi order, a run of equal eta
+    (duplicates, or -0 and 0) by (xi, row, column).  They stream out at most
+    _BLOCK rows at a time, so the text held follows the block, not the grid.
     """
     _check_rows(len(args.eta) * len(args.xi), "the (eta, xi) grid gives")
     eta = np.array(args.eta, dtype=float)
@@ -164,21 +167,41 @@ def cmd_compare(args: argparse.Namespace) -> int:
                                   for values in (eta, xi, p1))
     # the quartit scheme2 depends on xi alone: one "scheme2,advantage" tail per (xi, flag)
     tails = np.array([f"{v:.12g},{f}\n" for v in xi_part.tolist() for f in "01"], dtype=object)
+    by_xi = np.argsort(xi, kind="stable")  # the columns of a lone eta row, in order
+
+    def lines(i, j):
+        """The CSV lines of cells (eta[i], xi[j])."""
+        p2 = xi_part[j] if eta_part is None else eta_part[i] * xi_part[j]
+        flags = (p2 > p1[i]).view(np.int8)
+        head = eta_text[i].tolist(), xi_text[j].tolist(), p1_text[i].tolist()
+        if eta_part is None:
+            return _spliced(*head, tails[2 * j + flags].tolist())
+        return _spliced(*head, [f"{v:.12g}," for v in p2.tolist()], _FLAG_ENDS[flags].tolist())
+
+    def blocks(rows, cells=None):
+        """Lines of `rows`' cells, _BLOCK at a time: in `cells` order (flat row-major
+        positions) if given, else each row in the stable xi order."""
+        size = len(rows) * len(xi)
+        for start in range(0, size, _BLOCK):
+            if cells is None:
+                q, t = np.divmod(np.arange(start, min(start + _BLOCK, size)), len(xi))
+                yield lines(rows[q], by_xi[t])
+            else:
+                q, j = np.divmod(cells[start:start + _BLOCK], len(xi))
+                yield lines(rows[q], j)
 
     def chunks():
         order = np.argsort(eta, kind="stable")
-        for rows in np.split(order, np.flatnonzero(np.diff(eta[order])) + 1):
+        edges = np.concatenate(([0], np.flatnonzero(np.diff(eta[order])) + 1, [len(eta)]))
+        runs = np.flatnonzero(np.diff(edges) > 1)  # the runs of equal eta, the rest lone rows
+        lone = 0
+        for start, stop in zip(edges[runs].tolist(), edges[runs + 1].tolist()):
+            yield from blocks(order[lone:start])
             # a stable sort of xi tiled once per equal-eta row orders cells by (xi, i, j)
-            cell = np.argsort(np.tile(xi, len(rows)), kind="stable")
-            i, j = rows[cell // len(xi)], cell % len(xi)
-            p2 = xi_part[j] if eta_part is None else eta_part[i] * xi_part[j]
-            flags = (p2 > p1[i]).view(np.int8)
-            head = eta_text[i].tolist(), xi_text[j].tolist(), p1_text[i].tolist()
-            if eta_part is None:
-                yield _spliced(*head, tails[2 * j + flags].tolist())
-            else:
-                scheme2 = [f"{v:.12g}," for v in p2.tolist()]
-                yield _spliced(*head, scheme2, _FLAG_ENDS[flags].tolist())
+            rows = order[start:stop]
+            yield from blocks(rows, np.argsort(np.tile(xi, len(rows)), kind="stable"))
+            lone = stop
+        yield from blocks(order[lone:])
 
     _write_csv(args.out, "eta,xi,scheme1,scheme2,advantage", chunks())
     return 0

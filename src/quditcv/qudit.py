@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._frozen import freeze_field, instance, integer, real, squared_norm
+from ._frozen import adopt, freeze_field, instance, integer, real, squared_norm
 
 __all__ = [
     "BellOutcome", "JointQuditState", "QuditKet", "depolarized_fidelity", "haar_random_ket",
@@ -62,11 +62,7 @@ def _kets(rows: np.ndarray) -> list[QuditKet]:
     """QuditKet(row) per row of a fresh 2-d complex array: rows frozen in place, no row copied."""
     if not _unit_rows(rows):
         raise ValueError("qudit amplitudes must be normalized")
-    rows.setflags(write=False)
-    kets = [object.__new__(QuditKet) for _ in range(len(rows))]
-    for ket, row in zip(kets, rows):
-        object.__setattr__(ket, "amplitudes", row)
-    return kets
+    return adopt(QuditKet, "amplitudes", rows, rows)
 
 
 @dataclass(frozen=True, eq=False)

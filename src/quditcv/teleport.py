@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import complex_number, freeze_field, instance, integer, real, squared_norm
+from ._frozen import adopt, complex_number, freeze_field, instance, integer, real, squared_norm
 from .combinatorics import EXACT_LIMIT, PHOTON_BUDGET, _count_table, _log_weight_table, _within
 
 __all__ = [
@@ -155,12 +155,15 @@ _GRID = np.zeros((3, 0))
 _CHI_ROWS = (None, np.zeros((2, 0)))
 
 
+def _log_factorials(size: int) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
+
+
 def _grid(count: int) -> np.ndarray:
     global _GRID
     rows = _regrown(_GRID, count, lambda size: np.array([
-        np.arange(size), [math.lgamma(j + 1) for j in range(size)],
-        np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))]))
-    if count <= PHOTON_BUDGET + 1:  # the closed forms' window; only coherent_fock reads past it
+        np.arange(size), [math.lgamma(j + 1) for j in range(size)], _log_factorials(size)]))
+    if count <= PHOTON_BUDGET + 1:  # the closed forms' window: a longer grid is not kept
         _GRID = rows
     return rows[:, :count]
 
@@ -249,7 +252,9 @@ def _renormalized(scaled: np.ndarray, log_p_suc=None) -> TeleportOutcome:
     """Renormalize what survives, the one single-mode exit; name log P_suc if it underflows."""
     p_suc = float((np.abs(scaled) ** 2).sum())
     if p_suc > 0.0:
-        return TeleportOutcome(FockVector(scaled / math.sqrt(p_suc)), _clamped(p_suc))
+        amplitudes = scaled / math.sqrt(p_suc)
+        state, = adopt(FockVector, "amplitudes", amplitudes, [amplitudes])
+        return TeleportOutcome(state, _clamped(p_suc))
     magnitudes = np.abs(scaled)  # log P_suc = 2 log max|s| + log sum |s/max|^2, else log_p_suc()
     top = float(np.max(magnitudes))
     if top > 0.0:
@@ -301,7 +306,10 @@ def _mean_photons(alpha: complex) -> tuple[float | complex, float]:
 def _coherent_amplitudes(alpha: complex, mean: float, size: int) -> np.ndarray:
     if mean == 0.0:
         return np.eye(1, size, dtype=complex)[0]  # vacuum
-    k, _, log_factorial = _grid(size)
+    if size <= PHOTON_BUDGET + 1:
+        k, _, log_factorial = _grid(size)
+    else:  # past the grid's window: k and log k! alone, for this call
+        k, log_factorial = np.arange(size, dtype=float), _log_factorials(size)
     magnitude = np.exp(-0.5 * mean + 0.5 * (k * math.log(mean) - log_factorial))
     # complex even for real alpha: numpy divides complex by real through the reciprocal
     return np.asarray(magnitude * (alpha / abs(alpha)) ** k, dtype=complex)

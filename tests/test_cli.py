@@ -387,6 +387,14 @@ COMPARE_GRIDS = {
     "signed-zeros": ("0.5,-0,0,0.5", "0.3,0,-0"),
     "unsorted": ("0.9,0.1,0.9,1", "-0,0.7,0,0.7"),
     "401x401": ("0.1:0.9:401", "0.05:0.95:401"),
+    # 16,800 rows at 150 xi, a width that does not divide the 4,096-cell write block: lone
+    # eta rows on both sides of a 30-row run of 0.5 wider than a block, and a -0/0 pair;
+    # xi unsorted, with duplicates and -0, 0 and 0.  Its digests were captured when compare
+    # still wrote one chunk per eta row.
+    "blocks": (",".join([f"{i / 100:g}" for i in range(40, 0, -1)] + ["0.5"] * 15 + ["-0"]
+                        + ["0.5"] * 15 + ["0"] + [f"{i / 100:g}" for i in range(51, 91)]),
+               ",".join([f"{7 * i % 146 / 146:.6g}" for i in range(146)]
+                        + ["-0", "0.25", "0", "0.25"])),
 }
 COMPARE_SHA256 = {
     # (grid, model): digest
@@ -408,6 +416,12 @@ COMPARE_SHA256 = {
         "20273a27cea286df23382df4ef55a3de386d1e85d6150baadc293f0960e3d141",
     ("401x401", "deterministic"):
         "531773d1cad8f4211cbcb148159f3107f9b3398bca033732e4016f17b135dfcc",
+    ("blocks", "quartit-interferometer"):
+        "67360ae91946ca823d4959d622e931c8bf3b984548773f30d5b3f2b07b9bb0a1",
+    ("blocks", "linear-optics"):
+        "364f0fd2c3051aa198ea6b68901e7d8f1709f8d78e3ceded1d122572e55deddd",
+    ("blocks", "deterministic"):
+        "51db081e41680712696e543927cf354ed8180154e0d4d4423d0d5fb41293909f",
 }
 COMPARE_DEFAULT_SHA256 = "715ad2038a6488262715186463d9ab18a2016bd634227f745330ccde1d5bfe17"
 POVM_SHA256 = {
