@@ -17,7 +17,10 @@ Usage (each tree a checkout with ``src/`` and ``bench/``):
         --claim oracle_check:wall_s --summary "what the change does"
 
 The run length is ``run_seconds`` in the change tree's BENCHMARK.json, which
-also gives each metric's better direction.
+also gives each metric's better direction.  It refuses to start while either
+tree's ``src/`` or ``bench/`` holds a ``__pycache__``, or if the two sides would
+run with different bytecode-write settings, and it records
+``PYTHONDONTWRITEBYTECODE`` in the environment block.
 """
 
 from __future__ import annotations
@@ -35,6 +38,23 @@ HELD_OUT_SEED = 97
 TRACE_SEED = 7
 TRACE_PAIRS = 4  # traced runs are a few batches each, so one pair alone is noisy
 MAX_LISTED_GROUPS = 50  # digests per group are listed only for workloads with few groups
+
+
+def unequal_start(trees: dict[str, str]) -> str | None:
+    """Why the sides would not start alike, or None: a __pycache__ under either tree's src/ or
+    bench/ spares that side the compile its workers would otherwise pay at import, and so does
+    running one side with bytecode writes on and the other with them off."""
+    for side, tree in trees.items():
+        for top in ("src", "bench"):
+            for folder, subfolders, _ in os.walk(os.path.join(tree, top)):
+                if "__pycache__" in subfolders:
+                    return f"{side} tree holds {os.path.join(folder, '__pycache__')}; remove it"
+    probe = [sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"]
+    flags = {side: subprocess.run(probe, cwd=tree, check=True, capture_output=True, text=True)
+             .stdout.strip() for side, tree in trees.items()}
+    if flags["parent"] != flags["change"]:
+        return f"the sides would run with different bytecode-write settings: {flags}"
+    return None
 
 
 def run(tree: str, workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -134,6 +154,8 @@ def main() -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     trees = {"parent": args.parent, "change": args.change}
+    if reason := unequal_start(trees):
+        parser.error(reason)
 
     def pair(workload: str, seed: int, parent_first: bool, trace: bool = False
              ) -> tuple[dict, dict]:
@@ -161,7 +183,8 @@ def main() -> int:
         "command": (f"python3 bench/run.py --workload <name> --seed <seed> --seconds {seconds:g} "
                     "--trace 0, run from a copy of each side's tree; pairs alternate which side "
                     "runs first (parent first at odd seeds)"),
-        "environment": {key: env[key] for key in ("python", "numpy", "nproc", "machine")},
+        "environment": {**{key: env[key] for key in ("python", "numpy", "nproc", "machine")},
+                        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "notes": "",
         "workloads": {w: summarize(runs[w], metrics) for w in workloads},
         "held_out_seed": {w: {"seed": HELD_OUT_SEED, "parent": values(p), "change": values(c),

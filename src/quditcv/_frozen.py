@@ -23,16 +23,12 @@ def freeze_field(obj, name: str, dtype) -> np.ndarray:
     return arr
 
 
-def adopt(cls, name: str, fresh: np.ndarray, values) -> list:
-    """A `cls` per array of `values`, each `fresh` or a view of it, as field `name`, not copied:
-    `fresh`, a new array nothing else holds, is frozen in place.  `cls`' own checks do not run."""
-    fresh.setflags(write=False)
-    objs = []
-    for value in values:
-        obj = object.__new__(cls)
-        object.__setattr__(obj, name, value)
-        objs.append(obj)
-    return objs
+def adopt(cls, **fields):
+    """A `cls` holding `fields` as given, its own checks not run: the caller has checked them, and
+    an array field is one it made and froze, stored without a copy."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def squared_norm(x: np.ndarray) -> float:

@@ -156,8 +156,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     AVX-512 host, numpy 2.4).  Each distinct value is formatted once.
     Rows come in the order a stable sort by (eta, xi) gives the eta-major
     grid: a lone eta value's row in the stable xi order, a run of equal eta
-    (duplicates, or -0 and 0) by (xi, row, column).  They stream out at most
-    _BLOCK rows at a time, so the text held follows the block, not the grid.
+    (duplicates, or -0 and 0) by (xi, row, column), each tie class of xi
+    rows-major.  They stream out at most _BLOCK rows at a time, so the text
+    and the indices held follow the block, not the grid.
     """
     _check_rows(len(args.eta) * len(args.xi), "the (eta, xi) grid gives")
     eta = np.array(args.eta, dtype=float)
@@ -168,6 +169,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # the quartit scheme2 depends on xi alone: one "scheme2,advantage" tail per (xi, flag)
     tails = np.array([f"{v:.12g},{f}\n" for v in xi_part.tolist() for f in "01"], dtype=object)
     by_xi = np.argsort(xi, kind="stable")  # the columns of a lone eta row, in order
+    # by_xi[ties[c]:ties[c + 1]] are the columns of equal xi, the c-th tie class
+    ties = np.concatenate(([0], np.flatnonzero(np.diff(xi[by_xi])) + 1, [len(xi)]))
 
     def lines(i, j):
         """The CSV lines of cells (eta[i], xi[j])."""
@@ -178,17 +181,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
             return _spliced(*head, tails[2 * j + flags].tolist())
         return _spliced(*head, [f"{v:.12g}," for v in p2.tolist()], _FLAG_ENDS[flags].tolist())
 
-    def blocks(rows, cells=None):
-        """Lines of `rows`' cells, _BLOCK at a time: in `cells` order (flat row-major
-        positions) if given, else each row in the stable xi order."""
-        size = len(rows) * len(xi)
+    def blocks(rows, run=False):
+        """Lines of `rows`' cells, _BLOCK at a time: each row in by_xi order, or for a `run`
+        of equal eta, tie class by tie class of xi, each class's cells rows-major."""
+        size, firsts = len(rows) * len(xi), len(rows) * ties
         for start in range(0, size, _BLOCK):
-            if cells is None:
-                q, t = np.divmod(np.arange(start, min(start + _BLOCK, size)), len(xi))
-                yield lines(rows[q], by_xi[t])
+            cells = np.arange(start, min(start + _BLOCK, size))
+            if run:
+                c = np.searchsorted(firsts, cells, side="right") - 1
+                q, t = np.divmod(cells - firsts[c], ties[c + 1] - ties[c])
+                t += ties[c]
             else:
-                q, j = np.divmod(cells[start:start + _BLOCK], len(xi))
-                yield lines(rows[q], j)
+                q, t = np.divmod(cells, len(xi))
+            yield lines(rows[q], by_xi[t])
 
     def chunks():
         order = np.argsort(eta, kind="stable")
@@ -197,9 +202,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         lone = 0
         for start, stop in zip(edges[runs].tolist(), edges[runs + 1].tolist()):
             yield from blocks(order[lone:start])
-            # a stable sort of xi tiled once per equal-eta row orders cells by (xi, i, j)
-            rows = order[start:stop]
-            yield from blocks(rows, np.argsort(np.tile(xi, len(rows)), kind="stable"))
+            yield from blocks(order[start:stop], run=True)
             lone = stop
         yield from blocks(order[lone:])
 

@@ -62,7 +62,8 @@ def _kets(rows: np.ndarray) -> list[QuditKet]:
     """QuditKet(row) per row of a fresh 2-d complex array: rows frozen in place, no row copied."""
     if not _unit_rows(rows):
         raise ValueError("qudit amplitudes must be normalized")
-    return adopt(QuditKet, "amplitudes", rows, rows)
+    rows.setflags(write=False)
+    return [adopt(QuditKet, amplitudes=row) for row in rows]
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,7 +62,8 @@ class SchemeParams:
             n, d = integer("num_modes", n, 1), integer("photon_cutoff", d, 1)
             object.__setattr__(self, "num_modes", n)
             object.__setattr__(self, "photon_cutoff", d)
-        _within(PHOTON_BUDGET, n, d)
+        if n * d > PHOTON_BUDGET:
+            _within(PHOTON_BUDGET, n, d)
 
     @property
     def max_photons(self) -> int:
@@ -248,19 +249,23 @@ def _clamped(value, slack=_P_SUC_SLACK, name="P_suc", cause="input not normalize
     return min(value, 1.0) if isinstance(value, float) else np.minimum(value, 1.0)
 
 
-def _renormalized(scaled: np.ndarray, log_p_suc=None) -> TeleportOutcome:
-    """Renormalize what survives, the one single-mode exit; name log P_suc if it underflows."""
-    p_suc = float((np.abs(scaled) ** 2).sum())
+def _renormalized(scaled: np.ndarray, log_p_suc=None, *args) -> TeleportOutcome:
+    """Renormalize what survives, the fresh vector `scaled`, in place: the one single-mode exit.
+    Name log P_suc if it underflows, or log_p_suc(*args) if every amplitude does."""
+    magnitudes = np.abs(scaled)
+    p_suc = float(np.add.reduce(np.square(magnitudes, out=magnitudes)))  # (|s| ** 2).sum()
     if p_suc > 0.0:
-        amplitudes = scaled / math.sqrt(p_suc)
-        state, = adopt(FockVector, "amplitudes", amplitudes, [amplitudes])
-        return TeleportOutcome(state, _clamped(p_suc))
+        scaled /= math.sqrt(p_suc)
+        scaled.setflags(write=False)
+        state = adopt(FockVector, amplitudes=scaled)
+        return adopt(TeleportOutcome, state=state,
+                     success_probability=_clamped(p_suc) if p_suc > 1.0 else p_suc)
     magnitudes = np.abs(scaled)  # log P_suc = 2 log max|s| + log sum |s/max|^2, else log_p_suc()
     top = float(np.max(magnitudes))
     if top > 0.0:
         log_p = 2 * math.log(top) + math.log(float(np.sum((magnitudes / top) ** 2)))
     elif log_p_suc is not None:
-        log_p = log_p_suc()
+        log_p = log_p_suc(*args)
     else:
         raise ValueError("vanishing state: no amplitude survives the photon-number filter")
     raise ValueError(f"vanishing state: P_suc underflows double precision, log P_suc = {log_p:.6g}")
@@ -276,10 +281,12 @@ def teleport_state(state: FockVector, params: SchemeParams) -> TeleportOutcome:
         ValueError: "vanishing state" when no amplitude survives the filter,
             giving log P_suc when P_suc underflows though amplitudes survive.
     """
-    if not instance("state", state, FockVector).is_normalized(1e-9):
+    amplitudes = instance("state", state, FockVector).amplitudes
+    if not abs(math.sqrt(squared_norm(amplitudes)) ** 2 - 1.0) <= 1e-9:  # is_normalized(1e-9)
         raise ValueError("teleport_state requires a normalized input")
-    amplitudes = state.amplitudes[: instance("params", params, SchemeParams).max_photons + 1]
-    return _renormalized(amplitudes * gain_vector(params)[: len(amplitudes)])
+    gains = gain_vector(params)
+    amplitudes = amplitudes[: len(gains)]
+    return _renormalized(amplitudes * gains[: len(amplitudes)])
 
 
 def _poisson_tail_bound(mean: float, cutoff: int) -> float:
@@ -306,13 +313,19 @@ def _mean_photons(alpha: complex) -> tuple[float | complex, float]:
 def _coherent_amplitudes(alpha: complex, mean: float, size: int) -> np.ndarray:
     if mean == 0.0:
         return np.eye(1, size, dtype=complex)[0]  # vacuum
-    if size <= PHOTON_BUDGET + 1:
+    if size <= _GRID.shape[1]:  # warm
+        k, log_factorial = _GRID[0, :size], _GRID[2, :size]
+    elif size <= PHOTON_BUDGET + 1:
         k, _, log_factorial = _grid(size)
     else:  # past the grid's window: k and log k! alone, for this call
         k, log_factorial = np.arange(size, dtype=float), _log_factorials(size)
-    magnitude = np.exp(-0.5 * mean + 0.5 * (k * math.log(mean) - log_factorial))
+    # exp(-0.5 * mean + 0.5 * (k log(mean) - log k!)), in one buffer: + and * commute bit for bit
+    row = np.multiply(k, math.log(mean))
+    np.subtract(row, log_factorial, out=row)
+    np.multiply(row, 0.5, out=row)
+    np.exp(np.add(row, -0.5 * mean, out=row), out=row)
     # complex even for real alpha: numpy divides complex by real through the reciprocal
-    return np.asarray(magnitude * (alpha / abs(alpha)) ** k, dtype=complex)
+    return np.multiply(row, (alpha / abs(alpha)) ** k, out=np.empty(size, complex))
 
 
 def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
@@ -340,17 +353,18 @@ def teleport_coherent(alpha: complex, params: SchemeParams) -> TeleportOutcome:
         ValueError: "vanishing state", giving log P_suc, when P_suc underflows.
     """
     alpha, mean = _mean_photons(alpha)
-    n, d = instance("params", params, SchemeParams).num_modes, params.photon_cutoff
+    gains = gain_vector(params)
+    scaled = _coherent_amplitudes(alpha, mean, len(gains))
+    return _renormalized(np.multiply(scaled, gains, out=scaled), _coherent_log_p_suc, mean, params)
 
-    def log_p_suc() -> float:
-        # log of sum_k e^-mean mean^k / k! g(k)^2 over k <= N*d, g(k) = W k! / N^k: one vector
-        # expression over the log weight row, no per-k restricted_weight_log call
-        k, lgamma_row, _ = _grid(n * d + 1)
-        log_w, log_ratio = _log_weight_table(n, d), math.log(mean) - 2 * math.log(n)
-        return float(np.logaddexp.reduce(-mean + k * log_ratio + lgamma_row + 2 * log_w))
 
-    scaled = _coherent_amplitudes(alpha, mean, n * d + 1) * gain_vector(params)
-    return _renormalized(scaled, log_p_suc)
+def _coherent_log_p_suc(mean: float, params: SchemeParams) -> float:
+    """log of sum_k e^-mean mean^k / k! g(k)^2 over k <= N*d, g(k) = W k! / N^k: one vector
+    expression over the log weight row, no per-k restricted_weight_log call."""
+    n, d = params.num_modes, params.photon_cutoff
+    k, lgamma_row, _ = _grid(n * d + 1)
+    log_w, log_ratio = _log_weight_table(n, d), math.log(mean) - 2 * math.log(n)
+    return float(np.logaddexp.reduce(-mean + k * log_ratio + lgamma_row + 2 * log_w))
 
 
 class EprOutcome(NamedTuple):

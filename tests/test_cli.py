@@ -10,6 +10,7 @@ import math
 import pathlib
 import platform
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -163,6 +164,19 @@ class TestCompare:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["compare", "--model", "nonsense"])
         assert excinfo.value.code == 2
+
+    def test_run_of_equal_eta_holds_no_grid_sized_index(self, tmp_path):
+        # 1,000 copies of one eta by 1,000 xi: a run as long as the grid.  Ordering it by a
+        # stable argsort of xi tiled per row peaked at 15.9 MB; the blocks hold 1.4 MB
+        argv = ["compare", "--eta=" + ",".join(["0.5"] * 1000), "--xi=0:1:1000",
+                "--out", str(tmp_path / "run.csv")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_grid_matches_advantage_region(self, capsys):
         _, out, _ = run_cli(["compare", "--eta", "0:1:5", "--xi", "0:1:5"], capsys)
@@ -395,6 +409,11 @@ COMPARE_GRIDS = {
                         + ["0.5"] * 15 + ["0"] + [f"{i / 100:g}" for i in range(51, 91)]),
                ",".join([f"{7 * i % 146 / 146:.6g}" for i in range(146)]
                         + ["-0", "0.25", "0", "0.25"])),
+    # runs of 0.5 (41 rows) and of -0/0 (4 rows) over xi in 7 tie classes of 33 or 34, with
+    # -0 and 0 tied: tie classes cross the 4,096-cell blocks.  Digests captured when a run was
+    # ordered by a stable argsort of xi tiled once per row.
+    "tied-runs": (",".join(["0.5"] * 20 + ["-0", "0.2", "0", "0"] + ["0.5"] * 21 + ["0", "0.7"]),
+                  ",".join([f"{i % 7 / 7:.6g}" for i in range(230)] + ["-0", "0"])),
 }
 COMPARE_SHA256 = {
     # (grid, model): digest
@@ -422,6 +441,12 @@ COMPARE_SHA256 = {
         "364f0fd2c3051aa198ea6b68901e7d8f1709f8d78e3ceded1d122572e55deddd",
     ("blocks", "deterministic"):
         "51db081e41680712696e543927cf354ed8180154e0d4d4423d0d5fb41293909f",
+    ("tied-runs", "quartit-interferometer"):
+        "48d8f5d4fd906689867441f32095c601c2054e75b2fc57f499f68c1ada183494",
+    ("tied-runs", "linear-optics"):
+        "35a405f5d374b49cfb6cb50068e624e8a8745381cbd450db40b90466f2429303",
+    ("tied-runs", "deterministic"):
+        "47627219bc8682a7fd47c2300cb000c6efd7a213d0fa4ee7b6171826751f5d14",
 }
 COMPARE_DEFAULT_SHA256 = "715ad2038a6488262715186463d9ab18a2016bd634227f745330ccde1d5bfe17"
 POVM_SHA256 = {

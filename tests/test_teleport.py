@@ -19,10 +19,12 @@ from oracles import (
 
 from quditcv import combinatorics, teleport
 from quditcv.combinatorics import restricted_weight
+from quditcv.multimode import oracle_teleport
 from quditcv.teleport import (
     FockVector,
     SchemeParams,
     SqueezingParams,
+    TeleportOutcome,
     coherent_fock,
     conventional_cv_fidelity,
     fock_gain,
@@ -484,6 +486,81 @@ class TestCoherent:
         ref = coherent_teleport_reference(complex(re, im), SchemeParams(n, d))
         assert out.state.amplitudes.tobytes() == ref.state.amplitudes.tobytes()
         assert out.success_probability == ref.success_probability
+
+
+def exit_requests():
+    """Seeded (name, call) pairs through each caller of the one renormalizing exit."""
+    rng = np.random.default_rng(27)
+    requests = []
+    for n, d in [(1, 1), (2, 1), (3, 2), (11, 1), (3, 3), (20, 4), (61, 1)]:
+        for cutoff in (0, 3, 40):
+            state = random_state(rng, cutoff)
+            requests.append((f"state {n},{d},{cutoff}", lambda s=state, p=SchemeParams(n, d):
+                             teleport_state(s, p)))
+        for alpha in (0.0, -1.5, complex(*rng.uniform(-3.0, 3.0, 2))):
+            requests.append((f"coherent {n},{d},{alpha}", lambda a=alpha, p=SchemeParams(n, d):
+                             teleport_coherent(a, p)))
+    for n, d, cutoff in [(1, 2, 4), (2, 1, 3), (3, 2, 5)]:
+        state = random_state(rng, cutoff)
+        requests.append((f"oracle {n},{d},{cutoff}", lambda s=state, p=SchemeParams(n, d):
+                         oracle_teleport(s, p)))
+    return requests
+
+
+EXIT_REQUESTS = exit_requests()
+EXITS = {"teleport_state": teleport_state, "oracle_teleport": oracle_teleport}
+
+
+class TestExit:
+    @pytest.mark.parametrize("name,call", EXIT_REQUESTS, ids=[n for n, _ in EXIT_REQUESTS])
+    def test_outcome_is_what_the_public_constructors_build(self, name, call):
+        out = call()
+        assert type(out) is TeleportOutcome and type(out.state) is FockVector
+        amps, p_suc = out.state.amplitudes, out.success_probability
+        assert type(amps) is np.ndarray and amps.ndim == 1 and amps.dtype == np.complex128
+        assert not amps.flags.writeable and type(p_suc) is float
+        public = TeleportOutcome(FockVector(amps.copy()), p_suc)  # FockVector is eq=False
+        assert public.state.amplitudes.tobytes() == amps.tobytes()
+        assert public.success_probability == p_suc
+
+    @pytest.mark.parametrize("exit_name", sorted(EXITS))
+    def test_input_state_is_not_written(self, exit_name):
+        state = random_state(np.random.default_rng(3), 5)
+        before = state.amplitudes.tobytes()
+        out = EXITS[exit_name](state, SchemeParams(2, 2))
+        assert state.amplitudes.tobytes() == before
+        assert not np.shares_memory(out.state.amplitudes, state.amplitudes)
+
+    @pytest.mark.parametrize("exit_name", sorted(EXITS))
+    @pytest.mark.parametrize("squared_norm", [1 + 1.01e-9, 1 - 1.01e-9, math.nan, math.inf])
+    def test_input_off_norm_is_refused(self, exit_name, squared_norm):
+        with pytest.raises(ValueError, match=f"^{exit_name} requires a normalized input$"):
+            EXITS[exit_name](FockVector([math.sqrt(squared_norm)]), SchemeParams(2, 1))
+
+    @pytest.mark.parametrize("exit_name", sorted(EXITS))
+    @pytest.mark.parametrize("squared_norm", [1 + 0.99e-9, 1 - 0.99e-9])
+    def test_input_inside_the_norm_tolerance_passes(self, exit_name, squared_norm):
+        out = EXITS[exit_name](FockVector([math.sqrt(squared_norm)]), SchemeParams(2, 1))
+        assert out.success_probability == pytest.approx(min(squared_norm, 1.0), abs=1e-15)
+
+    def test_success_past_the_slack_is_refused(self):
+        with pytest.raises(ValueError, match=r"^P_suc = 1\.00000001 passes 1 by more than "
+                                             "rounding: input not normalized$"):
+            teleport._renormalized(np.array([1.0, 1e-4j]))
+
+    @pytest.mark.parametrize("exit_name", sorted(EXITS))
+    def test_vanishing_and_underflowing_states_keep_their_messages(self, exit_name):
+        with pytest.raises(ValueError, match="^vanishing state: no amplitude survives the "
+                                             "photon-number filter$"):
+            EXITS[exit_name](fock_basis(3, 3), SchemeParams(2, 1))
+        with pytest.raises(ValueError, match="^vanishing state: P_suc underflows double "
+                                             "precision, log P_suc = -921.034$"):
+            EXITS[exit_name](FockVector([1e-200, 0.0, 1.0]), SchemeParams(1, 1))
+
+    def test_coherent_underflow_keeps_its_message(self):
+        with pytest.raises(ValueError, match="^vanishing state: P_suc underflows double "
+                                             r"precision, log P_suc = -9\d{3}\.\d+$"):
+            teleport_coherent(100.0, SchemeParams(2, 1))
 
 
 class TestRequestBytes:
