@@ -5,18 +5,19 @@ import numbers
 import numpy as np
 
 
-_NOT_NUMBERS = (bool, np.bool_, str, bytes)
 _LARGEST = float(np.finfo(float).max)  # `real`'s default top: a range up to it refuses inf and NaN
 
 
 def freeze_field(obj, name: str, dtype) -> np.ndarray:
-    """Store a read-only `dtype` copy of field `name` on `obj`; refuse bool, bytes and str input."""
+    """Store a read-only `dtype` copy of field `name` on `obj`; refuse entries `_number` refuses."""
     value = getattr(obj, name)
-    if not (type(value) is np.ndarray and value.dtype.kind in "fc"):  # fast path: one copy
-        given, value = value, np.asarray(value)
-        # entry by entry: np.asarray turns [True, 0.0] into floats, and astype parses a str
-        if any(isinstance(x, _NOT_NUMBERS) for x in np.asarray(given, object).flat):
-            raise ValueError(f"{name} must hold numbers, got {given!r}")
+    if not (type(value) is np.ndarray and value.dtype.kind in ("fc" if dtype is complex else "f")):
+        given, value = value, np.asarray(value)  # the fast path above makes one copy, no check
+        try:  # entry by entry: np.asarray turns [True, 0.0] into floats, and astype parses a str
+            for x in (value if type(given) is np.ndarray else np.asarray(given, object)).flat:
+                _number(name, x, numbers.Complex if dtype is complex else numbers.Real)
+        except ValueError as refusal:  # _number's words for the entry: they print no huge int
+            raise ValueError(f"{name} must hold numbers, got {str(refusal).partition('got ')[2]}")
     arr = value.astype(dtype)  # np.array(value, dtype=dtype) byte for byte, with less overhead
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)

@@ -161,9 +161,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     and the indices held follow the block, not the grid.
     """
     _check_rows(len(args.eta) * len(args.xi), "the (eta, xi) grid gives")
-    eta = np.array(args.eta, dtype=float)
-    xi = np.array(args.xi, dtype=float)
-    p1, eta_part, xi_part = detectors.comparison_axes(eta, xi, args.model)
+    p1, eta_part, xi_part = detectors.comparison_axes(args.eta, args.xi, args.model)
+    eta, xi = np.array(args.eta), np.array(args.xi)
     eta_text, xi_text, p1_text = (np.array([f"{v:.12g}," for v in values.tolist()], dtype=object)
                                   for values in (eta, xi, p1))
     # the quartit scheme2 depends on xi alone: one "scheme2,advantage" tail per (xi, flag)

@@ -79,6 +79,8 @@ class PovmElement:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.clicks is not None:
+            object.__setattr__(self, "clicks", integer("clicks", self.clicks, 0))
         arr = freeze_field(self, "weights", float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("weights must form a non-empty 1-d vector")
@@ -204,15 +206,15 @@ def comparison_axes(eta_grid, xi_grid, model: str = "quartit-interferometer"):
     """
     if model not in COMPARE_MODELS:
         raise ValueError(f"unknown comparison model {model!r}; pick from {COMPARE_MODELS}")
-    scheme1 = "deterministic" if model == "deterministic" else "linear-optics"
-    scheme2 = model if model == "quartit-interferometer" else "generic"
-    p1 = np.array([scheme1_success(float(e), _QUBIT_CHANNELS, scheme1) for e in eta_grid])
-    n = _QUARTIT_MODULES
-    xi_part = np.array([scheme2_success(float(x), 1.0, n, scheme2) for x in xi_grid])
+    if np.ndim(eta_grid) != 1 or np.ndim(xi_grid) != 1:  # each entry is checked as a scalar
+        raise ValueError("eta_grid and xi_grid must each be a 1-d sequence of numbers")
+    scheme1, scheme2 = (model, "generic") if model in _SCHEME1_MODELS else ("linear-optics", model)
+    p1 = np.array([scheme1_success(e, _QUBIT_CHANNELS, scheme1) for e in eta_grid])
+    xi_part = np.array([scheme2_success(x, 1.0, _QUARTIT_MODULES, scheme2) for x in xi_grid])
     if scheme2 != "generic":
         return p1, None, xi_part
     # xi^n eta^n factorizes exactly: scheme2(xi, 1) = xi^n * 1.0 and scheme2(1, eta) = 1.0 * eta^n
-    return p1, np.array([scheme2_success(1.0, float(e), n) for e in eta_grid]), xi_part
+    return p1, np.array([scheme2_success(1.0, e, _QUARTIT_MODULES) for e in eta_grid]), xi_part
 
 
 def advantage_region(eta_grid, xi_grid) -> np.ndarray:

@@ -235,20 +235,19 @@ def _kept_norms(num_modes: int, cutoff: int, top: int) -> list[np.float64]:
     """||P s_k||^2, k = 1..top (or more), P at `cutoff`; rows in enumerate_compositions' order."""
     norms = _NORMS.get((num_modes, cutoff), [])
     if len(norms) < top:
-        # n_splitter's first column
-        spread = np.full(num_modes, 1 / math.sqrt(num_modes), dtype=complex)
         # vacuum: its first mode N is past every j, so no raise reads its parent or prev
         below, first = np.zeros((1, num_modes), int), np.array([num_modes])
         parent, raised = np.zeros(1, int), np.zeros((num_modes, 1), int)
-        column, norms = np.ones(1, dtype=complex), []
+        column, norms = np.ones(1), []  # real: n_splitter's first column is 1/sqrt(N) throughout
         for k in range(1, top + 1):
             raised, above, first, parent = _next_sector(below, first, parent, raised, cutoff)
-            scaled = (spread / math.sqrt(k))[:, None] * np.sqrt(below.T + 1.0)
-            lifted = np.zeros(len(above) + 1, dtype=complex)  # the last slot takes P's drops
+            # U[j, 0] / sqrt(k) as 1/sqrt(N) times 1/sqrt(k): a division moves the pinned bytes
+            scaled = (1 / math.sqrt(num_modes)) * (1 / math.sqrt(k)) * np.sqrt(below.T + 1.0)
+            lifted = np.zeros(len(above) + 1)  # the last slot takes P's drops
             for j in range(num_modes):
                 lifted[raised[j]] += scaled[j] * column
             below, column = above, lifted[:-1]
-            norms.append(np.sum(np.abs(column) ** 2))
+            norms.append(np.sum(column**2))
         _NORMS[num_modes, cutoff] = norms
     return norms
 

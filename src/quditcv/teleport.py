@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _COHERENT_TAIL = 1e-12
+_COHERENT_BUDGET = 10**7  # most amplitudes coherent_fock builds: 160 MB of complex128
 # coherent_fock's vector keeps its norm within 1e-9 up to about |alpha| = 120
 _ALPHA_LIMIT = 100.0
 # P_suc may pass 1 by the 1e-9 teleport_state's norm check admits plus 64 ulps of rounding
@@ -90,7 +91,7 @@ class FockVector:
         return math.sqrt(squared_norm(self.amplitudes))
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= tol
+        return abs(self.norm() ** 2 - 1.0) <= real("tol", tol, 0.0)
 
 
 @dataclass(frozen=True)
@@ -332,12 +333,14 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     """Coherent-state amplitudes c_k = e^{-|a|^2/2} a^k / sqrt(k!) up to cutoff.
 
     Raises:
-        ValueError: "cutoff too small" when the discarded photon-number tail
-            is not provably below 1e-12, and when alpha is not finite or
-            |alpha| > 100.
+        ValueError: "budget exceeded" when cutoff + 1 amplitudes pass 10^7, "cutoff too small"
+            when the discarded photon-number tail is not provably below 1e-12, and when alpha
+            is not finite or |alpha| > 100.
     """
     cutoff = integer("cutoff", cutoff, 0)
     alpha, mean = _mean_photons(alpha)
+    if cutoff >= _COHERENT_BUDGET:
+        raise ValueError(f"budget exceeded: cutoff + 1 amplitudes pass {_COHERENT_BUDGET:.0e}")
     if _poisson_tail_bound(mean, cutoff) >= _COHERENT_TAIL:
         raise ValueError(
             f"cutoff too small: the photon-number tail beyond {cutoff} is not "

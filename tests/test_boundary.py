@@ -9,10 +9,13 @@ the bytes its float or complex gives; a value past the float range is refused, a
 range check refuses NaN and the infinities, each naming the argument.  A requested
 qudit Bell outcome must be a pair of integers.  The state, parameter and random-generator
 arguments of the protocols, the oracle and the detector functions must be objects
-of their classes, and the array fields of the frozen classes refuse bool, bytes and
-str input, as an array or entry by entry, each with a message that names the
-argument or field.
-Range checks on those fields refuse NaN, and a mode matrix refuses an infinite entry.
+of their classes.  The array fields of the frozen classes hold each entry to the
+complex rule, or to the real rule for PovmElement.weights, and the grids of the scheme
+comparison are 1-d sequences whose entries take the real rule; each refusal names the
+argument or field.  Range checks on those fields refuse NaN, a mode matrix refuses an
+infinite entry, and each shape and range refusal of a field is reached.  A POVM click
+count, a norm tolerance and a coherent-state cutoff are checked too, the cutoff against
+a size budget before anything is built.
 """
 
 import math
@@ -22,18 +25,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quditcv import teleport
 from quditcv import (
     DetectorModel,
     FockVector,
     JointQuditState,
     ModeMatrix,
+    MultimodeState,
     PovmElement,
     QuditKet,
     SchemeParams,
     SqueezingParams,
     TeleportOutcome,
+    advantage_region,
     apd_povm,
     coherent_fock,
+    comparison_axes,
     conventional_cv_fidelity,
     depolarized_fidelity,
     embed_input,
@@ -406,7 +413,17 @@ ARRAY_FIELDS = [
     ("amplitudes", JointQuditState, [[1.0, 0.0], [0.0, 0.0]]),
     ("entries", ModeMatrix, [[1.0, 0.0], [0.0, 1.0]]),
     ("weights", lambda x: PovmElement(0, x), [1.0, 0.0]),
+    ("amplitudes", MultimodeState, [[1.0, 0.0], [0.0, 0.0]]),
 ]
+
+
+def _first_entry(x):
+    """The valid value `good` with its first entry replaced by `x`, as nested lists."""
+    def bad(good):
+        entries = np.array(good, dtype=object)
+        entries.flat[0] = x
+        return entries.tolist()
+    return bad
 
 
 NON_NUMBERS = {
@@ -415,6 +432,16 @@ NON_NUMBERS = {
     "bool": lambda good: (np.asarray(good) != 0.0).tolist(),
     "bool-ndarray": lambda good: np.asarray(good) != 0.0,
     "bool-scalar": lambda good: True,
+    # each of these once stored NaN, a day count or a number parsed from a date, or raised a
+    # TypeError or an OverflowError
+    "none-entry": _first_entry(None),
+    "dict": lambda good: {},
+    "object": lambda good: object(),
+    "dict-entry": _first_entry({}),
+    "int-past-float": _first_entry(10**400),
+    "int-past-repr": _first_entry(10**5000),
+    "datetime64-days": lambda good: np.full(np.shape(good), np.datetime64("2020-01-01")),
+    "datetime64-ns": lambda good: np.full(np.shape(good), np.datetime64("2020-01-01", "ns")),
 }
 
 
@@ -478,4 +505,182 @@ SEEN_NAN = {
 @pytest.mark.parametrize("message, call", SEEN_NAN.values(), ids=SEEN_NAN.keys())
 def test_range_checks_refuse_nan(message, call):
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+# the one real-valued array field refuses a complex entry, even with no imaginary part: it
+# once kept the real part behind a ComplexWarning
+@pytest.mark.parametrize("bad", [[1 + 1j], [1.0, 0.5j], np.array([1 + 1j]), np.array([1.0 + 0j]),
+                                 np.array([1.0], dtype=np.complex64)],
+                         ids=["list", "list-second", "ndarray", "ndarray-real", "complex64"])
+def test_real_array_field_refuses_complex_entries(bad):
+    with pytest.raises(ValueError, match="^weights must hold numbers, got "):
+        PovmElement(0, bad)
+
+
+def test_array_field_refusal_names_the_entry():
+    with pytest.raises(ValueError, match=r"^amplitudes must hold numbers, got None$"):
+        FockVector([1, None])
+    past = r"^amplitudes must hold numbers, got int past 1\.8e\+308$"
+    with pytest.raises(ValueError, match=past):
+        FockVector([0, 10**5000])  # past int's repr limit: no digits are printed
+    with pytest.raises(ValueError, match=r"^weights must hold numbers, got \(1\+1j\)$"):
+        PovmElement(0, [1 + 1j])
+
+
+# comparison_axes and advantage_region hold each grid entry to the scalar rule of
+# scheme1_success and scheme2_success; each of these once scored an efficiency or raised a
+# TypeError
+GRID_ENTRIES = {"bool": True, "str": "0.5", "none": None, "dict": {}, "complex": 0.5j}
+GRID_CALLS = {
+    "comparison_axes": comparison_axes,
+    "comparison_axes-generic": lambda eta, xi: comparison_axes(eta, xi, "linear-optics"),
+    "advantage_region": advantage_region,
+}
+
+
+@pytest.mark.parametrize("axis", ["eta", "xi"])
+@pytest.mark.parametrize("entry", GRID_ENTRIES.values(), ids=GRID_ENTRIES.keys())
+@pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+def test_grid_entries_take_the_scalar_rule(call, entry, axis):
+    grids = ([entry], [0.5]) if axis == "eta" else ([0.5], [entry])
+    with pytest.raises(ValueError, match=f"^{axis} must be a real number, got "):
+        call(*grids)
+
+
+NOT_GRIDS = {
+    "int": lambda: 5, "none": lambda: None, "str": lambda: "0.5", "set": lambda: {0.5},
+    "dict": lambda: {0.5: 1}, "generator": lambda: (x for x in [0.5]),
+    "0-d": lambda: np.array(0.5), "2-d": lambda: [[0.5]], "2-d-ndarray": lambda: np.eye(2),
+}
+
+
+@pytest.mark.parametrize("axis", ["eta", "xi"])
+@pytest.mark.parametrize("grid", NOT_GRIDS.values(), ids=NOT_GRIDS.keys())
+@pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+def test_grid_must_be_a_1d_sequence(call, grid, axis):
+    grids = (grid(), [0.5]) if axis == "eta" else ([0.5], grid())
+    with pytest.raises(ValueError, match="^eta_grid and xi_grid must each be a 1-d sequence "):
+        call(*grids)
+
+
+GRID_KINDS = {"tuple": tuple, "ndarray": np.array, "float32": lambda g: np.array(g, np.float32),
+              "fraction": lambda g: [Fraction(str(x)) for x in g]}
+
+
+@pytest.mark.parametrize("model", ["quartit-interferometer", "linear-optics", "deterministic"])
+@pytest.mark.parametrize("kind", GRID_KINDS.values(), ids=GRID_KINDS.keys())
+def test_grid_of_numbers_gives_the_bytes_its_floats_give(kind, model):
+    eta, xi = kind([0.0, 0.3, 1.0, 0.7]), kind([1.0, 0.05, 0.5])
+    want = comparison_axes([float(e) for e in eta], [float(x) for x in xi], model)
+    got = comparison_axes(eta, xi, model)
+    assert [None if a is None else a.tobytes() for a in got] == \
+           [None if b is None else b.tobytes() for b in want]
+
+
+# PovmElement.clicks once stored any of these as given
+@pytest.mark.parametrize("bad, message", [
+    ("x", "an integer, got 'x'"), (True, "an integer, got True"), (2.5, "an integer, got 2.5"),
+    (-3, "an integer >= 0, got -3"),
+], ids=["str", "bool", "float", "negative"])
+def test_povm_clicks_is_a_count_or_none(bad, message):
+    with pytest.raises(ValueError, match=f"^clicks must be {re.escape(message)}$"):
+        PovmElement(bad, [1.0])
+
+
+@pytest.mark.parametrize("clicks", [None, 0, 3, np.int64(2), np.uint8(1)], ids=repr)
+def test_povm_clicks_accepts_counts(clicks):
+    kept = PovmElement(clicks, [1.0]).clicks
+    assert kept == clicks and type(kept) is (type(None) if clicks is None else int)
+
+
+# FockVector.is_normalized(tol) once raised a TypeError for these, or took True as 1
+@pytest.mark.parametrize("bad, message", [
+    (None, "be a real number, got None"), ("x", "be a real number, got 'x'"),
+    (True, "be a real number, got True"), (1j, "be a real number, got 1j"),
+    (-1e-9, "be finite and >= 0, got -1e-09"), (math.nan, "be finite and >= 0, got nan"),
+    (math.inf, "be finite and >= 0, got inf"),
+], ids=["none", "str", "bool", "complex", "negative", "nan", "inf"])
+def test_is_normalized_tolerance_is_a_real_number(bad, message):
+    with pytest.raises(ValueError, match=f"^tol must {re.escape(message)}$"):
+        FockVector([1.0]).is_normalized(bad)
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, 1e-12, np.float32(1e-3), Fraction(1, 10**9)], ids=repr)
+def test_is_normalized_accepts_real_tolerances(tol):
+    assert FockVector([1.0]).is_normalized(tol)
+    assert FockVector([0.6, 0.8 + 1e-6]).is_normalized(tol) == (tol >= 2e-6)
+
+
+def _never(*args):
+    raise AssertionError("the request was not refused up front")
+
+
+class _Built(Exception):
+    pass
+
+
+def _built(*args):
+    raise _Built
+
+
+# a cutoff of 10^9 once passed every check and began building rows of tens of GB; 10**400
+# raised an OverflowError inside the tail bound
+@pytest.mark.parametrize("cutoff", [10**7, 10**9, 10**400, 10**5000, np.int64(2**62)],
+                         ids=["budget", "1e9", "past-float", "past-repr", "int64"])
+def test_coherent_fock_refuses_a_cutoff_past_its_budget(cutoff, monkeypatch):
+    monkeypatch.setattr(teleport, "_coherent_amplitudes", _never)
+    monkeypatch.setattr(teleport, "_poisson_tail_bound", _never)
+    with pytest.raises(ValueError, match=r"^budget exceeded: cutoff \+ 1 amplitudes pass 1e\+07$"):
+        coherent_fock(1.0, cutoff)
+
+
+def test_coherent_fock_budget_admits_its_last_cutoff(monkeypatch):
+    monkeypatch.setattr(teleport, "_coherent_amplitudes", _built)  # nothing is allocated
+    with pytest.raises(_Built):
+        coherent_fock(1.0, 10**7 - 1)
+
+
+# refusals of a wrongly shaped field, a range or a probability that no other test reaches
+SHAPES = {
+    "FockVector([])": ("amplitudes must form a non-empty 1-d sequence", lambda: FockVector([])),
+    "FockVector([[1.0]])":
+        ("amplitudes must form a non-empty 1-d sequence", lambda: FockVector([[1.0]])),
+    "FockVector(1.0)": ("amplitudes must form a non-empty 1-d sequence", lambda: FockVector(1.0)),
+    "PovmElement(0, [])": ("weights must form a non-empty 1-d vector", lambda: PovmElement(0, [])),
+    "PovmElement(0, [[1.0]])":
+        ("weights must form a non-empty 1-d vector", lambda: PovmElement(0, [[1.0]])),
+    "ModeMatrix([1.0])": ("entries must form a square matrix", lambda: ModeMatrix([1.0])),
+    "ModeMatrix(2x3)": ("entries must form a square matrix", lambda: ModeMatrix(np.eye(2, 3))),
+    "ModeMatrix(0x0)": ("entries must form a square matrix", lambda: ModeMatrix(np.eye(0))),
+    "MultimodeState(1.0)":
+        ("amplitudes must carry at least one mode axis", lambda: MultimodeState(1.0)),
+    "MultimodeState(2x3)":
+        ("every mode must share one common photon cap", lambda: MultimodeState(np.eye(2, 3))),
+    "QuditKet([1.0])":
+        ("a qudit needs a 1-d amplitude vector of dimension >= 2", lambda: QuditKet([1.0])),
+    "QuditKet(2x2)": ("a qudit needs a 1-d amplitude vector of dimension >= 2",
+                      lambda: QuditKet(np.eye(2) / math.sqrt(2.0))),
+    "JointQuditState(2x1)": ("each subsystem needs dimension >= 2",
+                             lambda: JointQuditState([[1.0], [0.0]])),
+    "JointQuditState(1.0)": ("each subsystem needs dimension >= 2", lambda: JointQuditState(1.0)),
+    "truncate_mode(SPLIT, 2, 0)": ("mode index 2 out of range", lambda: truncate_mode(SPLIT, 2, 0)),
+    "truncate_mode(SPLIT, -1, 0)":
+        ("mode index -1 out of range", lambda: truncate_mode(SPLIT, -1, 0)),
+    "vacuum_postselect(SPLIT, 2)":
+        ("mode index 2 out of range", lambda: vacuum_postselect(SPLIT, 2)),
+    "vacuum_postselect(SPLIT, -1)":
+        ("mode index -1 out of range", lambda: vacuum_postselect(SPLIT, -1)),
+    "TeleportOutcome(FOCK, 0.0)": ("success probability must lie in (0, 1], got 0.0",
+                                   lambda: TeleportOutcome(FOCK, 0.0)),
+    "TeleportOutcome(FOCK, 1.5)": ("success probability must lie in (0, 1], got 1.5",
+                                   lambda: TeleportOutcome(FOCK, 1.5)),
+    "TeleportOutcome(FOCK, nan)": ("success probability must lie in (0, 1], got nan",
+                                   lambda: TeleportOutcome(FOCK, math.nan)),
+}
+
+
+@pytest.mark.parametrize("message, call", SHAPES.values(), ids=SHAPES.keys())
+def test_shape_and_range_refusals(message, call):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -800,3 +800,35 @@ def test_reproduce_figures_manifest(tmp_path, capsys, monkeypatch):
     for job in manifest["jobs"]:
         data = (tmp_path / job["csv"]).read_bytes()
         assert job["sha256"] == hashlib.sha256(data).hexdigest() == FIGURE_SHA256[job["csv"]]
+
+
+class TestRefusalsNotReachedElsewhere:
+    @pytest.mark.parametrize("alpha", ["1,2,3", "x", "1,y", ""])
+    def test_bad_alpha_is_usage_error(self, alpha, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["teleport", "--alpha", alpha, "--n", "2", "--d", "1"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"expected re or re,im for a coherent amplitude, got {alpha!r}" in captured.err
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "  \n"], ids=["empty", "blank", "spaces"])
+    def test_file_without_amplitudes_is_config_error(self, text, tmp_path, capsys):
+        infile = tmp_path / "empty.txt"
+        infile.write_text(text)
+        code, out, err = run_cli(["teleport", str(infile), "--n", "2", "--d", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {infile}: no amplitudes found\n"
+
+    def test_crashing_suite_fails_and_names_its_error(self, capsys, monkeypatch):
+        def crash():
+            raise RuntimeError("suite crashed")
+
+        monkeypatch.setattr(cli, "_suite_povm_completeness", crash)
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        (line,) = [line for line in lines if " povm-completeness " in line]
+        assert "max deviation inf " in line and line.endswith("FAIL  (suite crashed)")
+        assert sum("PASS" in line for line in lines) == 4
+        assert lines[-1] == "verification FAILED"
