@@ -11,8 +11,12 @@ _LARGEST = float(np.finfo(float).max)  # `real`'s default top: a range up to it 
 def freeze_field(obj, name: str, dtype) -> np.ndarray:
     """Store a read-only `dtype` copy of field `name` on `obj`; refuse entries `_number` refuses."""
     value = getattr(obj, name)
-    if not (type(value) is np.ndarray and value.dtype.kind in ("fc" if dtype is complex else "f")):
-        given, value = value, np.asarray(value)  # the fast path above makes one copy, no check
+    kinds = "fciu" if dtype is complex else "fiu"  # numbers by dtype: one copy below, no check
+    if not (type(value) is np.ndarray and value.dtype.kind in kinds):
+        try:
+            given, value = value, np.asarray(value)
+        except ValueError:  # numpy's words for a ragged nested sequence name no field
+            raise ValueError(f"{name} must be a rectangular array, got a ragged sequence") from None
         try:  # entry by entry: np.asarray turns [True, 0.0] into floats, and astype parses a str
             for x in (value if type(given) is np.ndarray else np.asarray(given, object)).flat:
                 _number(name, x, numbers.Complex if dtype is complex else numbers.Real)

@@ -82,7 +82,8 @@ def _check_rows(rows: int, what: str) -> None:
 
 
 def _spliced(*columns: list[str]) -> str:
-    """Rows from equal-length columns of preformatted cells, each ending in a comma or newline."""
+    """Rows from equal-length columns of preformatted cells, each ending in a comma or newline.
+    A cell may hold `%.12g` placeholders, and no other `%`: the caller fills them in one pass."""
     pieces = [""] * (len(columns) * len(columns[0]))
     for c, column in enumerate(columns):
         pieces[c::len(columns)] = column
@@ -108,16 +109,16 @@ def cmd_gains(args: argparse.Namespace) -> int:
     budgets = {d * n for d, n in zip(d_list, n_list)}
     if len(budgets) != 1:
         raise ValueError(f"all (d, N) pairs must share one d*N budget, got {sorted(budgets)}")
-    _check_rows(len(d_list) * (budgets.pop() + 1), "the (d, N) pairs give")  # d*N + 1 rows each
+    _check_rows(len(d_list) * ((budget := budgets.pop()) + 1), "the (d, N) pairs give")
     # all pass the budget check before any runs; a pair listed r times prints each row r times
     pairs = collections.Counter(zip(d_list, n_list))
     grid = [(d, n, r, teleport.SchemeParams(n, d)) for (d, n), r in sorted(pairs.items())]
+    cells = [f"{k},%.12g\n" for k in range(budget + 1)]  # k and g(k): every pair has k = 0..d*N
     chunks = []
     for d, n, r, params in grid:
-        gains = teleport.gain_vector(params).tolist()
-        chunks.append(_spliced([f"{d},{n},"] * (r * len(gains)),
-                               [f"{k}," for k in range(len(gains)) for _ in range(r)],
-                               [f"{g:.12g}\n" for g in gains for _ in range(r)]))
+        rows = [cell for cell in cells for _ in range(r)]
+        gains = np.repeat(teleport.gain_vector(params), r).tolist()
+        chunks.append(_spliced([f"{d},{n},"] * len(rows), rows) % tuple(gains))
     _write_csv(args.out, "d,N,k,gain", chunks)
     return 0
 
@@ -130,18 +131,17 @@ def cmd_epr_sweep(args: argparse.Namespace) -> int:
     # all pass the budget check before any runs; in (d, N) order each d's table grows with N
     cells = sorted((d, n) for d in args.d for n in args.n)
     grid = [teleport.SchemeParams(n, d) for d, n in cells]
-    fidelity, p_suc = [], []
+    values = []  # f and P_suc of each cell, in turn
     for params in grid:
         outcome = teleport.teleport_epr(squeeze, params)
-        fidelity.append(f"{outcome.fidelity:.12g},")
-        p_suc.append(f"{outcome.success_probability:.12g}\n")
+        values += outcome.fidelity, outcome.success_probability
     chi = f"{squeeze.chi:.12g}"
     _write_csv(args.out, "d,N,chi,f,P_suc",
-               [_spliced([f"{d},{n},{chi}," for d, n in cells], fidelity, p_suc)])
+               ["".join([f"{d},{n},{chi},%.12g,%.12g\n" for d, n in cells]) % tuple(values)])
     return 0
 
 
-_FLAG_ENDS = np.array(["0\n", "1\n"], dtype=object)
+_FLAG_ENDS = np.array(["%.12g,0\n", "%.12g,1\n"], dtype=object)  # scheme2 and the flag
 _BLOCK = 4096  # most compare cells formatted and written as one chunk
 
 
@@ -153,7 +153,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ``detectors.comparison_axes``).  Python scalar pow per axis; numpy only
     multiplies and compares: numpy's SIMD ``**`` differs from libm ``pow``
     in about 5% of entries (x**11 over 10^6 uniform x: 52,823 entries on an
-    AVX-512 host, numpy 2.4).  Each distinct value is formatted once.
+    AVX-512 host, numpy 2.4).  Axis values are formatted once each, products in one pass per block.
     Rows come in the order a stable sort by (eta, xi) gives the eta-major
     grid: a lone eta value's row in the stable xi order, a run of equal eta
     (duplicates, or -0 and 0) by (xi, row, column), each tie class of xi
@@ -178,7 +178,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         head = eta_text[i].tolist(), xi_text[j].tolist(), p1_text[i].tolist()
         if eta_part is None:
             return _spliced(*head, tails[2 * j + flags].tolist())
-        return _spliced(*head, [f"{v:.12g}," for v in p2.tolist()], _FLAG_ENDS[flags].tolist())
+        return _spliced(*head, _FLAG_ENDS[flags].tolist()) % tuple(p2.tolist())
 
     def blocks(rows, run=False):
         """Lines of `rows`' cells, _BLOCK at a time: each row in by_xi order, or for a `run`
@@ -249,9 +249,9 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     outcome = (teleport.teleport_coherent(args.alpha, params) if args.infile is None
                else teleport.teleport_state(_read_amplitudes(args.infile), params))
     amps, p_suc = outcome.state.amplitudes, f"{outcome.success_probability:.12g}\n"
-    _write_csv(args.out, "k,re,im,p_suc", [_spliced(
-        [f"{k}," for k in range(len(amps))], [f"{v:.12g}," for v in amps.real.tolist()],
-        [f"{v:.12g}," for v in amps.imag.tolist()], [p_suc] * len(amps))])
+    _write_csv(args.out, "k,re,im,p_suc", [_spliced(  # the float view interleaves re and im
+        [f"{k},%.12g,%.12g," for k in range(len(amps))], [p_suc] * len(amps))
+        % tuple(amps.view(float).tolist())])
     return 0
 
 
@@ -262,9 +262,9 @@ def cmd_povm(args: argparse.Namespace) -> int:
     det = detectors.DetectorModel(eta=args.eta, nu=args.nu)
     family = detectors.pnr_povm(det, max_resolved=args.max_resolved, cutoff=args.cutoff)
     # pnr_povm lists 0..K then the closure, already in (element, m) order
-    levels = [f"{m}," for m in range(args.cutoff + 1)]
-    chunks = (_spliced([f"{'rest' if e.clicks is None else e.clicks},"] * len(levels), levels,
-                       [f"{w:.12g}\n" for w in e.weights.tolist()]) for e in family)
+    levels = [f"{m},%.12g\n" for m in range(args.cutoff + 1)]  # m and the weight
+    chunks = (_spliced([f"{'rest' if e.clicks is None else e.clicks},"] * len(levels), levels)
+              % tuple(e.weights.tolist()) for e in family)
     _write_csv(args.out, "element,m,weight", chunks)
     return 0
 

@@ -50,6 +50,7 @@ _QUARTIT_MODULES = 3
 
 _SCHEME1_MODELS = ("deterministic", "linear-optics")
 _SCHEME2_MODELS = ("generic", "quartit-interferometer")
+_WEIGHT_BUDGET = 10**7  # most POVM weights one request builds: 80 MB of float64
 COMPARE_MODELS = ("quartit-interferometer", "linear-optics", "deterministic")
 
 
@@ -100,14 +101,17 @@ def _povm_weights(det: DetectorModel, max_clicks: int, cutoff: int) -> np.ndarra
     Term n of every element, dark[c - n] * C(m, n) eta^n (1 - eta)^(m - n) with
     dark[k] = e^-nu nu^k / k! and each power a Python scalar, is added in one
     outer product, in ascending n: per (c, m) the order a scalar running sum
-    adds the terms in, so each weight is that sum's float.  A request whose
-    terms would overflow a float is refused before anything is built.
+    adds the terms in, so each weight is that sum's float.  A request past
+    10^7 weights, or whose terms would overflow a float, is refused first.
     """
     cutoff = integer("cutoff", cutoff, 0)
     eta, nu = instance("det", det, DetectorModel).eta, det.nu
+    if (max_clicks + 1) * (cutoff + 1) > _WEIGHT_BUDGET:
+        raise ValueError(f"budget exceeded: (clicks + 1) x (cutoff + 1) POVM weights pass "
+                         f"{_WEIGHT_BUDGET:.0e}")
     rows = min(max_clicks, cutoff) + 1
     try:
-        float(math.factorial(max_clicks))
+        float(math.factorial(min(max_clicks, 171)))  # 171! overflows: no need to build a larger one
         float(math.comb(cutoff, min(rows - 1, cutoff // 2)))
         nu**max_clicks
     except OverflowError:

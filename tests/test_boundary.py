@@ -15,7 +15,9 @@ comparison are 1-d sequences whose entries take the real rule; each refusal name
 argument or field.  Range checks on those fields refuse NaN, a mode matrix refuses an
 infinite entry, and each shape and range refusal of a field is reached.  A POVM click
 count, a norm tolerance and a coherent-state cutoff are checked too, the cutoff against
-a size budget before anything is built.
+a size budget before anything is built, and so are the click and Fock-level counts of
+a POVM request.  A ragged nested sequence is refused naming its field, and an integer
+array takes the float array's path, its entries numbers by their dtype.
 """
 
 import math
@@ -25,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quditcv import teleport
+from quditcv import _frozen, teleport
 from quditcv import (
     DetectorModel,
     FockVector,
@@ -684,3 +686,68 @@ SHAPES = {
 def test_shape_and_range_refusals(message, call):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# FockVector([[1, 2], [3]]) once raised numpy's own "inhomogeneous shape" message
+@pytest.mark.parametrize("name, call, good", ARRAY_FIELDS,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(ARRAY_FIELDS)])
+def test_array_fields_name_a_ragged_sequence(name, call, good):
+    with pytest.raises(ValueError, match=f"^{name} must be a rectangular array, got a ragged "
+                                         "sequence$"):
+        call([good, good[:1]])
+
+
+# an integer array once took the entry-by-entry check: FockVector(np.arange(10**5)) in about
+# 55 ms, not 1; a bool or object array still takes it (test_array_fields_refuse_...)
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.uint64])
+@pytest.mark.parametrize("name, call, good", ARRAY_FIELDS,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(ARRAY_FIELDS)])
+def test_integer_arrays_take_the_fast_path(name, call, good, dtype, monkeypatch):
+    value = np.array(good, dtype=dtype)
+    monkeypatch.setattr(_frozen, "_number", _never)  # no entry is checked on its own
+    kept = getattr(call(value), name)
+    want = np.asarray(value).astype(float if name == "weights" else complex)
+    assert kept.dtype == want.dtype and kept.tobytes() == want.tobytes()
+    assert not kept.flags.writeable and value.flags.writeable
+
+
+_DET = DetectorModel(0.5, 0.1)
+
+# (clicks + 1) x (cutoff + 1) POVM weights past 10^7: a cutoff of 10^8 once asked for about
+# 8 GB, and 10^6 clicks spent seconds on 10^6! before the overflow refusal
+POVM_PAST_BUDGET = {
+    "element-clicks": lambda: povm_element(10**7, _DET, 0),
+    "element-cutoff": lambda: povm_element(0, _DET, 10**7),
+    "element-past-repr": lambda: povm_element(10**5000, _DET, 10**400),
+    "pnr-cutoff": lambda: pnr_povm(_DET, 0, 10**8),
+    "pnr-both": lambda: pnr_povm(_DET, 1999, 5000),  # 2,000 x 5,001 weights
+    "pnr-int64": lambda: pnr_povm(_DET, np.int64(2**40), np.int64(2**40)),
+    "apd": lambda: apd_povm(_DET, 10**7),
+    "completeness": lambda: povm_completeness_defect(_DET, 3162),  # 3,163 x 3,163 and more
+}
+
+
+@pytest.mark.parametrize("call", POVM_PAST_BUDGET.values(), ids=POVM_PAST_BUDGET.keys())
+def test_povm_builders_refuse_a_request_past_their_budget(call, monkeypatch):
+    for name in ("zeros", "array"):  # nothing is allocated
+        monkeypatch.setattr(np, name, _never)
+    monkeypatch.setattr(math, "factorial", _never)  # not even the overflow check runs
+    with pytest.raises(ValueError, match=r"^budget exceeded: \(clicks \+ 1\) x \(cutoff \+ 1\) "
+                                         r"POVM weights pass 1e\+07$"):
+        call()
+
+
+# 40 x 250,000 weights: exactly the budget, with terms that fit a float
+@pytest.mark.parametrize("call", [lambda: pnr_povm(_DET, 39, 249_999),
+                                  lambda: povm_element(39, _DET, 249_999)], ids=["pnr", "element"])
+def test_povm_budget_admits_its_last_size(call, monkeypatch):
+    monkeypatch.setattr(np, "zeros", _built)  # the weight matrix is not allocated
+    with pytest.raises(_Built):
+        call()
+
+
+def test_povm_overflow_check_builds_no_large_factorial(monkeypatch):
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda k: _never() if k > 171 else factorial(k))
+    with pytest.raises(ValueError, match=r"^1000000 clicks over Fock levels 0\.\.0 .* overflow"):
+        povm_element(10**6, _DET, 0)

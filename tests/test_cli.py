@@ -832,3 +832,65 @@ class TestRefusalsNotReachedElsewhere:
         assert "max deviation inf " in line and line.endswith("FAIL  (suite crashed)")
         assert sum("PASS" in line for line in lines) == 4
         assert lines[-1] == "verification FAILED"
+
+
+# sha256 of CSVs whose floats are printed in one `%` pass per chunk and that no pin above
+# covered, captured while each float was still printed by its own f-string
+EPR_SWEEP_SHA256 = {
+    # extra flags: digest; the default grid at the default V_s = 10, then the two figure sweeps
+    (): "0a290156eed9f9d89078cc8453a82fa8750794c3f8edbfcbc63367a95426be10",
+    ("--vs", "10"): "0a290156eed9f9d89078cc8453a82fa8750794c3f8edbfcbc63367a95426be10",
+    ("--vs", "3"): "ec6460ad2cce1422aed7bc287fbc8ca80582acd3e8d98b52dbac04e0ed3df732",
+}
+# -0.0 imaginary parts, which print as 0 (the normalization's division by a real norm drops
+# the sign), and entries that print in e-notation
+AMPLITUDE_TEXT = "0.8,0.1\n3e-7,-0.0\n-2.5e-9,1e-12\n0.4,-0\n1e-5,-3e-6\n"
+TELEPORT_FILE_SHA256 = {
+    # (--n, --d): digest
+    (1, 1): "b301e240bad40ab7e4923d6e2e3863860c3e00e47cf70bf3d5e18e88e201187f",
+    (2, 3): "2cccc26211541814cdd02754e374d2dad3424a3dda1051b35733eabf95e269be",
+    (3, 2): "ce92838270fe8aa28c3723ac87facff88add66460c69277eb694a11615aceded",
+}
+GAINS_PAST_EXACT_SHA256 = {
+    # (--d, --n) at N*d = 100, served by the log path; (10, 10) listed twice: digest
+    ("1,10", "100,10"): "7285fdb7624feaad23fe889089af14344965d6ec979ef7534870ed588bebe019",
+    ("10,1,10,2,5", "10,100,10,50,20"):
+        "82cdaf12e4223062b27548eaa8a0d894428adf3889b9c98b86f348400eb131d8",
+}
+
+
+class TestOnePassBytes:
+    @pytest.mark.parametrize("flags", sorted(EPR_SWEEP_SHA256))
+    def test_epr_sweep(self, flags, capsys):
+        assert csv_sha256(["epr-sweep", *flags], capsys) == EPR_SWEEP_SHA256[flags]
+
+    @pytest.mark.parametrize("n,d", sorted(TELEPORT_FILE_SHA256))
+    def test_teleport_from_a_file(self, n, d, tmp_path, capsys):
+        infile = tmp_path / "state.txt"
+        infile.write_text(AMPLITUDE_TEXT)
+        argv = ["teleport", str(infile), "--n", str(n), "--d", str(d)]
+        assert csv_sha256(argv, capsys) == TELEPORT_FILE_SHA256[n, d]
+
+    @pytest.mark.parametrize("d,n", sorted(GAINS_PAST_EXACT_SHA256))
+    def test_gains_past_the_exact_limit(self, d, n, capsys):
+        assert csv_sha256(["gains", "--d", d, "--n", n], capsys) == GAINS_PAST_EXACT_SHA256[d, n]
+
+    @given(value=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(value=0.0)
+    @example(value=-0.0)
+    @example(value=5e-324)  # the smallest subnormal
+    @example(value=-2.2250738585072014e-308)
+    @example(value=math.inf)
+    @example(value=-math.inf)
+    @example(value=math.nan)
+    @example(value=-math.nan)
+    @example(value=1e-4)  # the switch points to and from e-notation, and their neighbours
+    @example(value=9.99999999999949e-05)
+    @example(value=9.9999999999995e-05)
+    @example(value=999999999999.4)
+    @example(value=999999999999.5)
+    @example(value=1e12)
+    @settings(max_examples=2000, deadline=None)
+    def test_percent_template_prints_what_format_prints(self, value):
+        assert "%.12g" % value == format(value, ".12g")
+        assert "%.12g" % np.float64(value) == format(np.float64(value), ".12g")
