@@ -6,21 +6,26 @@ qudit protocol, a brute-force multimode cross-check, detector POVMs, and
 scheme-comparison calculators, all surfaced through a CSV-producing CLI.
 """
 
-# each module's __all__ is its public API; the package re-exports all of them
-from . import combinatorics, detectors, multimode, qudit, teleport
-from .combinatorics import *  # noqa: F403
-from .detectors import *  # noqa: F403
-from .multimode import *  # noqa: F403
-from .qudit import *  # noqa: F403
-from .teleport import *  # noqa: F403
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    *combinatorics.__all__,
-    *detectors.__all__,
-    *multimode.__all__,
-    *qudit.__all__,
-    *teleport.__all__,
-]
+# each module's __all__ is its public API, re-exported here and loaded on first use (PEP 562)
+_EXPORTING = ("combinatorics", "detectors", "multimode", "qudit", "teleport")
+
+
+def __getattr__(name: str):
+    if name in _EXPORTING or name == "cli":  # `from . import x` asks for x: load x alone
+        return importlib.import_module(f"{__name__}.{name}")
+    names = globals()
+    if "__all__" not in names:  # the first export asked for binds every one, as `import *` would
+        modules = [importlib.import_module(f"{__name__}.{module}") for module in _EXPORTING]
+        names.update((export, getattr(m, export)) for m in modules for export in m.__all__)
+        names["__all__"] = ["__version__", *(export for m in modules for export in m.__all__)]
+    if name not in names:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return names[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -16,11 +16,10 @@ import contextlib
 import functools
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from . import detectors, multimode, qudit, teleport
+from . import detectors, teleport
 from .combinatorics import enumerate_compositions, restricted_weight
 
 __all__ = ["main"]
@@ -273,6 +272,7 @@ def cmd_povm(args: argparse.Namespace) -> int:
 # verification suites
 
 def _suite_combinatorics() -> float:
+    from fractions import Fraction  # like multimode and qudit below, loaded by verify alone
     worst = 0.0
     for n in range(1, 13):
         for k in range(0, n + 1):
@@ -305,6 +305,7 @@ def _suite_gain_bounds() -> float:
 
 
 def _suite_oracle_equivalence(seed: int) -> float:
+    from . import multimode
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in range(1, 9):
@@ -321,6 +322,7 @@ def _suite_oracle_equivalence(seed: int) -> float:
 
 
 def _suite_protocol_identity(seed: int) -> float:
+    from . import qudit
     rng = np.random.default_rng(seed)
     worst = 0.0
     for dim in (2, 3, 5):

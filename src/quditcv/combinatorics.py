@@ -28,7 +28,6 @@ Two exact identities pin the implementation down:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
 from typing import Iterator
@@ -132,6 +131,7 @@ def restricted_weight(n_modes: int, total_photons: int, per_mode_cutoff: int) ->
     Raises:
         ValueError: If any argument is outside its domain, or N*d > EXACT_BUDGET.
     """
+    from fractions import Fraction  # imported here: the closed forms never load it
     n_modes, total_photons, per_mode_cutoff = _checked(n_modes, total_photons, per_mode_cutoff)
     _within(EXACT_BUDGET, n_modes, per_mode_cutoff)
     if total_photons > n_modes * per_mode_cutoff:

@@ -121,13 +121,15 @@ def _povm_weights(det: DetectorModel, max_clicks: int, cutoff: int) -> np.ndarra
         ) from None
     dark_norm = math.exp(-nu)
     dark = np.array([dark_norm * nu**k / math.factorial(k) for k in range(max_clicks + 1)])
-    missed = np.array([(1.0 - eta) ** j for j in range(cutoff + 1)])
+    # the float rows go straight into arrays: no Python float list beside the weights
+    missed = np.fromiter(((1.0 - eta) ** j for j in range(cutoff + 1)), float, cutoff + 1)
     weights = np.zeros((max_clicks + 1, cutoff + 1))
     comb = [1] * (cutoff + 1)  # C(m, n) for m = n..cutoff, exact ints
     for n in range(rows):
-        detected = np.array(list(map(float, comb))) * eta**n * missed[: cutoff + 1 - n]
+        if n:  # C(m, n) = sum of C(j, n - 1), j < m
+            comb = list(itertools.accumulate(comb[:-1]))
+        detected = np.fromiter(map(float, comb), float, len(comb)) * eta**n * missed[: len(comb)]
         weights[n:, n:] += np.multiply.outer(dark[: max_clicks + 1 - n], detected)
-        comb = list(itertools.accumulate(comb[:-1]))  # C(m, n + 1) = sum of C(j, n), j < m
     return _clamped(weights, _slack(max_clicks, cutoff), "POVM weight", "terms past 1")
 
 
@@ -159,12 +161,15 @@ def povm_completeness_defect(det: DetectorModel, cutoff: int) -> float:
     The click sum is truncated once the neglected dark-count tail is provably
     tiny: click counts above cutoff + j need at least j dark counts, so the
     truncation error at depth j is bounded by the Poisson(nu) mass above j.
+    Once the bound is <= 1e-12 it stays so as j grows: that first j is bisected
+    for, up to one past the deepest the weight budget admits, which is refused.
     """
     cutoff = integer("cutoff", cutoff, 0)
-    nu, depth = instance("det", det, DetectorModel).nu, 0
-    while _poisson_tail_bound(nu, depth) > 1e-12:
-        depth += 1
-    total = np.add.accumulate(_povm_weights(det, cutoff + depth, cutoff))[-1]
+    nu, lo, hi = instance("det", det, DetectorModel).nu, 0, _WEIGHT_BUDGET // (cutoff + 1) - cutoff
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _poisson_tail_bound(nu, mid) <= 1e-12 else (mid + 1, hi)
+    total = np.add.accumulate(_povm_weights(det, cutoff + lo, cutoff))[-1]
     return float(np.max(np.abs(total - 1.0)))
 
 

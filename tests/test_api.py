@@ -1,8 +1,13 @@
-"""Public surface: frozen array fields, and every exported or traced name resolves."""
+"""Public surface: frozen array fields, every exported or traced name resolves, and the
+package loads a module only when it is used."""
 
+import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -67,3 +72,49 @@ def test_every_exported_name_exists():
     ]
     missing += [f"quditcv.{name}" for name in quditcv.__all__ if not hasattr(quditcv, name)]
     assert missing == []
+
+
+# run in a fresh interpreter: the commands but verify, then verify, each noting which of the
+# modules only verify and library callers need are loaded
+_LAZY_SCRIPT = """
+import contextlib, io, sys
+import quditcv, quditcv.cli
+LAZY = ("quditcv.multimode", "quditcv.qudit", "fractions", "decimal")
+COMMANDS = [["gains"], ["compare"], ["povm"], ["teleport", "--alpha", "0.5", "--n", "3",
+            "--d", "2"], ["epr-sweep"], ["verify"]]
+seen = [[name for name in LAZY if name in sys.modules]]
+for argv in COMMANDS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = quditcv.cli.main(argv)
+    seen.append([argv[0], code, [name for name in LAZY if name in sys.modules]])
+print(repr(seen))
+"""
+
+
+def test_only_verify_loads_multimode_qudit_and_fractions():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-c", _LAZY_SCRIPT], env=env, capture_output=True,
+                         text=True, check=True)
+    lazy = ["quditcv.multimode", "quditcv.qudit", "fractions", "decimal"]
+    assert ast.literal_eval(run.stdout) == [
+        [], *([command, 0, []] for command in ("gains", "compare", "povm", "teleport",
+                                               "epr-sweep")), ["verify", 0, lazy]]
+
+
+def test_package_exports_every_module_all_in_order():
+    modules = [importlib.import_module(f"quditcv.{mod}")
+               for mod in ("combinatorics", "detectors", "multimode", "qudit", "teleport")]
+    assert quditcv.__all__ == ["__version__", *(name for m in modules for name in m.__all__)]
+    exported = {}
+    exec("from quditcv import *", exported)
+    del exported["__builtins__"]
+    assert list(exported) == quditcv.__all__
+    for name, value in exported.items():
+        assert vars(quditcv)[name] is value  # bound in the package: later lookups pay nothing
+        assert name == "__version__" or any(vars(m).get(name) is value for m in modules)
+    assert set(quditcv.__all__) <= set(dir(quditcv))
+
+
+def test_unknown_package_attribute_names_module_and_attribute():
+    with pytest.raises(AttributeError, match=r"^module 'quditcv' has no attribute 'nope'$"):
+        quditcv.nope  # noqa: B018

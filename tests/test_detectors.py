@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,43 @@ class TestPovmMatchesPerTermLoop:
             total += povm_weights_reference(clicks, eta, nu, cutoff)
         defect = povm_completeness_defect(DetectorModel(eta, nu), cutoff)
         assert defect == float(np.max(np.abs(total - 1.0)))
+
+    def test_completeness_refuses_a_tail_past_the_budget_in_few_steps(self, monkeypatch):
+        # at nu = 1e300 the tail bound is 1 at every depth: a scan one depth at a time never ended
+        depths = []
+        bound = detectors._poisson_tail_bound
+        monkeypatch.setattr(detectors, "_poisson_tail_bound",
+                            lambda nu, depth: depths.append(depth) or bound(nu, depth))
+        with pytest.raises(ValueError, match=r"^budget exceeded: \(clicks \+ 1\) x \(cutoff \+ 1\) "
+                                             r"POVM weights pass 1e\+07$"):
+            povm_completeness_defect(DetectorModel(0.5, 1e300), cutoff=5)
+        assert 0 < len(depths) <= 64
+
+    @pytest.mark.parametrize("nu", [0.0, 0.05, 1.0, 30.0, 1e3, 1e5])
+    def test_completeness_depth_is_the_first_below_its_bound(self, nu, monkeypatch):
+        depth = 0  # the scan the bisection replaced
+        while detectors._poisson_tail_bound(nu, depth) > 1e-12:
+            depth += 1
+        asked = []
+
+        def weights(det, max_clicks, cutoff):
+            asked.append(max_clicks - cutoff)
+            return np.zeros((max_clicks + 1, cutoff + 1))
+
+        monkeypatch.setattr(detectors, "_povm_weights", weights)
+        povm_completeness_defect(DetectorModel(0.5, nu), cutoff=5)
+        assert asked == [depth]
+
+    def test_one_row_request_holds_no_list_per_level(self):
+        # 10^5 levels: a 0.8 MB matrix, which per-level Python lists of the (1 - eta)^j and
+        # the C(m, n) as floats, built beside it, took to an 8 MB peak
+        tracemalloc.start()
+        try:
+            pnr_povm(DetectorModel(0.5), 0, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     @pytest.mark.parametrize(
         "clicks,det,cutoff",
