@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import detectors, teleport
-from .combinatorics import enumerate_compositions, restricted_weight
+from .combinatorics import _count_table, enumerate_compositions, restricted_weight
 
 __all__ = ["main"]
 
@@ -340,6 +340,35 @@ def _suite_povm_completeness() -> float:
                for eta in (0.3, 0.7, 1.0) for nu in (0.0, 0.05))
 
 
+# (N, d) with N*d <= 60, where the gains are correctly rounded ratios of exact word counts
+_EPR_CELLS = ((1, 1), (2, 1), (11, 1), (60, 1), (1, 2), (3, 2), (30, 2), (3, 3), (20, 3),
+              (15, 4), (12, 5), (10, 6), (1, 10), (6, 10))
+
+
+def _suite_epr_arm() -> float:
+    """teleport_epr's P and f against exact rationals: with x = chi^2 and g(k) = C_N(k) / N^k,
+    S1 = sum x^k g(k) and S2 = sum x^k g(k)^2 give P = (1 - x) S2 and f^2 = (1 - x) S1^2 / S2."""
+    from fractions import Fraction
+
+    def series(y: Fraction, coefficients) -> Fraction:  # sum_k c_k y^k, divided once
+        a, b, top = *y.as_integer_ratio(), len(coefficients) - 1
+        return Fraction(sum(c * a**k * b ** (top - k) for k, c in enumerate(coefficients)),
+                        b**top)
+
+    worst = 0.0
+    for v_s in (3.0, 10.0, 100.0):
+        squeeze = teleport.squeezing_from_vs(v_s)
+        x = Fraction(squeeze.chi) ** 2
+        for n, d in _EPR_CELLS:
+            counts = _count_table(n, d)
+            s1, s2 = series(x / n, counts), series(x / n**2, [c * c for c in counts])
+            out = teleport.teleport_epr(squeeze, teleport.SchemeParams(n, d))
+            ratio = Fraction(out.fidelity) ** 2 * s2 / ((1 - x) * s1 * s1)  # (f / f_exact)^2
+            worst = max(worst, abs(float(Fraction(out.success_probability) / ((1 - x) * s2) - 1)),
+                        abs(float(ratio - 1)) / (1 + math.sqrt(ratio)))  # |f / f_exact - 1|
+    return worst
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     """Re-run the cross-validation suites and report max deviations."""
     suites = [
@@ -348,6 +377,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("oracle-equivalence", lambda: _suite_oracle_equivalence(args.seed), 1e-10),
         ("protocol-identity", lambda: _suite_protocol_identity(args.seed), 1e-12),
         ("povm-completeness", _suite_povm_completeness, 1e-8),
+        ("epr-arm", _suite_epr_arm, 1e-14),
     ]
     all_passed = True
     for name, run, tolerance in suites:

@@ -345,8 +345,8 @@ class TestVerify:
         code, out, _ = run_cli(["verify"], capsys)
         assert code == 0
         lines = out.strip().splitlines()
-        assert len(lines) == 6
-        assert all("PASS" in line for line in lines[:5])
+        assert len(lines) == 7
+        assert all("PASS" in line for line in lines[:6])
         assert lines[-1] == "verification passed"
         for name in (
             "combinatorics-identities",
@@ -354,6 +354,7 @@ class TestVerify:
             "oracle-equivalence",
             "protocol-identity",
             "povm-completeness",
+            "epr-arm",
         ):
             assert any(name in line for line in lines)
 
@@ -378,6 +379,21 @@ class TestVerify:
         for name in ("gain-bounds", "oracle-equivalence"):
             (line,) = [line for line in lines if f" {name} " in line]
             assert "FAIL" in line
+        assert lines[-1] == "verification FAILED"
+
+    def test_perturbed_epr_fidelity_fails(self, capsys, monkeypatch):
+        original = teleport.teleport_epr
+
+        def low(squeeze, params):
+            out = original(squeeze, params)
+            return out._replace(fidelity=out.fidelity * (1.0 - 1e-6))
+
+        monkeypatch.setattr(teleport, "teleport_epr", low)
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert [line for line in lines if line.endswith("FAIL")] == \
+            [line for line in lines if " epr-arm " in line]
         assert lines[-1] == "verification FAILED"
 
     def test_perturbation_is_reverted_afterwards(self, capsys, monkeypatch):
@@ -830,7 +846,7 @@ class TestRefusalsNotReachedElsewhere:
         lines = out.splitlines()
         (line,) = [line for line in lines if " povm-completeness " in line]
         assert "max deviation inf " in line and line.endswith("FAIL  (suite crashed)")
-        assert sum("PASS" in line for line in lines) == 4
+        assert sum("PASS" in line for line in lines) == 5
         assert lines[-1] == "verification FAILED"
 
 

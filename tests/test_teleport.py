@@ -594,6 +594,30 @@ class TestRequestBytes:
         for out in [big, *(o.state for o in cold + grown + warm)]:
             assert not np.shares_memory(out.amplitudes, grid)
 
+    # the axes with signed zeros, a real alpha and seeded phases, all at |alpha| = 2
+    PHASE_ALPHAS = [complex(2.0 * a, 2.0 * b) for a, b in [
+        (1, 0.0), (1, -0.0), (-1, 0.0), (-1, -0.0), (0.0, 1), (-0.0, 1), (0.0, -1), (-0.0, -1)]]
+    PHASE_ALPHAS += [-2.0] + [2.0 * cmath.exp(1j * t) for t in
+                              np.random.default_rng(31).uniform(-math.pi, math.pi, 8).tolist()]
+
+    @pytest.mark.parametrize("size", [100, 101, 128, 129, 151, 1001, 10001])
+    def test_coherent_phase_is_numpy_power_bit_for_bit(self, size):
+        # from k = 100 numpy's power calls libm cpow, which the phase row reproduces in one pass;
+        # one mode keeps N*d = size - 1 with its gain table built in milliseconds
+        k, params = np.arange(size, dtype=float), SchemeParams(1, size - 1)
+        gains = gain_vector(params)
+        for alpha in self.PHASE_ALPHAS:
+            unit = alpha / abs(alpha)
+            phase = unit ** k  # the expression the phase row once was
+            # the row itself, as the amplitudes lose the sign of a zero imaginary part
+            assert teleport._phase(unit, k).tobytes() == phase.tobytes()
+            row = coherent_fock(abs(alpha), size - 1).amplitudes.real
+            expected = np.asarray(row * phase, complex)
+            assert coherent_fock(alpha, size - 1).amplitudes.tobytes() == expected.tobytes()
+            want, got = teleport._renormalized(expected * gains), teleport_coherent(alpha, params)
+            assert got.state.amplitudes.tobytes() == want.state.amplitudes.tobytes()
+            assert got.success_probability == want.success_probability
+
 
 class TestSqueezing:
     def test_vs_ten_gives_chi_nine_elevenths(self):
@@ -768,6 +792,23 @@ class TestTeleportEpr:
                     cold = squeeze.chi ** np.arange(width, dtype=float)
                     assert rows[:, :width].tobytes() == np.array([cold, cold**2]).tobytes()
         assert np.signbit(teleport_epr(squeezes[3], requests[0]).schmidt[1])  # -0.0 keeps its sign
+
+    def test_covered_requests_read_the_chi_rows_in_place(self, monkeypatch):
+        squeeze = squeezing_from_vs(7.0)
+        teleport_epr(squeeze, SchemeParams(100, 10))  # chi^k and chi^2k for k < 2,002
+        requests = [SchemeParams(n, d) for n, d in [(1, 1), (3, 3), (61, 1), (50, 20), (100, 10)]]
+        before = [teleport_epr(squeeze, params) for params in requests]
+
+        def refuse(*args):
+            raise AssertionError("chi rows rebuilt for a request they cover")
+
+        monkeypatch.setattr(teleport, "_chi_rows", refuse)
+        monkeypatch.setattr(teleport, "_regrown", refuse)
+        for params, old in zip(requests, before):
+            out = teleport_epr(squeeze, params)
+            assert out.schmidt.tobytes() == old.schmidt.tobytes()
+            assert (out.success_probability, out.fidelity) \
+                == (old.success_probability, old.fidelity)
 
     @pytest.mark.parametrize("n,d", sorted(EPR_SCHMIDT_SHA256))
     def test_schmidt_bytes_are_pinned(self, n, d):
