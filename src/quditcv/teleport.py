@@ -170,12 +170,13 @@ def _grid(count: int) -> np.ndarray:
     return rows[:, :count]
 
 
-def _chi_rows(chi: float, count: int) -> np.ndarray:
-    """Build the rows for chi, at least `count` long, and keep them in _CHI_ROWS."""
+def _chi_rows(key: tuple[float, float], count: int) -> np.ndarray:
+    """Build the rows for key = (chi, its sign), at least `count` long, and keep them."""
     global _CHI_ROWS
-    rows = _regrown(np.zeros((2, 0)), count,
-                    lambda size: np.array([row := chi ** np.arange(size, dtype=float), row**2]))
-    _CHI_ROWS = (chi, math.copysign(1.0, chi)), rows
+    size = max(count, min(2 * count, PHOTON_BUDGET + 1))
+    rows = np.array([row := key[0] ** np.arange(size, dtype=float), row**2])
+    rows.setflags(write=False)
+    _CHI_ROWS = key, rows
     return rows
 
 
@@ -329,22 +330,7 @@ def _coherent_amplitudes(alpha: complex, mean: float, size: int) -> np.ndarray:
     np.multiply(row, 0.5, out=row)
     np.exp(np.add(row, -0.5 * mean, out=row), out=row)
     # complex even for real alpha: numpy divides complex by real through the reciprocal
-    return np.multiply(row, _phase(alpha / abs(alpha), k), out=np.empty(size, complex))
-
-
-def _phase(unit: float | complex, k: np.ndarray) -> np.ndarray:
-    """unit ** k bit for bit.  numpy squares for k < 100 and calls libm cpow(unit, k) beyond,
-    which glibc computes as cexp((k + 0j) * clog(unit)): that tail is one cexp pass here, its
-    exponent numpy's complex product, which gives k*a - 0*b and k*b + 0*a as C does, signed
-    zeros included.  A real unit (exactly +-1) keeps the plain power, and so does a row of at
-    most 128 entries: the split's fixed cost, about 3 us, is repaid from about 112."""
-    if not isinstance(unit, complex) or len(k) <= 128:
-        return unit ** k
-    phase = np.empty(len(k), complex)
-    np.power(unit, k[:100], out=phase[:100])
-    tail = np.multiply(k[100:], np.log(np.complex128(unit)), out=phase[100:])
-    np.exp(tail, out=tail)
-    return phase
+    return np.multiply(row, (alpha / abs(alpha)) ** k, out=np.empty(size, complex))
 
 
 def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
@@ -420,9 +406,9 @@ def teleport_epr(squeeze: SqueezingParams, params: SchemeParams) -> EprOutcome:
     chi = instance("squeeze", squeeze, SqueezingParams).chi
     gains = gain_vector(params)
     size = len(gains)
-    key, rows = _CHI_ROWS  # chi^k and chi^2k, read-only: read in place while they fit
-    if key != (chi, math.copysign(1.0, chi)) or rows.shape[1] < size:
-        rows = _chi_rows(chi, size)
+    key, (cached, rows) = (chi, math.copysign(1.0, chi)), _CHI_ROWS
+    if cached != key or rows.shape[1] < size:  # chi^k and chi^2k, read-only, read in place
+        rows = _chi_rows(key, size)
     chi_pow, chi_pow_sq = rows[0, :size], rows[1, :size]
     scale, terms = 1.0 - chi**2, np.multiply(gains, gains)
     p_suc = scale * float(np.add.reduce(np.multiply(chi_pow_sq, terms, out=terms)))  # .sum()

@@ -594,30 +594,6 @@ class TestRequestBytes:
         for out in [big, *(o.state for o in cold + grown + warm)]:
             assert not np.shares_memory(out.amplitudes, grid)
 
-    # the axes with signed zeros, a real alpha and seeded phases, all at |alpha| = 2
-    PHASE_ALPHAS = [complex(2.0 * a, 2.0 * b) for a, b in [
-        (1, 0.0), (1, -0.0), (-1, 0.0), (-1, -0.0), (0.0, 1), (-0.0, 1), (0.0, -1), (-0.0, -1)]]
-    PHASE_ALPHAS += [-2.0] + [2.0 * cmath.exp(1j * t) for t in
-                              np.random.default_rng(31).uniform(-math.pi, math.pi, 8).tolist()]
-
-    @pytest.mark.parametrize("size", [100, 101, 128, 129, 151, 1001, 10001])
-    def test_coherent_phase_is_numpy_power_bit_for_bit(self, size):
-        # from k = 100 numpy's power calls libm cpow, which the phase row reproduces in one pass;
-        # one mode keeps N*d = size - 1 with its gain table built in milliseconds
-        k, params = np.arange(size, dtype=float), SchemeParams(1, size - 1)
-        gains = gain_vector(params)
-        for alpha in self.PHASE_ALPHAS:
-            unit = alpha / abs(alpha)
-            phase = unit ** k  # the expression the phase row once was
-            # the row itself, as the amplitudes lose the sign of a zero imaginary part
-            assert teleport._phase(unit, k).tobytes() == phase.tobytes()
-            row = coherent_fock(abs(alpha), size - 1).amplitudes.real
-            expected = np.asarray(row * phase, complex)
-            assert coherent_fock(alpha, size - 1).amplitudes.tobytes() == expected.tobytes()
-            want, got = teleport._renormalized(expected * gains), teleport_coherent(alpha, params)
-            assert got.state.amplitudes.tobytes() == want.state.amplitudes.tobytes()
-            assert got.success_probability == want.success_probability
-
 
 class TestSqueezing:
     def test_vs_ten_gives_chi_nine_elevenths(self):
