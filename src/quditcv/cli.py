@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import detectors, teleport
+from ._frozen import integer
 from .combinatorics import _count_table, enumerate_compositions, restricted_weight
 
 __all__ = ["main"]
@@ -225,7 +226,9 @@ def _read_amplitudes(path: str) -> teleport.FockVector:
         try:
             values.append(complex(float(parts[0]), float(parts[1])))
         except ValueError:
-            raise ValueError(f"{path}: amplitude entries must be numbers") from None
+            raise ValueError(
+                f"{path}:{lineno}: amplitude entries must be numbers, got {line!r}"
+            ) from None
         if not cmath.isfinite(values[-1]):
             raise ValueError(f"{path}:{lineno}: amplitude entries must be finite, got {line!r}")
     if not values:
@@ -371,6 +374,7 @@ def _suite_epr_arm() -> float:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Re-run the cross-validation suites and report max deviations."""
+    integer("seed", args.seed, 0)  # a usage error, not a failed suite
     suites = [
         ("combinatorics-identities", _suite_combinatorics, 0.0),
         ("gain-bounds", _suite_gain_bounds, 0.0),

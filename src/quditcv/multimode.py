@@ -14,12 +14,12 @@ the k-photon sector, so no other column overlaps it.
 
 :func:`oracle_teleport` holds each P s_k on the occupations of its sector
 that P keeps, which the creation operators themselves build from vacuum,
-and keeps nothing but the norms ||P s_k||^2 per (N, d).  The dense (cap+1)^N
-grid API, :class:`MultimodeState` with :func:`apply_mode_unitary`,
-:func:`truncate_mode` and :func:`vacuum_postselect`, runs every step of the
-pipeline literally; the tests hold the oracle's read-off against it.
+and keeps nothing but the norms ||P s_k||^2 per (N, d).  :func:`apply_mode_unitary`
+lifts a mode unitary to a dense (cap+1)^N grid, a :class:`MultimodeState`; the
+tests run the pipeline literally on that grid and hold the oracle's read-off
+against it.
 
-The splitter is realized as the discrete-Fourier-transform unitary; its
+The tests realize the splitter as the discrete-Fourier-transform unitary; its
 first column is uniform, which is the only property the pipeline relies on,
 and its inverse is simply the conjugate transpose.
 """
@@ -31,13 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import freeze_field, instance, integer
+from ._frozen import freeze_field, instance
 from .teleport import FockVector, SchemeParams, TeleportOutcome, _renormalized
 
-__all__ = [
-    "ModeMatrix", "MultimodeState", "apply_mode_unitary", "embed_input", "n_splitter",
-    "oracle_teleport", "truncate_mode", "vacuum_postselect",
-]
+__all__ = ["ModeMatrix", "MultimodeState", "apply_mode_unitary", "oracle_teleport"]
 
 # cost one oracle call may reach: its index-map entries plus _STEP_COST per scatter-add step,
 # a step's fixed numpy overhead counted in entries.  Whole sectors are charged, a loose bound on
@@ -65,17 +62,10 @@ class ModeMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def inverse(self) -> "ModeMatrix":
-        return ModeMatrix(self.entries.conj().T)
-
 
 @dataclass(frozen=True, eq=False)
 class MultimodeState:
-    """Dense amplitudes over occupation vectors, one tensor axis per mode.
-
-    Norms are tracked by callers: truncation deliberately leaves the state
-    unnormalized so probabilities stay legible through the pipeline.
-    """
+    """Dense amplitudes over occupation vectors, one tensor axis per mode, left unnormalized."""
 
     amplitudes: np.ndarray
 
@@ -85,6 +75,8 @@ class MultimodeState:
             raise ValueError("amplitudes must carry at least one mode axis")
         if len(set(arr.shape)) != 1:
             raise ValueError("every mode must share one common photon cap")
+        if arr.shape[0] == 0:
+            raise ValueError("every mode axis must hold at least the vacuum amplitude")
 
     @property
     def num_modes(self) -> int:
@@ -94,24 +86,6 @@ class MultimodeState:
     def per_mode_cap(self) -> int:
         """Largest occupation representable on each axis."""
         return self.amplitudes.shape[0] - 1
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def n_splitter(num_modes: int) -> ModeMatrix:
-    """Balanced splitter: the N-point DFT unitary, first column 1/sqrt(N)."""
-    num_modes = integer("num_modes", num_modes, 1)
-    j = np.arange(num_modes)
-    return ModeMatrix(np.exp(2j * np.pi * np.outer(j, j) / num_modes) / math.sqrt(num_modes))
-
-
-def embed_input(state: FockVector, num_modes: int) -> MultimodeState:
-    """Place a single-mode state in mode 0, vacuum elsewhere; every mode is capped at its cutoff."""
-    num_modes = integer("num_modes", num_modes, 1)
-    amps = np.zeros((instance("state", state, FockVector).cutoff + 1,) * num_modes, dtype=complex)
-    amps[(slice(None),) + (0,) * (num_modes - 1)] = state.amplitudes
-    return MultimodeState(amps)
 
 
 def _create(tensor: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -167,50 +141,6 @@ def apply_mode_unitary(state: MultimodeState, matrix: ModeMatrix) -> MultimodeSt
     return MultimodeState(out)
 
 
-def truncate_mode(
-    state: MultimodeState, mode_index: int, max_photons: int
-) -> tuple[MultimodeState, float]:
-    """Zero every amplitude whose occupation at one mode exceeds max_photons.
-
-    Returns the (unnormalized) surviving state and the discarded squared norm.
-    """
-    if not 0 <= integer("mode_index", mode_index) < state.num_modes:
-        raise ValueError(f"mode index {mode_index} out of range")
-    max_photons = integer("max_photons", max_photons, 0)
-    if max_photons >= state.per_mode_cap:
-        return state, 0.0
-    amps = state.amplitudes.copy()
-    sel = [slice(None)] * state.num_modes
-    sel[mode_index] = slice(max_photons + 1, None)
-    discarded = float(np.sum(np.abs(amps[tuple(sel)]) ** 2))
-    amps[tuple(sel)] = 0.0
-    return MultimodeState(amps), discarded
-
-
-def vacuum_postselect(state: MultimodeState, kept_mode: int) -> tuple[FockVector, float]:
-    """Project every mode except kept_mode onto vacuum.
-
-    Returns the renormalized single-mode state and the conditional
-    probability of the projection given the input state.
-
-    Raises:
-        ValueError: If fewer than two modes are present or the projection has
-            zero probability.
-    """
-    if state.num_modes < 2:
-        raise ValueError("need at least two modes to post-select")
-    if not 0 <= integer("kept_mode", kept_mode) < state.num_modes:
-        raise ValueError(f"mode index {kept_mode} out of range")
-    index: list[object] = [0] * state.num_modes
-    index[kept_mode] = slice(None)
-    kept = state.amplitudes[tuple(index)]
-    kept_mass = float(np.sum(np.abs(kept) ** 2))
-    total = state.norm() ** 2
-    if kept_mass == 0.0 or total == 0.0:
-        raise ValueError("zero-probability projection: no amplitude has all other modes empty")
-    return FockVector(kept / math.sqrt(kept_mass)), kept_mass / total
-
-
 # (N, d) -> ||P s_k||^2 for k = 1, 2, ... up to the largest top asked for so far
 _NORMS: dict[tuple[int, int], list[np.float64]] = {}
 
@@ -238,7 +168,7 @@ def _kept_norms(num_modes: int, cutoff: int, top: int) -> list[np.float64]:
         # vacuum: its first mode N is past every j, so no raise reads its parent or prev
         below, first = np.zeros((1, num_modes), int), np.array([num_modes])
         parent, raised = np.zeros(1, int), np.zeros((num_modes, 1), int)
-        column, norms = np.ones(1), []  # real: n_splitter's first column is 1/sqrt(N) throughout
+        column, norms = np.ones(1), []  # real: the splitter's first column is 1/sqrt(N) throughout
         for k in range(1, top + 1):
             raised, above, first, parent = _next_sector(below, first, parent, raised, cutoff)
             # U[j, 0] / sqrt(k) as 1/sqrt(N) times 1/sqrt(k): a division moves the pinned bytes
@@ -267,8 +197,7 @@ def oracle_teleport(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     / sqrt(k), and P s_k is held on the occupations of the k-photon sector with
     no mode above d, not on the (cap+1)^N grid; each a_j^dagger is one indexed
     add.  Past N*d photons every occupation has some mode above d, so P s_k = 0
-    there and no sector above min(cap, N*d) is built.  The dense grid API above
-    is what the tests hold this read-off against.
+    there and no sector above min(cap, N*d) is built.
 
     The norms ||P s_k||^2 depend on (N, d, k) alone, never on the input, so they
     are cached per (N, d) for k up to the largest top asked for; no sector is

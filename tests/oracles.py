@@ -6,7 +6,8 @@ branch fidelities.  The POVM reference is the original per-term double loop,
 kept so the vectorized builders can be held to it bit for bit.  The dense
 pipeline reference runs every step of the split/truncate/recombine scheme on
 the occupation grid, inverse split and vacuum post-selection included, so the
-oracle's read-off from the split columns can be held to it.  The gain
+oracle's read-off from the split columns can be held to it: each step is plain
+numpy but the two splits, which go through the package's mode-unitary lift.  The gain
 reference is the original `Fraction` weight table and per-entry scalar log
 loop over a log weight table run from one mode up with no cache, kept so the
 integer-count and vectorized gain core, and the table store behind it, can
@@ -27,13 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from quditcv.multimode import (
-    apply_mode_unitary,
-    embed_input,
-    n_splitter,
-    truncate_mode,
-    vacuum_postselect,
-)
+from quditcv.multimode import ModeMatrix, MultimodeState, apply_mode_unitary
 from quditcv.teleport import (
     FockVector,
     SchemeParams,
@@ -125,20 +120,45 @@ def povm_weights_reference(clicks: int, eta: float, nu: float, cutoff: int) -> n
     return weights
 
 
+def dft_splitter(num_modes: int) -> np.ndarray:
+    """Balanced splitter: the N-point DFT unitary, first column 1/sqrt(N)."""
+    j = np.arange(num_modes)
+    return np.exp(2j * np.pi * np.outer(j, j) / num_modes) / math.sqrt(num_modes)
+
+
+def embed(state: FockVector, num_modes: int) -> np.ndarray:
+    """The (cap+1)^N grid holding `state` in mode 0 and vacuum elsewhere, cap its cutoff."""
+    grid = np.zeros((state.cutoff + 1,) * num_modes, dtype=complex)
+    grid[(slice(None),) + (0,) * (num_modes - 1)] = state.amplitudes
+    return grid
+
+
+def lift(grid: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The mode unitary `matrix` applied to the grid by the package's lift."""
+    return apply_mode_unitary(MultimodeState(grid), ModeMatrix(matrix)).amplitudes
+
+
+def cut_modes(grid: np.ndarray, d: int) -> tuple[np.ndarray, float]:
+    """The grid with every occupation above d photons in some mode zeroed, and the mass zeroed."""
+    over = np.indices(grid.shape).max(axis=0) > d
+    return np.where(over, 0.0, grid), np.sum(np.abs(grid[over]) ** 2)
+
+
+def vacuum_read_off(grid: np.ndarray) -> tuple[FockVector, float]:
+    """Mode 0 with every other mode in vacuum, renormalized, and its share of the grid's mass."""
+    kept = grid[(slice(None),) + (0,) * (grid.ndim - 1)]
+    mass = np.sum(np.abs(kept) ** 2)
+    return FockVector(kept / math.sqrt(mass)), mass / np.sum(np.abs(grid) ** 2)
+
+
 def dense_pipeline_reference(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     """Embed, split, cut every mode at d, unsplit and post-select vacuum on modes 1..N-1."""
-    n = params.num_modes
-    splitter = n_splitter(n)
-    psi = apply_mode_unitary(embed_input(state, n), splitter)
-    for mode in range(n):
-        psi, _ = truncate_mode(psi, mode, params.photon_cutoff)
-    survived = psi.norm() ** 2
+    splitter = dft_splitter(params.num_modes)
+    psi, _ = cut_modes(lift(embed(state, params.num_modes), splitter), params.photon_cutoff)
+    survived = np.sum(np.abs(psi) ** 2)
     if survived == 0.0:
         raise ValueError("vanishing state: nothing survives the per-mode photon cutoffs")
-    psi = apply_mode_unitary(psi, splitter.inverse())
-    if n == 1:
-        return TeleportOutcome(FockVector(psi.amplitudes / psi.norm()), survived)
-    output, p_vacuum = vacuum_postselect(psi, 0)
+    output, p_vacuum = vacuum_read_off(lift(psi, splitter.conj().T))
     return TeleportOutcome(output, survived * p_vacuum)
 
 

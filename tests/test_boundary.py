@@ -45,13 +45,11 @@ from quditcv import (
     comparison_axes,
     conventional_cv_fidelity,
     depolarized_fidelity,
-    embed_input,
     enumerate_compositions,
     fock_gain,
     gain_vector,
     haar_random_ket,
     maximally_entangled,
-    n_splitter,
     oracle_teleport,
     pnr_povm,
     povm_completeness_defect,
@@ -70,15 +68,12 @@ from quditcv import (
     teleport_qudit,
     teleport_qudit_branches,
     teleport_state,
-    truncate_mode,
-    vacuum_postselect,
 )
 
 ME = maximally_entangled(2)
 KET = QuditKet([1.0, 0.0])
 DET = DetectorModel(0.5, 0.05)
 PARAMS = SchemeParams(2, 1)
-SPLIT = embed_input(FockVector([0, 1]), 2)  # two modes, cap 1
 
 
 def _rng():
@@ -113,12 +108,6 @@ INTEGERS = {
     "depolarized_fidelity(0.5, x)": ("dim", lambda x: depolarized_fidelity(0.5, x), 2),
     "singlet_fraction_fidelity(0.5, x)": ("dim", lambda x: singlet_fraction_fidelity(0.5, x), 2),
     "haar_random_ket(x, _rng())": ("dim", lambda x: haar_random_ket(x, _rng()), 2),
-    "n_splitter(x)": ("num_modes", n_splitter, 2),
-    "embed_input(FockVector([0, 1]), x)":
-        ("num_modes", lambda x: embed_input(FockVector([0, 1]), x), 2),
-    "truncate_mode(SPLIT, x, 0)": ("mode_index", lambda x: truncate_mode(SPLIT, x, 0), 1),
-    "truncate_mode(SPLIT, 0, x)": ("max_photons", lambda x: truncate_mode(SPLIT, 0, x), 0),
-    "vacuum_postselect(SPLIT, x)": ("kept_mode", lambda x: vacuum_postselect(SPLIT, x), 0),
     "povm_element(x, DET, 3)": ("clicks", lambda x: povm_element(x, DET, 3), 1),
     "povm_element(1, DET, x)": ("cutoff", lambda x: povm_element(1, DET, x), 3),
     "pnr_povm(DET, x, 3)": ("max_resolved", lambda x: pnr_povm(DET, x, 3), 1),
@@ -311,8 +300,6 @@ SEEN = {
     "restricted_weight(True, 1, 1)": ("n_modes", lambda: restricted_weight(True, 1, 1)),
     "coherent_fock(True, 30)": ("alpha", lambda: coherent_fock(True, 30)),
     "coherent_fock('x', 3)": ("alpha", lambda: coherent_fock("x", 3)),
-    "n_splitter(2.5)": ("num_modes", lambda: n_splitter(2.5)),
-    "n_splitter(True)": ("num_modes", lambda: n_splitter(True)),
 }
 
 
@@ -328,8 +315,6 @@ LOWER_BOUNDS = [
     ("k", lambda x: fock_gain(x, PARAMS), 0),
     ("cutoff", lambda x: coherent_fock(0.0, x), 0),
     ("dim", maximally_entangled, 2),
-    ("num_modes", n_splitter, 1),
-    ("max_photons", lambda x: truncate_mode(SPLIT, 0, x), 0),
     ("max_resolved", lambda x: pnr_povm(DET, x, 3), 0),
     ("num_channels", lambda x: scheme1_success(0.5, x), 1),
 ]
@@ -362,7 +347,6 @@ PROTOCOL_ARGUMENTS = [
     ("b", "FockVector", lambda x: state_fidelity(FOCK, x)),
     ("state", "FockVector", lambda x: oracle_teleport(x, PARAMS)),
     ("params", "SchemeParams", lambda x: oracle_teleport(FOCK, x)),
-    ("state", "FockVector", lambda x: embed_input(x, 2)),
     ("det", "DetectorModel", lambda x: pnr_povm(x, 1, 3)),
     ("det", "DetectorModel", lambda x: apd_povm(x, 3)),
     ("det", "DetectorModel", lambda x: povm_element(1, x, 3)),
@@ -659,6 +643,8 @@ SHAPES = {
         ("amplitudes must carry at least one mode axis", lambda: MultimodeState(1.0)),
     "MultimodeState(2x3)":
         ("every mode must share one common photon cap", lambda: MultimodeState(np.eye(2, 3))),
+    "MultimodeState(0x0)": ("every mode axis must hold at least the vacuum amplitude",
+                            lambda: MultimodeState(np.zeros((0, 0)))),
     "QuditKet([1.0])":
         ("a qudit needs a 1-d amplitude vector of dimension >= 2", lambda: QuditKet([1.0])),
     "QuditKet(2x2)": ("a qudit needs a 1-d amplitude vector of dimension >= 2",
@@ -666,13 +652,6 @@ SHAPES = {
     "JointQuditState(2x1)": ("each subsystem needs dimension >= 2",
                              lambda: JointQuditState([[1.0], [0.0]])),
     "JointQuditState(1.0)": ("each subsystem needs dimension >= 2", lambda: JointQuditState(1.0)),
-    "truncate_mode(SPLIT, 2, 0)": ("mode index 2 out of range", lambda: truncate_mode(SPLIT, 2, 0)),
-    "truncate_mode(SPLIT, -1, 0)":
-        ("mode index -1 out of range", lambda: truncate_mode(SPLIT, -1, 0)),
-    "vacuum_postselect(SPLIT, 2)":
-        ("mode index 2 out of range", lambda: vacuum_postselect(SPLIT, 2)),
-    "vacuum_postselect(SPLIT, -1)":
-        ("mode index -1 out of range", lambda: vacuum_postselect(SPLIT, -1)),
     "TeleportOutcome(FOCK, 0.0)": ("success probability must lie in (0, 1], got 0.0",
                                    lambda: TeleportOutcome(FOCK, 0.0)),
     "TeleportOutcome(FOCK, 1.5)": ("success probability must lie in (0, 1], got 1.5",

@@ -240,7 +240,7 @@ class TestTeleportCommand:
         infile.write_text("1,0\n1,x\n")
         code, out, err = run_cli(["teleport", str(infile), "--n", "1", "--d", "1"], capsys)
         assert code == 2 and out == ""
-        assert "amplitude entries must be numbers" in err
+        assert err == f"error: {infile}:2: amplitude entries must be numbers, got '1,x'\n"
 
     def test_zero_state_is_config_error(self, tmp_path, capsys):
         infile = tmp_path / "zero.txt"
@@ -407,6 +407,11 @@ class TestVerify:
     def test_seed_changes_nothing_for_pass(self, capsys):
         code, _, _ = run_cli(["verify", "--seed", "7"], capsys)
         assert code == 0
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # refused before any suite runs, not reported as a failed suite
+        assert run_cli(["verify", "--seed", "-1"], capsys) == \
+            (2, "", "error: seed must be an integer >= 0, got -1\n")
 
 
 # sha256 of whole CSV outputs, captured before compare and povm were
