@@ -129,7 +129,8 @@ def apply_mode_unitary(state: MultimodeState, matrix: ModeMatrix) -> MultimodeSt
         ValueError: "cap exceeded" when some occupied amplitude would need an
             occupation beyond the cap after mixing.
     """
-    if matrix.size != state.num_modes:
+    instance("state", state, MultimodeState)
+    if instance("matrix", matrix, ModeMatrix).size != state.num_modes:
         raise ValueError(
             f"matrix mixes {matrix.size} modes but the state carries {state.num_modes}"
         )

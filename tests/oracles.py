@@ -154,12 +154,14 @@ def vacuum_read_off(grid: np.ndarray) -> tuple[FockVector, float]:
 def dense_pipeline_reference(state: FockVector, params: SchemeParams) -> TeleportOutcome:
     """Embed, split, cut every mode at d, unsplit and post-select vacuum on modes 1..N-1."""
     splitter = dft_splitter(params.num_modes)
-    psi, _ = cut_modes(lift(embed(state, params.num_modes), splitter), params.photon_cutoff)
-    survived = np.sum(np.abs(psi) ** 2)
-    if survived == 0.0:
+    psi, lost = cut_modes(lift(embed(state, params.num_modes), splitter), params.photon_cutoff)
+    kept = np.sum(np.abs(psi) ** 2)
+    if kept == 0.0:
         raise ValueError("vanishing state: nothing survives the per-mode photon cutoffs")
     output, p_vacuum = vacuum_read_off(lift(psi, splitter.conj().T))
-    return TeleportOutcome(output, survived * p_vacuum)
+    # the share of the split grid's own mass: exactly 1 when nothing is cut, where the
+    # input's norm squared can round to just above 1
+    return TeleportOutcome(output, kept / (kept + lost) * p_vacuum)
 
 
 def full_sector_norms(num_modes: int, top: int, cutoffs) -> dict[int, list[np.float64]]:

@@ -41,6 +41,7 @@ from quditcv import (
     TeleportOutcome,
     advantage_region,
     apd_povm,
+    apply_mode_unitary,
     coherent_fock,
     comparison_axes,
     conventional_cv_fidelity,
@@ -329,6 +330,8 @@ def test_lower_bounds_name_the_argument(name, call, low):
 
 FOCK = FockVector([1.0])
 SQUEEZE = squeezing_from_chi(0.5)
+GRID = MultimodeState([[1.0, 0.0], [0.0, 0.0]])  # two modes in vacuum, cap 1
+SWAP = ModeMatrix([[0.0, 1.0], [1.0, 0.0]])
 
 # (argument name, the type it must have, call with that argument set to x)
 PROTOCOL_ARGUMENTS = [
@@ -347,11 +350,13 @@ PROTOCOL_ARGUMENTS = [
     ("b", "FockVector", lambda x: state_fidelity(FOCK, x)),
     ("state", "FockVector", lambda x: oracle_teleport(x, PARAMS)),
     ("params", "SchemeParams", lambda x: oracle_teleport(FOCK, x)),
+    ("state", "MultimodeState", lambda x: apply_mode_unitary(x, SWAP)),
     ("det", "DetectorModel", lambda x: pnr_povm(x, 1, 3)),
     ("det", "DetectorModel", lambda x: apd_povm(x, 3)),
     ("det", "DetectorModel", lambda x: povm_element(1, x, 3)),
     ("det", "DetectorModel", lambda x: povm_completeness_defect(x, 3)),
     ("rng", "Generator", lambda x: haar_random_ket(2, x)),
+    ("matrix", "ModeMatrix", lambda x: apply_mode_unitary(GRID, x)),
 ]
 
 
@@ -645,6 +650,8 @@ SHAPES = {
         ("every mode must share one common photon cap", lambda: MultimodeState(np.eye(2, 3))),
     "MultimodeState(0x0)": ("every mode axis must hold at least the vacuum amplitude",
                             lambda: MultimodeState(np.zeros((0, 0)))),
+    "MultimodeState([])": ("every mode axis must hold at least the vacuum amplitude",
+                           lambda: MultimodeState([])),
     "QuditKet([1.0])":
         ("a qudit needs a 1-d amplitude vector of dimension >= 2", lambda: QuditKet([1.0])),
     "QuditKet(2x2)": ("a qudit needs a 1-d amplitude vector of dimension >= 2",

@@ -53,6 +53,9 @@ def oracle_digest(n: int, cap: int, d: int) -> str:
     return digest.hexdigest()
 
 
+SPILL = "cap exceeded: a creation operator pushed an occupation past the per-mode cap"
+
+
 def fock_basis(k: int, cutoff: int) -> FockVector:
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[k] = 1.0
@@ -132,6 +135,19 @@ class TestApplyModeUnitary:
         with pytest.raises(ValueError, match="modes"):
             apply_mode_unitary(state, ModeMatrix(dft_splitter(3)))
 
+    @pytest.mark.parametrize("occupation, modes, message", [
+        ((1, 1), 2, f"{SPILL} 1"),
+        ((1, 2), 2, f"{SPILL} 2"),
+        ((2, 2), 2, f"{SPILL} 2"),
+        ((1,), 2, "matrix mixes 2 modes but the state carries 1"),
+        ((1, 0, 0), 2, "matrix mixes 2 modes but the state carries 3"),
+    ])
+    def test_refusals_name_the_cause(self, occupation, modes, message):
+        amps = np.zeros((max(occupation) + 1,) * len(occupation), dtype=complex)
+        amps[occupation] = 1.0
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lift(amps, dft_splitter(modes))
+
     def test_coherent_state_factorizes(self):
         # |alpha> split over N modes equals the product of |alpha/sqrt(N)>
         # wherever the dense grid can represent it (total photons <= cap)
@@ -165,6 +181,23 @@ class TestTruncateAndPostselect:
         assert np.linalg.norm(out) ** 2 + discarded == pytest.approx(
             np.linalg.norm(state) ** 2, abs=1e-12
         )
+
+    @pytest.mark.parametrize("n, mode", [(n, j) for n in range(1, 5) for j in range(n)])
+    def test_every_mode_is_cut(self, n, mode):
+        # d photons in any one mode pass the cut at d, d + 1 photons do not
+        d = 1
+        for photons, kept in ((d, 1.0), (d + 1, 0.0)):
+            grid = np.zeros((d + 2,) * n, dtype=complex)
+            grid[tuple(photons if j == mode else 0 for j in range(n))] = 1.0
+            out, discarded = cut_modes(grid, d)
+            assert np.linalg.norm(out) ** 2 == kept
+            assert discarded == 1.0 - kept
+
+    def test_postselect_single_mode_keeps_the_state(self):
+        # one mode: no other mode to find in vacuum, so the read-off is the renormalized grid
+        kept, prob = vacuum_read_off(np.array([0.6, 0.0, 0.8j]))
+        assert prob == 1.0
+        assert np.allclose(kept.amplitudes, [0.6, 0.0, 0.8j], atol=1e-15)
 
     def test_postselect_product_state(self):
         kept, prob = vacuum_read_off(embed(fock_basis(1, 2), 3))
@@ -274,9 +307,10 @@ class TestOracleTeleport:
         state, params = FockVector(z / np.linalg.norm(z)), SchemeParams(1, 500)
         assert oracle_teleport(state, params).success_probability == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "n,cap,d", [(1, 4, 2), (2, 6, 1), (3, 5, 2), (4, 4, 2), (4, 8, 3), (5, 6, 2)]
-    )
+    @pytest.mark.parametrize("n,cap,d", [
+        (1, 4, 2), (2, 6, 1), (3, 5, 2), (4, 4, 2), (4, 8, 3), (5, 6, 2),
+        (1, 2, 3), (2, 4, 2), (3, 2, 3), (6, 3, 1),
+    ])
     def test_matches_dense_pipeline(self, n, cap, d):
         # reading <s_k|psi> off the split columns is the inverse split plus
         # vacuum post-selection, step for step
@@ -304,6 +338,13 @@ class TestOracleTeleport:
         for run in (oracle_teleport, dense_pipeline_reference):
             with pytest.raises(ValueError, match="vanishing state"):
                 run(fock_basis(3, 3), SchemeParams(2, 1))
+
+    @pytest.mark.parametrize("k, n, d", [(2, 1, 1), (3, 1, 2), (4, 3, 1), (5, 2, 2), (7, 3, 2)])
+    def test_dense_pipeline_refuses_what_the_oracle_refuses(self, k, n, d):
+        # |k> with k > N*d: every split occupation has some mode above d
+        for run in (oracle_teleport, dense_pipeline_reference):
+            with pytest.raises(ValueError, match="^vanishing state: "):
+                run(fock_basis(k, k), SchemeParams(n, d))
 
     @pytest.mark.parametrize(
         "n,d", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (5, 2), (6, 1), (7, 1), (8, 2)]
