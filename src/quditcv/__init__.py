@@ -17,6 +17,8 @@ _EXPORTING = ("combinatorics", "detectors", "multimode", "qudit", "teleport")
 def __getattr__(name: str):
     if name in _EXPORTING or name == "cli":  # `from . import x` asks for x: load x alone
         return importlib.import_module(f"{__name__}.{name}")
+    if name.startswith("_") and name != "__all__":  # a probe, or a private module to import
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     names = globals()
     if "__all__" not in names:  # the first export asked for binds every one, as `import *` would
         modules = [importlib.import_module(f"{__name__}.{module}") for module in _EXPORTING]

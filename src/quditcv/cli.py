@@ -141,6 +141,12 @@ def cmd_epr_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spans(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry of sorted `values`, where its run of equal values starts and its length."""
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(values)) + 1, [len(values)]))
+    return np.repeat(edges[:-1], lengths := np.diff(edges)), np.repeat(lengths, lengths)
+
+
 _FLAG_ENDS = np.array(["%.12g,0\n", "%.12g,1\n"], dtype=object)  # scheme2 and the flag
 _BLOCK = 4096  # most compare cells formatted and written as one chunk
 
@@ -167,9 +173,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
                                   for values in (eta, xi, p1))
     # the quartit scheme2 depends on xi alone: one "scheme2,advantage" tail per (xi, flag)
     tails = np.array([f"{v:.12g},{f}\n" for v in xi_part.tolist() for f in "01"], dtype=object)
-    by_xi = np.argsort(xi, kind="stable")  # the columns of a lone eta row, in order
-    # by_xi[ties[c]:ties[c + 1]] are the columns of equal xi, the c-th tie class
-    ties = np.concatenate(([0], np.flatnonzero(np.diff(xi[by_xi])) + 1, [len(xi)]))
+    order, by_xi = np.argsort(eta, kind="stable"), np.argsort(xi, kind="stable")
+    # per sorted row its run of equal eta, per by_xi position its tie class of equal xi
+    (first, length_of), (low_of, width_of) = _spans(eta[order]), _spans(xi[by_xi])
 
     def lines(i, j):
         """The CSV lines of cells (eta[i], xi[j])."""
@@ -180,30 +186,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
             return _spliced(*head, tails[2 * j + flags].tolist())
         return _spliced(*head, _FLAG_ENDS[flags].tolist()) % tuple(p2.tolist())
 
-    def blocks(rows, run=False):
-        """Lines of `rows`' cells, _BLOCK at a time: each row in by_xi order, or for a `run`
-        of equal eta, tie class by tie class of xi, each class's cells rows-major."""
-        size, firsts = len(rows) * len(xi), len(rows) * ties
+    def chunks():
+        """Lines of the sorted grid's cells, _BLOCK at a time; a lone eta row is a run of one."""
+        size, runs = len(eta) * len(xi), length_of.max() > 1
         for start in range(0, size, _BLOCK):
             cells = np.arange(start, min(start + _BLOCK, size))
-            if run:
-                c = np.searchsorted(firsts, cells, side="right") - 1
-                q, t = np.divmod(cells - firsts[c], ties[c + 1] - ties[c])
-                t += ties[c]
-            else:
-                q, t = np.divmod(cells, len(xi))
-            yield lines(rows[q], by_xi[t])
-
-    def chunks():
-        order = np.argsort(eta, kind="stable")
-        edges = np.concatenate(([0], np.flatnonzero(np.diff(eta[order])) + 1, [len(eta)]))
-        runs = np.flatnonzero(np.diff(edges) > 1)  # the runs of equal eta, the rest lone rows
-        lone = 0
-        for start, stop in zip(edges[runs].tolist(), edges[runs + 1].tolist()):
-            yield from blocks(order[lone:start])
-            yield from blocks(order[start:stop], run=True)
-            lone = stop
-        yield from blocks(order[lone:])
+            q, t = np.divmod(cells, len(xi))  # with no run, row q in by_xi order
+            if runs:  # the run of sorted row q starts at cell first[q] * len(xi)
+                row, length = first[q], length_of[q]
+                local = cells - row * len(xi)
+                low, width = low_of[tied := local // length], width_of[tied]  # its tie class
+                q, t = np.divmod(local - length * low, width)  # rows-major within the class
+                q, t = q + row, t + low
+            yield lines(order[q], by_xi[t])
 
     _write_csv(args.out, "eta,xi,scheme1,scheme2,advantage", chunks())
     return 0

@@ -142,14 +142,6 @@ def squeezing_from_r(r: float) -> SqueezingParams:
     return squeezing_from_chi(math.tanh(real("r", r, 0.0)))
 
 
-def _regrown(rows: np.ndarray, count: int, build) -> np.ndarray:
-    """`rows` if count fit, else read-only build(max(count, min(2 * count, PHOTON_BUDGET + 1)))."""
-    if rows.shape[1] < count:
-        rows = build(max(count, min(2 * count, PHOTON_BUDGET + 1)))
-        rows.setflags(write=False)
-    return rows
-
-
 # Rows regrown by doubling: each entry is built on its own or summed in order, so a prefix
 # holds the bytes of a fresh short build.  _GRID: k, lgamma(k + 1) and log k! (np.cumsum);
 # _CHI_ROWS: ((chi, its sign, as -0.0 == 0.0 has odd powers -0.0), rows chi^k and chi^2k)
@@ -163,8 +155,12 @@ def _log_factorials(size: int) -> np.ndarray:
 
 def _grid(count: int) -> np.ndarray:
     global _GRID
-    rows = _regrown(_GRID, count, lambda size: np.array([
-        np.arange(size), [math.lgamma(j + 1) for j in range(size)], _log_factorials(size)]))
+    if _GRID.shape[1] >= count:
+        return _GRID[:, :count]
+    size = max(count, min(2 * count, PHOTON_BUDGET + 1))
+    rows = np.array([np.arange(size), [math.lgamma(j + 1) for j in range(size)],
+                     _log_factorials(size)])
+    rows.setflags(write=False)
     if count <= PHOTON_BUDGET + 1:  # the closed forms' window: a longer grid is not kept
         _GRID = rows
     return rows[:, :count]

@@ -118,3 +118,22 @@ def test_package_exports_every_module_all_in_order():
 def test_unknown_package_attribute_names_module_and_attribute():
     with pytest.raises(AttributeError, match=r"^module 'quditcv' has no attribute 'nope'$"):
         quditcv.nope  # noqa: B018
+
+
+_PROBE_SCRIPT = """
+import inspect, sys
+import quditcv
+missing = hasattr(quditcv, "_nope")
+unwrapped = inspect.unwrap(quditcv) is quditcv  # asks for __wrapped__
+from quditcv import _frozen
+print(repr([missing, unwrapped, _frozen.__name__,
+            sorted(name for name in sys.modules if name.startswith("quditcv"))]))
+"""
+
+
+def test_private_name_probes_load_no_exporting_module():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-c", _PROBE_SCRIPT], env=env, capture_output=True,
+                         text=True, check=True)
+    assert ast.literal_eval(run.stdout) == [False, True, "quditcv._frozen",
+                                            ["quditcv", "quditcv._frozen"]]

@@ -1,10 +1,12 @@
 """CLI behaviour: CSV shape, determinism, exit codes, verification gate."""
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import pathlib
@@ -177,6 +179,30 @@ class TestCompare:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @given(eta=st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.5, 0.75, 1.0]), min_size=1,
+                        max_size=12),
+           xi=st.lists(st.sampled_from([0.0, -0.0, 0.3, 0.5, 1.0]), min_size=1, max_size=12),
+           model=st.sampled_from(detectors.COMPARE_MODELS))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_follow_the_stable_sort_across_small_blocks(self, eta, xi, model):
+        # blocks of 5 cells split runs of equal eta and tie classes of xi at any cell
+        argv = ["compare", "--eta=" + ",".join(map(repr, eta)),
+                "--xi=" + ",".join(map(repr, xi)), "--model", model]
+
+        def written():
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv) == 0
+            return out.getvalue()
+
+        whole = written()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK", 5)
+            assert written() == whole
+        eta_flat, xi_flat = np.repeat(eta, len(xi)), np.tile(xi, len(eta))  # the eta-major grid
+        expected = [f"{eta_flat[i]:.12g},{xi_flat[i]:.12g}"
+                    for i in np.lexsort((xi_flat, eta_flat))]
+        assert [",".join(line.split(",")[:2]) for line in whole.splitlines()[1:]] == expected
 
     def test_grid_matches_advantage_region(self, capsys):
         _, out, _ = run_cli(["compare", "--eta", "0:1:5", "--xi", "0:1:5"], capsys)

@@ -174,19 +174,6 @@ def test_log_dp_agrees_with_exact_beyond_limit(n, d):
         assert restricted_weight_log(n, k, d) == pytest.approx(expected, rel=1e-9)
 
 
-def scratch_exact_table(n_modes: int, cutoff: int) -> list[Fraction]:
-    # The dynamic program run from one mode up, with no cache.
-    inv_factorial = [Fraction(1, math.factorial(r)) for r in range(cutoff + 1)]
-    table = [Fraction(1)]
-    for _ in range(n_modes):
-        grown = [Fraction(0)] * (len(table) + cutoff)
-        for k, acc in enumerate(table):
-            for r, w in enumerate(inv_factorial):
-                grown[k + r] += acc * w
-        table = grown
-    return table
-
-
 @pytest.fixture
 def empty_table_caches(monkeypatch):
     monkeypatch.setattr(combinatorics, "_TABLES", {})
@@ -196,7 +183,7 @@ def empty_table_caches(monkeypatch):
 @pytest.mark.parametrize("d", [1, 4])
 def test_grown_tables_equal_tables_built_from_scratch(empty_table_caches, order, d):
     for n in order:
-        assert count_fractions(n, d) == scratch_exact_table(n, d)
+        assert count_fractions(n, d) == weight_table_reference(n, d)
         grown = _log_weight_table(n, d)
         assert grown.tobytes() == scratch_log_table(n, d).tobytes()
     # one table of each kind is kept, the last one requested, and a repeat returns it
@@ -211,7 +198,7 @@ def test_grown_tables_equal_tables_built_from_scratch(empty_table_caches, order,
 def test_a_new_d_replaces_the_kept_tables(empty_table_caches):
     # one table of each kind is kept: a request at another d starts from N = 0, same bytes
     for n, d in ((7, 4), (12, 1), (5, 4), (30, 4), (3, 2)):
-        assert count_fractions(n, d) == scratch_exact_table(n, d)
+        assert count_fractions(n, d) == weight_table_reference(n, d)
         assert _log_weight_table(n, d).tobytes() == scratch_log_table(n, d).tobytes()
         assert [value[:2] for value in combinatorics._TABLES.values()] == [(d, n)] * 2
 
@@ -223,7 +210,7 @@ def test_a_new_d_replaces_the_kept_tables(empty_table_caches):
 def test_count_tables_grown_in_any_order_equal_the_scratch_dp(empty_table_caches, n, d, steps):
     for m in steps(n):
         assert all(type(c) is int for c in _count_table(m, d))
-    assert count_fractions(n, d) == scratch_exact_table(n, d)
+    assert count_fractions(n, d) == weight_table_reference(n, d)
 
 
 def test_thousand_mode_log_table_builds_by_iteration(empty_table_caches):

@@ -779,7 +779,7 @@ class TestTeleportEpr:
             raise AssertionError("chi rows rebuilt for a request they cover")
 
         monkeypatch.setattr(teleport, "_chi_rows", refuse)
-        monkeypatch.setattr(teleport, "_regrown", refuse)
+        monkeypatch.setattr(teleport, "_grid", refuse)
         for params, old in zip(requests, before):
             out = teleport_epr(squeeze, params)
             assert out.schmidt.tobytes() == old.schmidt.tobytes()
