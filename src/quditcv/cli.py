@@ -172,7 +172,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     eta_text, xi_text, p1_text = (np.array([f"{v:.12g}," for v in values.tolist()], dtype=object)
                                   for values in (eta, xi, p1))
     # the quartit scheme2 depends on xi alone: one "scheme2,advantage" tail per (xi, flag)
-    tails = np.array([f"{v:.12g},{f}\n" for v in xi_part.tolist() for f in "01"], dtype=object)
+    tails = np.array([text + flag for text in (f"{v:.12g}," for v in xi_part.tolist())
+                      for flag in ("0\n", "1\n")], dtype=object)
     order, by_xi = np.argsort(eta, kind="stable"), np.argsort(xi, kind="stable")
     # per sorted row its run of equal eta, per by_xi position its tie class of equal xi
     (first, length_of), (low_of, width_of) = _spans(eta[order]), _spans(xi[by_xi])

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import freeze_field, instance, integer, real
+from ._frozen import Record, instance, integer, real
 from .teleport import _clamped, _poisson_tail_bound
 
 __all__ = [
@@ -54,22 +53,17 @@ _WEIGHT_BUDGET = 10**7  # most POVM weights one request builds: 80 MB of float64
 COMPARE_MODELS = ("quartit-interferometer", "linear-optics", "deterministic")
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(Record, value=True):
     """Detection efficiency eta in [0, 1], finite mean dark counts nu >= 0 per gate."""
 
     eta: float
-    nu: float = 0.0
+    nu: float
 
-    def __post_init__(self) -> None:
-        if (eta := real("eta", self.eta, 0.0, 1.0)) is not self.eta:  # a float is stored as given
-            object.__setattr__(self, "eta", eta)
-        if (nu := real("nu", self.nu, 0.0)) is not self.nu:
-            object.__setattr__(self, "nu", nu)
+    def __init__(self, eta: float, nu: float = 0.0) -> None:
+        self.__dict__.update(eta=real("eta", eta, 0.0, 1.0), nu=real("nu", nu, 0.0))
 
 
-@dataclass(frozen=True, eq=False)
-class PovmElement:
+class PovmElement(Record):
     """Diagonal POVM element: weight per Fock level |m><m| up to a cutoff.
 
     ``clicks`` is the registered count; None marks the closure element that
@@ -79,10 +73,9 @@ class PovmElement:
     clicks: int | None
     weights: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.clicks is not None:
-            object.__setattr__(self, "clicks", integer("clicks", self.clicks, 0))
-        arr = freeze_field(self, "weights", float)
+    def __init__(self, clicks: int | None, weights) -> None:
+        self.__dict__["clicks"] = None if clicks is None else integer("clicks", clicks, 0)
+        arr = self._freeze("weights", weights, float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("weights must form a non-empty 1-d vector")
         if not (arr.min() >= -1e-12 and arr.max() <= 1.0 + 1e-12):  # refuses NaN too
@@ -217,13 +210,16 @@ def comparison_axes(eta_grid, xi_grid, model: str = "quartit-interferometer"):
         raise ValueError(f"unknown comparison model {model!r}; pick from {COMPARE_MODELS}")
     if np.ndim(eta_grid) != 1 or np.ndim(xi_grid) != 1:  # each entry is checked as a scalar
         raise ValueError("eta_grid and xi_grid must each be a 1-d sequence of numbers")
-    scheme1, scheme2 = (model, "generic") if model in _SCHEME1_MODELS else ("linear-optics", model)
-    p1 = np.array([scheme1_success(e, _QUBIT_CHANNELS, scheme1) for e in eta_grid])
-    xi_part = np.array([scheme2_success(x, 1.0, _QUARTIT_MODULES, scheme2) for x in xi_grid])
-    if scheme2 != "generic":
-        return p1, None, xi_part
-    # xi^n eta^n factorizes exactly: scheme2(xi, 1) = xi^n * 1.0 and scheme2(1, eta) = 1.0 * eta^n
-    return p1, np.array([scheme2_success(1.0, e, _QUARTIT_MODULES) for e in eta_grid]), xi_part
+    # scheme1_success's and scheme2_success's check and expression, one check per value
+    eta = [real("eta", e, 0.0, 1.0) for e in eta_grid]
+    xi = [real("xi", x, 0.0, 1.0) for x in xi_grid]
+    n, m = _QUBIT_CHANNELS, _QUARTIT_MODULES
+    p1 = np.array([e ** (2 * n) for e in eta] if model == "deterministic"
+                  else [0.5**n * e**n for e in eta])
+    if model == "quartit-interferometer":
+        return p1, None, np.array([INTERFEROMETER_SUCCESS**m * x ** (3 * m) for x in xi])
+    # generic modules: xi^m eta^m factorizes exactly, as xi^m * 1.0^m and 1.0^m * eta^m
+    return p1, np.array([e**m for e in eta]), np.array([x**m for x in xi])
 
 
 def advantage_region(eta_grid, xi_grid) -> np.ndarray:

@@ -27,11 +27,10 @@ and its inverse is simply the conjugate transpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import freeze_field, instance
+from ._frozen import Record, instance
 from .teleport import FockVector, SchemeParams, TeleportOutcome, _renormalized
 
 __all__ = ["ModeMatrix", "MultimodeState", "apply_mode_unitary", "oracle_teleport"]
@@ -44,14 +43,13 @@ _INDEX_BUDGET = 10**6
 _STEP_COST = 100
 
 
-@dataclass(frozen=True, eq=False)
-class ModeMatrix:
+class ModeMatrix(Record):
     """Unitary acting on the mode operators (not on Fock amplitudes directly)."""
 
     entries: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = freeze_field(self, "entries", complex)
+    def __init__(self, entries) -> None:
+        arr = self._freeze("entries", entries, complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("entries must form a square matrix")
         if not (np.isfinite(arr).all()  # first: an infinite entry warns inside the product
@@ -63,14 +61,13 @@ class ModeMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class MultimodeState:
+class MultimodeState(Record):
     """Dense amplitudes over occupation vectors, one tensor axis per mode, left unnormalized."""
 
     amplitudes: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = freeze_field(self, "amplitudes", complex)
+    def __init__(self, amplitudes) -> None:
+        arr = self._freeze("amplitudes", amplitudes, complex)
         if arr.ndim < 1:
             raise ValueError("amplitudes must carry at least one mode axis")
         if len(set(arr.shape)) != 1:

@@ -19,12 +19,11 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._frozen import adopt, freeze_field, instance, integer, real, squared_norm
+from ._frozen import Record, instance, integer, real, squared_norm
 
 __all__ = [
     "BellOutcome", "JointQuditState", "QuditKet", "depolarized_fidelity", "haar_random_ket",
@@ -35,14 +34,13 @@ _NORM_TOL = 1e-9
 _Tables = collections.namedtuple("_Tables", "conj_fourier phases shift xor resource")
 
 
-@dataclass(frozen=True, eq=False)
-class QuditKet:
+class QuditKet(Record):
     """Normalized pure state of a single D-dimensional system."""
 
     amplitudes: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = freeze_field(self, "amplitudes", complex)
+    def __init__(self, amplitudes) -> None:
+        arr = self._freeze("amplitudes", amplitudes, complex)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a qudit needs a 1-d amplitude vector of dimension >= 2")
         if not abs(squared_norm(arr) - 1.0) <= _NORM_TOL:  # refuses NaN too
@@ -63,17 +61,16 @@ def _kets(rows: np.ndarray) -> list[QuditKet]:
     if not _unit_rows(rows):
         raise ValueError("qudit amplitudes must be normalized")
     rows.setflags(write=False)
-    return [adopt(QuditKet, amplitudes=row) for row in rows]
+    return [QuditKet._adopt(amplitudes=row) for row in rows]
 
 
-@dataclass(frozen=True, eq=False)
-class JointQuditState:
+class JointQuditState(Record):
     """Normalized state of several qudits as a dense tensor, one axis each."""
 
     amplitudes: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = freeze_field(self, "amplitudes", complex)
+    def __init__(self, amplitudes) -> None:
+        arr = self._freeze("amplitudes", amplitudes, complex)
         if arr.ndim < 1 or any(s < 2 for s in arr.shape):
             raise ValueError("each subsystem needs dimension >= 2")
         if not abs(squared_norm(arr.ravel()) - 1.0) <= _NORM_TOL:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import wraps
 from itertools import accumulate, repeat
 from operator import mul, truediv
@@ -30,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import adopt, complex_number, freeze_field, instance, integer, real, squared_norm
+from ._frozen import Record, complex_number, instance, integer, real, squared_norm
 from .combinatorics import EXACT_LIMIT, PHOTON_BUDGET, _count_table, _log_weight_table, _within
 
 __all__ = [
@@ -50,21 +49,20 @@ _P_SUC_SLACK = 1e-9 + 64 * 2.0**-52
 _GAIN_CACHE_BYTES = 16 * 2**20
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(Record, value=True):
     """Scheme geometry: N modes, at most d photons kept per mode, N*d <= 10^4."""
 
     num_modes: int
     photon_cutoff: int
 
-    def __post_init__(self) -> None:
-        n, d = self.num_modes, self.photon_cutoff
+    def __init__(self, num_modes: int, photon_cutoff: int) -> None:
+        n, d = num_modes, photon_cutoff
         if not (type(n) is int and type(d) is int and n >= 1 and d >= 1):  # skips the ABC checks
             n, d = integer("num_modes", n, 1), integer("photon_cutoff", d, 1)
-            object.__setattr__(self, "num_modes", n)
-            object.__setattr__(self, "photon_cutoff", d)
         if n * d > PHOTON_BUDGET:
             _within(PHOTON_BUDGET, n, d)
+        fields = self.__dict__
+        fields["num_modes"], fields["photon_cutoff"] = n, d
 
     @property
     def max_photons(self) -> int:
@@ -72,14 +70,13 @@ class SchemeParams:
         return self.num_modes * self.photon_cutoff
 
 
-@dataclass(frozen=True, eq=False)
-class FockVector:
+class FockVector(Record):
     """Single-mode pure state: complex amplitudes over photon numbers 0..cutoff."""
 
     amplitudes: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = freeze_field(self, "amplitudes", complex)
+    def __init__(self, amplitudes) -> None:
+        arr = self._freeze("amplitudes", amplitudes, complex)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("amplitudes must form a non-empty 1-d sequence")
 
@@ -94,31 +91,28 @@ class FockVector:
         return abs(self.norm() ** 2 - 1.0) <= real("tol", tol, 0.0)
 
 
-@dataclass(frozen=True)
-class TeleportOutcome:
+class TeleportOutcome(Record, value=True):
     """Post-selected output state and the probability of reaching it."""
 
     state: FockVector
     success_probability: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.success_probability <= 1.0:
-            raise ValueError(
-                f"success probability must lie in (0, 1], got {self.success_probability}"
-            )
+    def __init__(self, state: FockVector, success_probability: float) -> None:
+        if not 0.0 < success_probability <= 1.0:
+            raise ValueError(f"success probability must lie in (0, 1], got {success_probability}")
+        fields = self.__dict__
+        fields["state"], fields["success_probability"] = state, success_probability
 
 
-@dataclass(frozen=True)
-class SqueezingParams:
+class SqueezingParams(Record, value=True):
     """Two-mode squeezing strength chi = tanh(r), with r and the variance ratio v_s derived."""
 
     chi: float
 
-    def __post_init__(self) -> None:
-        if (chi := real("chi", self.chi)) is not self.chi:  # a float is stored as given
-            object.__setattr__(self, "chi", chi)
-        if not 0.0 <= chi < 1.0:
+    def __init__(self, chi: float) -> None:
+        if not 0.0 <= (chi := real("chi", chi)) < 1.0:  # `real` returns a float as given
             raise ValueError(f"chi must lie in [0, 1), got {chi}")
+        self.__dict__["chi"] = chi
 
     @property
     def r(self) -> float:
@@ -257,10 +251,9 @@ def _renormalized(scaled: np.ndarray, log_p_suc=None, *args) -> TeleportOutcome:
     p_suc = float(np.add.reduce(np.square(magnitudes, out=magnitudes)))  # (|s| ** 2).sum()
     if p_suc > 0.0:
         scaled /= math.sqrt(p_suc)
-        scaled.setflags(write=False)
-        state = adopt(FockVector, amplitudes=scaled)
-        return adopt(TeleportOutcome, state=state,
-                     success_probability=_clamped(p_suc) if p_suc > 1.0 else p_suc)
+        scaled.setflags(False)  # write=False, given by position: numpy parses a keyword slowly
+        state = FockVector._adopt(amplitudes=scaled)
+        return TeleportOutcome(state, _clamped(p_suc) if p_suc > 1.0 else p_suc)
     magnitudes = np.abs(scaled)  # log P_suc = 2 log max|s| + log sum |s/max|^2, else log_p_suc()
     top = float(np.max(magnitudes))
     if top > 0.0:

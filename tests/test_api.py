@@ -1,5 +1,5 @@
-"""Public surface: frozen array fields, every exported or traced name resolves, and the
-package loads a module only when it is used."""
+"""Public surface: frozen records and their array fields, every exported or traced name
+resolves, and the package loads a module only when it is used."""
 
 import ast
 import importlib
@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import quditcv
-from quditcv.detectors import PovmElement
+from quditcv.detectors import DetectorModel, PovmElement
 from quditcv.multimode import ModeMatrix, MultimodeState
 from quditcv.qudit import JointQuditState, QuditKet
-from quditcv.teleport import FockVector
+from quditcv.teleport import FockVector, SchemeParams, SqueezingParams, TeleportOutcome
 
 MODULES = ("combinatorics", "teleport", "qudit", "multimode", "detectors", "cli")
 
@@ -44,6 +44,94 @@ def test_array_field_is_a_read_only_copy(cls, field, dtype, values, same_dtype):
     assert given.flags.writeable
     given.flat[0] = 7
     assert np.array_equal(stored, np.array(values, dtype=dtype))
+
+
+# each record type built from narrow or integer input, and its repr as the frozen dataclasses
+# gave it: TeleportOutcome's holds its state's, and tests/test_boundary.py compares reprs.
+# Every outcome holds one state: a state compares by identity
+STATE = FockVector([1])
+RECORDS = {
+    "SchemeParams": (lambda: SchemeParams(np.int64(3), 2),
+                     "SchemeParams(num_modes=3, photon_cutoff=2)"),
+    "SqueezingParams": (lambda: SqueezingParams(np.float32(0.3)),
+                        "SqueezingParams(chi=0.30000001192092896)"),
+    "TeleportOutcome": (lambda: TeleportOutcome(STATE, 0.5), "TeleportOutcome("
+                        "state=FockVector(amplitudes=array([1.+0.j])), success_probability=0.5)"),
+    "DetectorModel": (lambda: DetectorModel(1), "DetectorModel(eta=1.0, nu=0.0)"),
+    "FockVector": (lambda: FockVector([0.6, 0.8j]),
+                   "FockVector(amplitudes=array([0.6+0.j , 0. +0.8j]))"),
+    "PovmElement": (lambda: PovmElement(np.int64(2), [0.5, 1]),
+                    "PovmElement(clicks=2, weights=array([0.5, 1. ]))"),
+    "QuditKet": (lambda: QuditKet([0, 1]), "QuditKet(amplitudes=array([0.+0.j, 1.+0.j]))"),
+    "JointQuditState": (lambda: JointQuditState([[0, 1], [0, 0]]),
+                        "JointQuditState(amplitudes=array([[0.+0.j, 1.+0.j],\n"
+                        "       [0.+0.j, 0.+0.j]]))"),
+    "ModeMatrix": (lambda: ModeMatrix([[0, 1], [1, 0]]),
+                   "ModeMatrix(entries=array([[0.+0.j, 1.+0.j],\n       [1.+0.j, 0.+0.j]]))"),
+    "MultimodeState": (lambda: MultimodeState([[1, 0], [0, 0]]),
+                       "MultimodeState(amplitudes=array([[1.+0.j, 0.+0.j],\n"
+                       "       [0.+0.j, 0.+0.j]]))"),
+}
+VALUE_RECORDS = ("SchemeParams", "SqueezingParams", "TeleportOutcome", "DetectorModel")
+
+
+@pytest.mark.parametrize("make, text", RECORDS.values(), ids=RECORDS.keys())
+def test_record_repr(make, text):
+    assert repr(make()) == text
+
+
+@pytest.mark.parametrize("make", [make for make, _ in RECORDS.values()], ids=RECORDS.keys())
+def test_record_refuses_assignment_and_deletion(make):
+    record = make()
+    fields, text = dict(vars(record)), repr(record)
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert vars(record) == fields and repr(record) == text
+
+
+@pytest.mark.parametrize("name", VALUE_RECORDS)
+def test_value_record_compares_and_hashes_by_fields(name):
+    make = RECORDS[name][0]
+    first, second = make(), make()
+    assert first == second and not first != second and hash(first) == hash(second)
+    assert first != tuple(vars(first).values())  # a record, not the tuple of its fields
+    assert len({first, second}) == 1
+
+
+def test_value_records_compare_their_stored_fields():
+    assert SchemeParams(np.int64(3), 2) == SchemeParams(3, 2)
+    assert hash(SchemeParams(np.int64(3), 2)) == hash(SchemeParams(3, 2))
+    assert SchemeParams(3, 2) != SchemeParams(2, 3)
+    assert SqueezingParams(np.float64(0.25)) == SqueezingParams(0.25) != SqueezingParams(0.5)
+    assert DetectorModel(0.7) == DetectorModel(0.7, 0) != DetectorModel(0.7, 0.05)
+    assert TeleportOutcome(STATE, 0.5) == TeleportOutcome(STATE, 0.5) != TeleportOutcome(STATE, 1)
+    assert TeleportOutcome(STATE, 0.5) != TeleportOutcome(FockVector([1]), 0.5)  # equal amplitudes
+
+
+@pytest.mark.parametrize("name", [name for name in RECORDS if name not in VALUE_RECORDS])
+def test_array_record_compares_and_hashes_by_identity(name):
+    first, second = RECORDS[name][0](), RECORDS[name][0]()
+    assert first == first and first != second and not first == second
+    assert hash(first) == object.__hash__(first)
+
+
+def test_records_take_their_fields_by_keyword():
+    assert SchemeParams(num_modes=3, photon_cutoff=2) == SchemeParams(3, 2)
+    assert SqueezingParams(chi=0.25) == SqueezingParams(0.25)
+    assert DetectorModel(eta=0.7, nu=0.05) == DetectorModel(0.7, 0.05)
+    default = DetectorModel(0.7)
+    assert default.nu == 0.0 and type(default.nu) is float
+    assert TeleportOutcome(state=STATE, success_probability=0.5) == TeleportOutcome(STATE, 0.5)
+    assert repr(FockVector(amplitudes=[1])) == repr(STATE)
+    assert repr(PovmElement(clicks=None, weights=[1])) == (
+        "PovmElement(clicks=None, weights=array([1.]))")
+    for record in (QuditKet(amplitudes=[0, 1]), JointQuditState(amplitudes=[[0, 1], [0, 0]]),
+                   ModeMatrix(entries=[[0, 1], [1, 0]]),
+                   MultimodeState(amplitudes=[[1, 0], [0, 0]])):
+        assert repr(record) == RECORDS[type(record).__name__][1]
 
 
 def _traced_names():
@@ -75,11 +163,11 @@ def test_every_exported_name_exists():
 
 
 # run in a fresh interpreter: the commands but verify, then verify, each noting which of the
-# modules only verify and library callers need are loaded
+# modules only verify and library callers need are loaded; no command loads dataclasses
 _LAZY_SCRIPT = """
 import contextlib, io, sys
 import quditcv, quditcv.cli
-LAZY = ("quditcv.multimode", "quditcv.qudit", "fractions", "decimal")
+LAZY = ("quditcv.multimode", "quditcv.qudit", "fractions", "decimal", "dataclasses")
 COMMANDS = [["gains"], ["compare"], ["povm"], ["teleport", "--alpha", "0.5", "--n", "3",
             "--d", "2"], ["epr-sweep"], ["verify"]]
 seen = [[name for name in LAZY if name in sys.modules]]
