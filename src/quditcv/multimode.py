@@ -56,10 +56,6 @@ class ModeMatrix(Record):
                 and np.max(np.abs(arr @ arr.conj().T - np.eye(arr.shape[0]))) <= 1e-12):
             raise ValueError("matrix is not unitary to 1e-12")
 
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
 
 class MultimodeState(Record):
     """Dense amplitudes over occupation vectors, one tensor axis per mode, left unnormalized."""
@@ -74,15 +70,6 @@ class MultimodeState(Record):
             raise ValueError("every mode must share one common photon cap")
         if arr.shape[0] == 0:
             raise ValueError("every mode axis must hold at least the vacuum amplitude")
-
-    @property
-    def num_modes(self) -> int:
-        return self.amplitudes.ndim
-
-    @property
-    def per_mode_cap(self) -> int:
-        """Largest occupation representable on each axis."""
-        return self.amplitudes.shape[0] - 1
 
 
 def _create(tensor: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -102,40 +89,30 @@ def _create(tensor: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lift_column(matrix: np.ndarray, occupation: tuple[int, ...], cap: int) -> np.ndarray:
-    """Image of the basis state |occupation| under the lifted mode unitary.
-
-    Built as prod_i (sum_j U[j, i] a_j^dagger)^{n_i} / sqrt(n_i!) acting on
-    vacuum, one photon at a time.
-    """
-    column = np.zeros((cap + 1,) * len(occupation), dtype=complex)
-    column[(0,) * len(occupation)] = 1.0
-    for mode, count in enumerate(occupation):
-        for photons in range(1, count + 1):
-            column = _create(column, matrix[:, mode]) / math.sqrt(photons)
-    return column
-
-
 def apply_mode_unitary(state: MultimodeState, matrix: ModeMatrix) -> MultimodeState:
     """Lift a mode unitary to the truncated Fock space and apply it.
 
-    Photon number is conserved sector by sector, so the action is unitary as
-    long as no occupied sector can spill past the common cap.
+    Each occupied |n> maps to prod_i (sum_j U[j, i] a_j^dagger)^{n_i} / sqrt(n_i!)
+    acting on vacuum, one photon at a time.  Photon number is conserved sector
+    by sector, so the action is unitary as long as no occupied sector can spill
+    past the common cap.
 
     Raises:
         ValueError: "cap exceeded" when some occupied amplitude would need an
             occupation beyond the cap after mixing.
     """
-    instance("state", state, MultimodeState)
-    if instance("matrix", matrix, ModeMatrix).size != state.num_modes:
-        raise ValueError(
-            f"matrix mixes {matrix.size} modes but the state carries {state.num_modes}"
-        )
-    amps = state.amplitudes
+    amps = instance("state", state, MultimodeState).amplitudes
+    entries = instance("matrix", matrix, ModeMatrix).entries
+    if len(entries) != amps.ndim:
+        raise ValueError(f"matrix mixes {len(entries)} modes but the state carries {amps.ndim}")
     out = np.zeros_like(amps)
-    for raw in np.argwhere(amps != 0):
-        occupation = tuple(int(x) for x in raw)
-        out += amps[occupation] * _lift_column(matrix.entries, occupation, state.per_mode_cap)
+    for occupation in np.argwhere(amps != 0):
+        column = np.zeros_like(amps)
+        column[(0,) * amps.ndim] = 1.0
+        for mode, count in enumerate(occupation):
+            for photons in range(1, count + 1):
+                column = _create(column, entries[:, mode]) / math.sqrt(photons)
+        out += amps[tuple(occupation)] * column
     return MultimodeState(out)
 
 

@@ -129,11 +129,15 @@ def squeezing_from_chi(chi: float) -> SqueezingParams:
 
 def squeezing_from_vs(v_s: float) -> SqueezingParams:
     v_s = real("v_s", v_s, 1.0)
-    return squeezing_from_chi((v_s - 1.0) / (v_s + 1.0))
+    if (chi := (v_s - 1.0) / (v_s + 1.0)) == 1.0:  # v_s past about 9.0e15
+        raise ValueError(f"v_s must leave chi = (v_s-1)/(v_s+1) below 1 as a float, got {v_s}")
+    return squeezing_from_chi(chi)
 
 
 def squeezing_from_r(r: float) -> SqueezingParams:
-    return squeezing_from_chi(math.tanh(real("r", r, 0.0)))
+    if (chi := math.tanh(r := real("r", r, 0.0))) == 1.0:  # r past about 19.06
+        raise ValueError(f"r must leave chi = tanh(r) below 1 as a float, got {r}")
+    return squeezing_from_chi(chi)
 
 
 # Rows regrown by doubling: each entry is built on its own or summed in order, so a prefix

@@ -189,6 +189,21 @@ def test_only_verify_loads_multimode_qudit_and_fractions():
                                                "epr-sweep")), ["verify", 0, lazy]]
 
 
+def test_importtime_lists_every_loaded_module():
+    # -X importtime logs only what the import statement loads, so a submodule the package
+    # loaded another way would hide its cost in its importer's self time
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
+    script = ("import sys, quditcv, quditcv.cli; "
+              "print(*sorted(name for name in sys.modules if name.startswith('quditcv')))")
+    run = subprocess.run([sys.executable, "-X", "importtime", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    logged = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+              if line.startswith("import time:")}
+    loaded = run.stdout.split()
+    assert "quditcv.detectors" in loaded
+    assert [name for name in loaded if name not in logged] == []
+
+
 def test_package_exports_every_module_all_in_order():
     modules = [importlib.import_module(f"quditcv.{mod}")
                for mod in ("combinatorics", "detectors", "multimode", "qudit", "teleport")]

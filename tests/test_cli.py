@@ -120,6 +120,11 @@ class TestEprSweep:
         assert code == 2 and out == ""
         assert err == "error: v_s must be finite and >= 1, got 0.5\n"
 
+    def test_vs_whose_chi_rounds_to_one_names_v_s(self, capsys):
+        code, out, err = run_cli(["epr-sweep", "--vs", "1e16"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: v_s must leave chi = (v_s-1)/(v_s+1) below 1 as a float, got 1e+16\n"
+
 
 class TestCompare:
     def test_default_model_corner_values(self, capsys):

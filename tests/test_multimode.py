@@ -132,7 +132,7 @@ class TestApplyModeUnitary:
 
     def test_size_mismatch(self):
         state = MultimodeState(embed(fock_basis(0, 1), 2))
-        with pytest.raises(ValueError, match="modes"):
+        with pytest.raises(ValueError, match="^matrix mixes 3 modes but the state carries 2$"):
             apply_mode_unitary(state, ModeMatrix(dft_splitter(3)))
 
     @pytest.mark.parametrize("occupation, modes, message", [

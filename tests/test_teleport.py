@@ -635,6 +635,21 @@ class TestSqueezing:
         with pytest.raises(ValueError, match=f"^{arg} must"):
             make(value)
 
+    @pytest.mark.parametrize("make, value, refusal", [
+        (squeezing_from_r, 20.0, "r must leave chi = tanh(r)"),
+        (squeezing_from_r, 1.7e308, "r must leave chi = tanh(r)"),
+        (squeezing_from_vs, 1e16, "v_s must leave chi = (v_s-1)/(v_s+1)"),
+        (squeezing_from_vs, 1.7e308, "v_s must leave chi = (v_s-1)/(v_s+1)"),
+    ], ids=["r-20", "r-1.7e308", "v_s-1e16", "v_s-1.7e308"])
+    def test_argument_whose_chi_rounds_to_one_names_itself(self, make, value, refusal):
+        with pytest.raises(ValueError) as caught:
+            make(value)
+        assert str(caught.value) == f"{refusal} below 1 as a float, got {value}"
+
+    def test_largest_arguments_below_the_rounding_are_accepted(self):
+        assert squeezing_from_r(19.0).chi == math.tanh(19.0) < 1.0
+        assert squeezing_from_vs(8.9e15).chi == (8.9e15 - 1.0) / (8.9e15 + 1.0) < 1.0
+
     def test_r_and_v_s_derive_from_chi(self):
         # a tiny chi cannot be paired with an r or v_s that disagrees with it
         params = SqueezingParams(4e-13)
